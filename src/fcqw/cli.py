@@ -4,8 +4,7 @@
     fcqw emit-qasm <config.json> write only the OpenQASM artifacts
     fcqw check <result-dir>      re-validate a result directory
 
-Exit code 0 iff all built-in checks pass.  The FCQW_THREADS environment
-variable caps the shot-level worker count.
+Exit code 0 iff all built-in checks pass.
 """
 from __future__ import annotations
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -212,15 +211,6 @@ def _derived_seed(base: int, *key: int) -> int:
     return int(np.random.SeedSequence(base, spawn_key=masked).generate_state(1)[0])
 
 
-def _num_threads() -> int:
-    raw = os.environ.get("FCQW_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"FCQW_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -248,7 +238,7 @@ def _rsquared(x: np.ndarray, y: np.ndarray) -> float:
 # experiment kinds
 
 
-def _measure_walk(cfg: ExperimentConfig, profile: PotentialProfile, t: int, n_threads: int):
+def _measure_walk(cfg: ExperimentConfig, profile: PotentialProfile, t: int):
     """Site densities after t walk steps: post-processed distribution plus,
     for noisy runs, the raw and weight-1-restricted baselines."""
     circuit = build_fcqw_walk(cfg.L, profile, t, cfg.chirality)
@@ -257,7 +247,7 @@ def _measure_walk(cfg: ExperimentConfig, profile: PotentialProfile, t: int, n_th
         raw = site_density_exact(simulate(circuit, init))
         return post_process(raw), raw, None
     seed = _derived_seed(cfg.noise.seed, t, int(round(profile.W * 1000)))
-    result = run_noisy(circuit, init, cfg.noise.replace_seed(seed), cfg.shots, n_threads)
+    result = run_noisy(circuit, init, cfg.noise.replace_seed(seed), cfg.shots)
     raw = site_density_counts(result, cfg.L)
     restricted = restricted_site_density_counts(result, cfg.L)
     return post_process(raw), raw, restricted
@@ -267,15 +257,17 @@ def _site_rows(step, dist: SiteDistribution):
     return [(step, site + 1, float(p)) for site, p in enumerate(dist.p)]
 
 
-def _run_chiral(cfg: ExperimentConfig, outdir: Path, W_values: list[float]) -> list[dict]:
-    n_threads = _num_threads()
-    checks = []
+def _run_chiral(
+    cfg: ExperimentConfig, outdir: Path, W_values: list[float]
+) -> tuple[list[dict], list[list[tuple]]]:
+    """Checks, plus the (step, ipr, peak) summary rows of each W in order."""
+    checks, summaries = [], []
     for W in W_values:
         profile = _profile_for(cfg, W)
         wtag = f"W{W:g}"
         site_rows, summary_rows, mitigation_rows = [], [], []
         for t in cfg.steps:
-            density, raw, restricted = _measure_walk(cfg, profile, t, n_threads)
+            density, raw, restricted = _measure_walk(cfg, profile, t)
             target = (cfg.start_site + t) % cfg.L
             site_rows += _site_rows(t, density)
             summary_rows.append((t, ipr(density), peak_amplitude(density, target)))
@@ -302,7 +294,8 @@ def _run_chiral(cfg: ExperimentConfig, outdir: Path, W_values: list[float]) -> l
                 mitigation_rows,
             )
         checks += _chiral_checks(cfg, W, summary_rows, mitigation_rows)
-    return checks
+        summaries.append(summary_rows)
+    return checks, summaries
 
 
 def _chiral_checks(cfg, W, summary_rows, mitigation_rows) -> list[dict]:
@@ -337,22 +330,19 @@ def _chiral_checks(cfg, W, summary_rows, mitigation_rows) -> list[dict]:
 
 
 def _run_chiral_propagation(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
-    return _run_chiral(cfg, outdir, [cfg.W])
+    checks, _ = _run_chiral(cfg, outdir, [cfg.W])
+    return checks
 
 
 def _run_chiral_robustness(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
-    checks = _run_chiral(cfg, outdir, list(cfg.W_values))
+    checks, summaries = _run_chiral(cfg, outdir, list(cfg.W_values))
     if cfg.noise is not None and len(cfg.W_values) >= 2:
-        stats = {}
-        n_threads = _num_threads()
-        for W in (cfg.W_values[0], cfg.W_values[-1]):
-            profile = _profile_for(cfg, W)
-            t = max(cfg.steps)
-            density, _, _ = _measure_walk(cfg, profile, t, n_threads)
-            stats[W] = (ipr(density), peak_amplitude(density, (cfg.start_site + t) % cfg.L))
+        last = cfg.steps.index(max(cfg.steps))
+        _, ipr0, peak0 = summaries[0][last]
+        _, ipr1, peak1 = summaries[-1][last]
         w0, w1 = cfg.W_values[0], cfg.W_values[-1]
-        rel_ipr = abs(stats[w1][0] - stats[w0][0]) / stats[w0][0]
-        rel_peak = abs(stats[w1][1] - stats[w0][1]) / stats[w0][1]
+        rel_ipr = abs(ipr1 - ipr0) / ipr0
+        rel_peak = abs(peak1 - peak0) / peak0
         checks.append(
             {
                 "name": "noisy_robustness_under_potential",
@@ -390,7 +380,6 @@ def _barrier_regions(profile: PotentialProfile) -> tuple[list[int], list[int]]:
 
 
 def _run_nonchiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
-    n_threads = _num_threads()
     method = cfg.method
     if method == "auto":
         method = "single_particle" if (cfg.noise is None and cfg.L > 12) else "statevector"
@@ -416,9 +405,7 @@ def _run_nonchiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
                     seed = _derived_seed(
                         cfg.noise.seed, int(round(time * 1000)), int(round(W * 1000))
                     )
-                    result = run_noisy(
-                        circuit, init, cfg.noise.replace_seed(seed), cfg.shots, n_threads
-                    )
+                    result = run_noisy(circuit, init, cfg.noise.replace_seed(seed), cfg.shots)
                     density = post_process(site_density_counts(result, cfg.L))
             p_beyond = float(np.sum(density.p[beyond])) if beyond else 0.0
             site_rows += _site_rows(time, density)
@@ -546,7 +533,6 @@ def _run_amplitude_scaling(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
         start_site=cfg.start_site,
         shots=cfg.shots,
         n_seeds=cfg.sweep_seeds,
-        n_threads=_num_threads(),
     )
     _write_csv(outdir / "decay.csv", ["x", "mean_peak_amplitude"], rows)
     xs = np.array([x for x, _ in rows], dtype=float)

@@ -8,15 +8,22 @@ an independent classical flip per qubit.  SWAPs are lowered to their
 three CNOTs first, so the two-qubit error probability applies per
 physical CNOT.
 
-Determinism: shot s draws from the substream SeedSequence(seed, (s,)),
-so results are independent of thread count.  With all probabilities
-zero, each shot consumes a single uniform for the measurement, exactly
-matching ``statevec.sample_bitstrings``.
+Fault table: rz and CNOT map basis indices to basis indices, linearly over
+GF(2), so an X or Y fault after gate j flips a fixed mask of the final
+index (a Pauli frame, as in Stim).  One backward pass over the gates gives
+every mask and the clean final index; a shot on a basis-state start then
+costs its random draws plus one XOR per X/Y fault.
+
+Determinism: shot s draws from its own substream SeedSequence(seed, (s,))
+in a fixed order (error flags, Pauli codes of the flagged gates, the
+measurement uniform, readout flips), so its outcome depends only on the
+seed, s and the circuit.  With all probabilities zero, each shot consumes
+a single uniform for the measurement, exactly matching
+``statevec.sample_bitstrings``.
 """
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,18 +94,27 @@ def _basis_index(state: StateVector) -> int | None:
     return None
 
 
-def _apply_perm_gate_index(index: int, gate) -> int:
-    """Track a basis index through rz/swap/cnot (all basis-permutation gates)."""
-    if gate.kind == "swap":
-        a, b = gate.targets
-        ba, bb = (index >> a) & 1, (index >> b) & 1
-        if ba != bb:
-            index ^= (1 << a) | (1 << b)
-    elif gate.kind == "cnot":
-        c, t = gate.targets
-        if (index >> c) & 1:
-            index ^= 1 << t
-    return index
+def _fault_table(gates, L: int, start_index: int) -> tuple[list[tuple[int, ...]], int]:
+    """Final-index flip of an X (or Y) after each gate, per target qubit,
+    and the clean final index, from one backward pass over rz/cnot gates.
+
+    ``col[q]`` is the final-index flip that an X on qubit q causes from the
+    current point on.  X_c before CNOT(c, t) equals X_c X_t after it, so
+    each CNOT does ``col[c] ^= col[t]``; rz leaves indices alone.
+    """
+    col = [1 << q for q in range(L)]
+    masks: list[tuple[int, ...]] = [()] * len(gates)
+    for j in range(len(gates) - 1, -1, -1):
+        g = gates[j]
+        masks[j] = tuple(col[q] for q in g.targets)
+        if g.kind == "cnot":
+            c, t = g.targets
+            col[c] ^= col[t]
+    clean = 0
+    for q in range(L):
+        if (start_index >> q) & 1:
+            clean ^= col[q]
+    return masks, clean
 
 
 def _draw_pauli(rng: np.random.Generator, gate) -> tuple[int, ...]:
@@ -114,18 +130,18 @@ def run_noisy(
     initial: StateVector,
     spec: NoiseSpec,
     shots: int,
-    n_threads: int = 1,
 ) -> ShotResult:
     """Sample measurement outcomes of the circuit under the noise model.
 
     Each shot evolves a fresh trajectory.  Circuits built from rz/swap/cnot
     acting on a basis state map basis states to basis states, so those
-    trajectories are tracked as integers; anything else runs through the
-    dense statevector kernels.  Both paths consume the random stream
-    identically: the per-gate error flags (one vector, skipped when both
-    gate probabilities are zero), then one Pauli draw per flagged gate in
-    order, one uniform for the measurement, and the readout flips (skipped
-    when p_readout is zero).
+    shots XOR fault-table masks into the clean final index; anything else
+    runs through the dense statevector kernels, each faulty shot starting
+    from the clean state just before its first fault.  Both paths consume
+    the random stream identically: the per-gate error flags (one vector,
+    skipped when both gate probabilities are zero), then one Pauli draw per
+    flagged gate in order, one uniform for the measurement, and the readout
+    flips (skipped when p_readout is zero).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -138,86 +154,66 @@ def run_noisy(
         [spec.p_cnot if g.kind == "cnot" else spec.p_1q for g in gates]
     )
     draw_flags = bool(np.any(gate_probs > 0.0))
+    bit_weights = 1 << np.arange(L, dtype=np.int64)
 
-    start_index = _basis_index(initial)
-    classical = start_index is not None and all(
-        g.kind in ("rz", "swap", "cnot") for g in gates
-    )
-
-    if classical:
-        # noiseless index after every gate, for first-error fast-forwarding
-        traj = np.empty(len(gates) + 1, dtype=np.int64)
-        traj[0] = start_index
-        b = start_index
-        for j, g in enumerate(gates):
-            b = _apply_perm_gate_index(b, g)
-            traj[j + 1] = b
-        worker_state = traj
-    else:
-        final = simulate(lowered, initial)
-        worker_state = (
-            initial.amplitudes.copy(),
-            np.cumsum(np.abs(final.amplitudes) ** 2),
-        )
-
-    def run_shot(s: int) -> int:
-        rng = shot_rng(spec.seed, s)
+    def flagged_gates(rng: np.random.Generator):
         if draw_flags:
-            flagged = np.flatnonzero(rng.random(len(gates)) < gate_probs)
-        else:
-            flagged = np.empty(0, dtype=int)
+            return np.flatnonzero(rng.random(len(gates)) < gate_probs)
+        return ()
 
-        if classical:
-            traj_arr = worker_state
-            if len(flagged) == 0:
-                index = int(traj_arr[-1])
-            else:
-                first = int(flagged[0])
-                index = int(traj_arr[first + 1])
-                flag_set = set(int(f) for f in flagged)
-                for q, code in zip(gates[first].targets, _draw_pauli(rng, gates[first])):
-                    if code in (1, 2):
-                        index ^= 1 << q
-                for j in range(first + 1, len(gates)):
-                    index = _apply_perm_gate_index(index, gates[j])
-                    if j in flag_set:
-                        for q, code in zip(gates[j].targets, _draw_pauli(rng, gates[j])):
-                            if code in (1, 2):
-                                index ^= 1 << q
-            u = rng.random()  # stream-aligned with the statevector path
-        else:
-            init_amps, clean_cumulative = worker_state
-            if len(flagged) == 0:
-                cumulative = clean_cumulative
-            else:
-                amps = init_amps.copy()
-                flag_set = set(int(f) for f in flagged)
-                for j, g in enumerate(gates):
-                    apply_gate_inplace(amps, L, g)
-                    if j in flag_set:
-                        for q, code in zip(g.targets, _draw_pauli(rng, g)):
-                            apply_pauli_inplace(amps, L, q, code)
-                cumulative = np.cumsum(np.abs(amps) ** 2)
-            u = rng.random()
-            index = sample_index(cumulative, u)
-
+    def readout(rng: np.random.Generator, index: int) -> int:
         if spec.p_readout > 0.0:
-            flips = rng.random(L) < spec.p_readout
-            for q in np.flatnonzero(flips):
-                index ^= 1 << int(q)
+            index ^= int((rng.random(L) < spec.p_readout) @ bit_weights)
         return index
 
-    counts: dict[str, int] = {}
-    if n_threads <= 1:
-        indices = [run_shot(s) for s in range(shots)]
+    indices = [0] * shots
+    start_index = _basis_index(initial)
+    if start_index is not None and all(g.kind in ("rz", "cnot") for g in gates):
+        masks, clean = _fault_table(gates, L, start_index)
+        for s in range(shots):
+            rng = shot_rng(spec.seed, s)
+            index = clean
+            for j in flagged_gates(rng):
+                for mask, code in zip(masks[j], _draw_pauli(rng, gates[j])):
+                    if code in (1, 2):
+                        index ^= mask
+            rng.random()  # the measurement uniform, kept for stream alignment
+            indices[s] = readout(rng, index)
     else:
-        bounds = np.linspace(0, shots, n_threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            chunks = pool.map(
-                lambda se: [run_shot(s) for s in range(se[0], se[1])],
-                zip(bounds[:-1], bounds[1:]),
-            )
-            indices = [i for chunk in chunks for i in chunk]
+        final = simulate(lowered, initial)
+        clean_cumulative = np.cumsum(np.abs(final.amplitudes) ** 2)
+        faulty = []  # (first flagged gate, shot)
+        for s in range(shots):
+            rng = shot_rng(spec.seed, s)
+            flagged = flagged_gates(rng)
+            if len(flagged):
+                faulty.append((int(flagged[0]), s))
+            else:
+                indices[s] = readout(rng, sample_index(clean_cumulative, rng.random()))
+        # faulty shots in order of first fault: one clean prefix state,
+        # advanced gate by gate, is each one's starting point, and each
+        # re-creates its stream to read it from the start
+        prefix = initial.amplitudes.copy()
+        done = 0
+        for first, s in sorted(faulty):
+            for g in gates[done:first]:
+                apply_gate_inplace(prefix, L, g)
+            done = first
+            rng = shot_rng(spec.seed, s)
+            amps = prefix.copy()
+            pos = first
+            for j in flagged_gates(rng):
+                for g in gates[pos:j + 1]:
+                    apply_gate_inplace(amps, L, g)
+                pos = j + 1
+                for q, code in zip(gates[j].targets, _draw_pauli(rng, gates[j])):
+                    apply_pauli_inplace(amps, L, q, code)
+            for g in gates[pos:]:
+                apply_gate_inplace(amps, L, g)
+            cumulative = np.cumsum(np.abs(amps) ** 2)
+            indices[s] = readout(rng, sample_index(cumulative, rng.random()))
+
+    counts: dict[str, int] = {}
     for index in indices:
         bits = index_to_bitstring(index, L)
         counts[bits] = counts.get(bits, 0) + 1
@@ -233,7 +229,6 @@ def amplitude_decay_sweep(
     shots: int = 2000,
     n_seeds: int = 1,
     profile_W: float = 0.0,
-    n_threads: int = 1,
 ) -> list[tuple[int, float]]:
     """Mean post-processed peak amplitude of the noisy chiral walk.
 
@@ -262,7 +257,7 @@ def amplitude_decay_sweep(
         for k in range(n_seeds):
             child = np.random.SeedSequence(spec.seed, spawn_key=(int(x), k))
             seed = int(child.generate_state(1)[0])
-            result = run_noisy(circuit, init, spec.replace_seed(seed), shots, n_threads)
+            result = run_noisy(circuit, init, spec.replace_seed(seed), shots)
             density = post_process(site_density_counts(result, size))
             amps.append(peak_amplitude(density, target))
         rows.append((int(x), float(np.mean(amps))))

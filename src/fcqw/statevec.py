@@ -270,8 +270,8 @@ def apply_gate(state: StateVector, gate: GateInstruction) -> StateVector:
 
 
 def shot_rng(seed: int, shot: int) -> np.random.Generator:
-    """Independent per-shot stream; identical regardless of how shots are
-    chunked over threads."""
+    """Independent per-shot stream; identical regardless of the order in
+    which shots are run."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shot,)))
 
 

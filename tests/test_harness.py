@@ -330,14 +330,3 @@ class TestCli:
         path = write_config(tmp_path, {"kind": "chiral_propagation"})
         assert main(["run", str(path)]) == 2
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FCQW_THREADS", "3")
-        cfg = validate_config(
-            chiral_config(tmp_path, noise={"p_cnot": 0.005}, shots=500)
-        )
-        out_threaded = run_experiment(cfg, tmp_path / "t3")
-        monkeypatch.setenv("FCQW_THREADS", "1")
-        out_serial = run_experiment(cfg, tmp_path / "t1")
-        assert (out_threaded / "summary_W2.csv").read_bytes() == (
-            out_serial / "summary_W2.csv"
-        ).read_bytes()

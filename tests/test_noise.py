@@ -7,6 +7,7 @@ from fcqw.circuits import (
     TrotterConfig,
     build_fcqw_walk,
     build_xy_trotter,
+    lower_swaps,
     simulate,
 )
 from fcqw.noise import NoiseSpec, ShotResult, amplitude_decay_sweep, run_noisy
@@ -16,7 +17,16 @@ from fcqw.observables import (
     restricted_site_density_counts,
     site_density_counts,
 )
-from fcqw.statevec import index_to_bitstring, one_hot_state, sample_bitstrings
+from fcqw.statevec import (
+    basis_state,
+    cnot,
+    index_to_bitstring,
+    one_hot_state,
+    rz,
+    sample_bitstrings,
+    shot_rng,
+    swap,
+)
 
 
 def walk_setup(L=8, t=8, W=0.0):
@@ -66,16 +76,10 @@ class TestDeterminism:
         b = run_noisy(circuit, init, spec, shots=500)
         assert a.counts == b.counts
 
-    def test_thread_count_does_not_change_counts(self):
-        circuit, init, _ = walk_setup(t=4)
-        spec = NoiseSpec(5e-3, 1e-3, 1e-2, seed=3)
-        serial = run_noisy(circuit, init, spec, shots=600, n_threads=1)
-        threaded = run_noisy(circuit, init, spec, shots=600, n_threads=3)
-        assert serial.counts == threaded.counts
-
     def test_classical_and_statevector_paths_agree(self, monkeypatch):
         # same circuit, same stream: disabling basis-state detection forces
-        # the dense kernels, which must reproduce the integer-tracking path
+        # the dense kernels (faulty shots taken in order of first fault),
+        # which must reproduce the fault-table path
         import fcqw.noise as noise_mod
 
         circuit, init, _ = walk_setup(t=4)
@@ -84,6 +88,99 @@ class TestDeterminism:
         monkeypatch.setattr(noise_mod, "_basis_index", lambda state: None)
         dense = run_noisy(circuit, init, spec, shots=400)
         assert fast.counts == dense.counts
+
+    # exact counts pin the per-shot stream layout on both sampler paths
+    @pytest.mark.parametrize(
+        "circuit, init, spec, shots, expected",
+        [
+            (
+                build_fcqw_walk(6, PotentialProfile.uniform(6, 1.0), 6),
+                one_hot_state(6, 0),
+                NoiseSpec(p_cnot=3e-3, p_1q=1e-3, p_readout=1e-2, seed=2024),
+                300,
+                {"000000": 11, "000001": 2, "000010": 2, "000100": 1, "001000": 3,
+                 "010000": 1, "100000": 218, "100001": 13, "100010": 8, "100011": 3,
+                 "100100": 9, "100101": 2, "100110": 1, "101000": 12, "101010": 1,
+                 "101100": 3, "110000": 8, "110010": 1, "111001": 1},
+            ),
+            (
+                build_xy_trotter(4, PotentialProfile.uniform(4, 1.0), TrotterConfig(1.0, 0.6, 2)),
+                one_hot_state(4, 1),
+                NoiseSpec(p_cnot=1e-2, p_1q=2e-3, p_readout=1e-2, seed=2025),
+                200,
+                {"0000": 8, "0001": 41, "0010": 11, "0011": 1, "0100": 5, "0101": 3,
+                 "0110": 3, "1000": 102, "1001": 8, "1010": 7, "1011": 4, "1100": 6,
+                 "1110": 1},
+            ),
+        ],
+        ids=["classical_walk_L6", "statevector_trotter_L4"],
+    )
+    def test_golden_counts(self, circuit, init, spec, shots, expected):
+        assert run_noisy(circuit, init, spec, shots).counts == expected
+
+
+def _replay_counts(circuit, start_index, spec, shots):
+    """Reference sampler: track the basis index gate by gate through the
+    lowered circuit, flipping bits at each fault, on the per-shot streams."""
+    gates = lower_swaps(circuit).instructions
+    L = circuit.num_qubits
+    probs = np.array([spec.p_cnot if g.kind == "cnot" else spec.p_1q for g in gates])
+    counts: dict[str, int] = {}
+    for s in range(shots):
+        rng = shot_rng(spec.seed, s)
+        flagged = set(np.flatnonzero(rng.random(len(gates)) < probs).tolist())
+        index = start_index
+        for j, g in enumerate(gates):
+            if g.kind == "cnot":
+                c, t = g.targets
+                if (index >> c) & 1:
+                    index ^= 1 << t
+            if j in flagged:
+                if g.kind == "cnot":
+                    code = int(rng.integers(1, 16))
+                    codes = (code & 3, (code >> 2) & 3)
+                else:
+                    codes = (int(rng.integers(1, 4)),)
+                for q, code in zip(g.targets, codes):
+                    if code in (1, 2):
+                        index ^= 1 << q
+        rng.random()
+        for q, flip in enumerate(rng.random(L) < spec.p_readout):
+            if flip:
+                index ^= 1 << q
+        bits = index_to_bitstring(index, L)
+        counts[bits] = counts.get(bits, 0) + 1
+    return counts
+
+
+HIGH_NOISE = dict(p_cnot=0.3, p_1q=0.1, p_readout=0.05)
+
+
+class TestFaultTable:
+    @pytest.mark.parametrize("L", [4, 5, 6, 7, 8])
+    def test_walk_matches_gate_by_gate_replay(self, L):
+        circuit, init, _ = walk_setup(L=L, t=L, W=0.7)
+        spec = NoiseSpec(**HIGH_NOISE, seed=100 + L)
+        expected = _replay_counts(circuit, 1, spec, shots=200)
+        assert run_noisy(circuit, init, spec, shots=200).counts == expected
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_random_circuits_match_gate_by_gate_replay(self, trial):
+        gen = np.random.default_rng(trial)
+        L = int(gen.integers(3, 8))
+        gates = []
+        for _ in range(40):
+            kind = gen.choice(["rz", "cnot", "swap"])
+            if kind == "rz":
+                gates.append(rz(int(gen.integers(L)), float(gen.uniform(-3, 3))))
+            else:
+                a, b = (int(q) for q in gen.choice(L, size=2, replace=False))
+                gates.append(cnot(a, b) if kind == "cnot" else swap(a, b))
+        circuit = Circuit(L, tuple(gates))
+        start = int(gen.integers(1, 1 << L))
+        spec = NoiseSpec(**HIGH_NOISE, seed=trial)
+        expected = _replay_counts(circuit, start, spec, shots=200)
+        assert run_noisy(circuit, basis_state(L, start), spec, shots=200).counts == expected
 
 
 class TestErrorModel:
