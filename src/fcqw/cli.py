@@ -5,6 +5,7 @@
     fcqw check <result-dir>      re-validate a result directory
 
 Exit code 0 iff all built-in checks pass.
+Exit codes of a failed run: 1 a check failed, 2 bad config, 3 the run crashed.
 """
 from __future__ import annotations
 
@@ -37,7 +38,14 @@ def main(argv=None) -> int:
         except (ConfigError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        outdir = run_experiment(cfg, args.output_dir)
+        try:
+            outdir = run_experiment(cfg, args.output_dir)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # the CLI boundary: report, never a traceback
+            print(f"error: run crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
         ok, messages = check_result_dir(outdir)
         for line in messages:
             print(line)

@@ -20,19 +20,21 @@ import numpy as np
 
 from . import __version__
 from .circuits import (
+    Circuit,
     PotentialProfile,
     TrotterConfig,
     build_fcqw_walk,
     build_xy_trotter,
-    simulate,
 )
 from .floquet import (
     DisorderEnsemble,
+    SingleParticleOperator,
     chiral_momentum_family,
     fcqw_step_operator,
     level_spacing_stats,
     predicted_chiral_eigenphases,
     quasi_energy_spectrum,
+    reduce_to_single_particle,
     sample_disorder_profiles,
     winding_number,
     xy_step_operator,
@@ -45,7 +47,6 @@ from .observables import (
     post_process,
     restricted_site_density_counts,
     site_density_counts,
-    site_density_exact,
 )
 from .qasm import emit_qasm3
 from .statevec import one_hot_state
@@ -161,6 +162,14 @@ def validate_config(data: dict) -> ExperimentConfig:
         problems.append("method")
     if cfg.shots < 1:
         problems.append("shots")
+    for name in ("W_values", "times"):
+        try:
+            keys = [_point_key(v) for v in getattr(cfg, name)]
+        except (TypeError, ValueError, OverflowError):  # not finite numbers
+            problems.append(name)
+            continue
+        if len(set(keys)) < len(keys):  # two points would share a noise stream
+            problems.append(name)
     if problems:
         raise ConfigError("invalid field values", problems)
     return cfg
@@ -206,6 +215,11 @@ def _profile_for(cfg: ExperimentConfig, W: float) -> PotentialProfile:
     return PotentialProfile.uniform(cfg.L, W)
 
 
+def _point_key(value: float) -> int:
+    """A W value or time as it enters a noise-stream key: 1e-3 resolution."""
+    return int(round(value * 1000))
+
+
 def _derived_seed(base: int, *key: int) -> int:
     masked = tuple(k & 0xFFFFFFFF for k in key)  # spawn keys must be non-negative
     return int(np.random.SeedSequence(base, spawn_key=masked).generate_state(1)[0])
@@ -238,15 +252,20 @@ def _rsquared(x: np.ndarray, y: np.ndarray) -> float:
 # experiment kinds
 
 
-def _measure_walk(cfg: ExperimentConfig, profile: PotentialProfile, t: int):
-    """Site densities after t walk steps: post-processed distribution plus,
-    for noisy runs, the raw and weight-1-restricted baselines."""
-    circuit = build_fcqw_walk(cfg.L, profile, t, cfg.chirality)
-    init = one_hot_state(cfg.L, cfg.start_site)
+def _sector_density(op: SingleParticleOperator, site: int) -> SiteDistribution:
+    """Site density of the one-hot start ``site`` under a sector operator."""
+    return SiteDistribution(np.abs(op.matrix[:, site]) ** 2, normalized=False)
+
+
+def _measure_walk(cfg: ExperimentConfig, circuit: Circuit, t: int, W: float):
+    """Site densities after the t-step walk ``circuit``: post-processed
+    distribution plus, for noisy runs, the raw and weight-1-restricted
+    baselines."""
     if cfg.noise is None:
-        raw = site_density_exact(simulate(circuit, init))
+        raw = _sector_density(reduce_to_single_particle(circuit), cfg.start_site)
         return post_process(raw), raw, None
-    seed = _derived_seed(cfg.noise.seed, t, int(round(profile.W * 1000)))
+    init = one_hot_state(cfg.L, cfg.start_site)
+    seed = _derived_seed(cfg.noise.seed, t, _point_key(W))
     result = run_noisy(circuit, init, cfg.noise.replace_seed(seed), cfg.shots)
     raw = site_density_counts(result, cfg.L)
     restricted = restricted_site_density_counts(result, cfg.L)
@@ -267,7 +286,8 @@ def _run_chiral(
         wtag = f"W{W:g}"
         site_rows, summary_rows, mitigation_rows = [], [], []
         for t in cfg.steps:
-            density, raw, restricted = _measure_walk(cfg, profile, t)
+            circuit = build_fcqw_walk(cfg.L, profile, t, cfg.chirality)
+            density, raw, restricted = _measure_walk(cfg, circuit, t, profile.W)
             target = (cfg.start_site + t) % cfg.L
             site_rows += _site_rows(t, density)
             summary_rows.append((t, ipr(density), peak_amplitude(density, target)))
@@ -281,10 +301,7 @@ def _run_chiral(
                     )
                 )
             qasm_path = outdir / f"circuit_{wtag}_t{t}.qasm"
-            qasm_path.write_text(
-                emit_qasm3(build_fcqw_walk(cfg.L, profile, t, cfg.chirality)),
-                encoding="utf-8",
-            )
+            qasm_path.write_text(emit_qasm3(circuit), encoding="utf-8")
         _write_csv(outdir / f"site_density_{wtag}.csv", ["step", "site", "probability"], site_rows)
         _write_csv(outdir / f"summary_{wtag}.csv", ["step", "ipr", "peak_amplitude"], summary_rows)
         if mitigation_rows:
@@ -390,21 +407,18 @@ def _run_nonchiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
         wtag = f"W{W:g}"
         site_rows, summary_rows = [], []
         for time in cfg.times:
-            trotter = TrotterConfig(cfg.J, float(time), cfg.trotter_n)
             if method == "single_particle":
                 op = xy_step_operator(cfg.L, profile, cfg.J, float(time))
-                psi = op.matrix[:, cfg.start_site]
-                density = SiteDistribution(np.abs(psi) ** 2, normalized=False)
-                density = post_process(density)
+                density = post_process(_sector_density(op, cfg.start_site))
             else:
+                trotter = TrotterConfig(cfg.J, float(time), cfg.trotter_n)
                 circuit = build_xy_trotter(cfg.L, profile, trotter)
-                init = one_hot_state(cfg.L, cfg.start_site)
                 if cfg.noise is None:
-                    density = post_process(site_density_exact(simulate(circuit, init)))
+                    op = reduce_to_single_particle(circuit)
+                    density = post_process(_sector_density(op, cfg.start_site))
                 else:
-                    seed = _derived_seed(
-                        cfg.noise.seed, int(round(time * 1000)), int(round(W * 1000))
-                    )
+                    init = one_hot_state(cfg.L, cfg.start_site)
+                    seed = _derived_seed(cfg.noise.seed, _point_key(time), _point_key(W))
                     result = run_noisy(circuit, init, cfg.noise.replace_seed(seed), cfg.shots)
                     density = post_process(site_density_counts(result, cfg.L))
             p_beyond = float(np.sum(density.p[beyond])) if beyond else 0.0
@@ -419,9 +433,8 @@ def _run_nonchiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
             ["step", "ipr", "peak_amplitude", "prob_beyond_barrier"],
             summary_rows,
         )
-        if method == "statevector":
-            final = build_xy_trotter(cfg.L, profile, TrotterConfig(cfg.J, cfg.times[-1], cfg.trotter_n))
-            (outdir / f"circuit_{wtag}.qasm").write_text(emit_qasm3(final), encoding="utf-8")
+        if method == "statevector":  # the last circuit built is the one at times[-1]
+            (outdir / f"circuit_{wtag}.qasm").write_text(emit_qasm3(circuit), encoding="utf-8")
 
     checks = []
     quantitative = cfg.noise is None and len(cfg.W_values) >= 2

@@ -12,6 +12,7 @@ from fcqw.circuits import (
     build_fcqw_walk,
     build_onsite_layer,
     build_xy_trotter,
+    lower_swaps,
     simulate,
 )
 from fcqw.floquet import (
@@ -36,8 +37,9 @@ from fcqw.floquet import (
     xy_momentum_family,
     xy_step_operator,
 )
+from fcqw.floquet import _conserving_blocks, _reduce_dense
 from fcqw.observables import site_density_exact
-from fcqw.statevec import h, one_hot_state
+from fcqw.statevec import cnot, h, one_hot_state, rz
 
 
 class TestReduction:
@@ -83,6 +85,42 @@ class TestReduction:
             direct = fcqw_step_operator(L, profile)
             reduced = reduce_to_single_particle(build_fcqw_step(L, profile))
             assert np.max(np.abs(direct.matrix - reduced.matrix)) < 1e-12
+
+    def test_block_reduction_matches_dense_columns(self):
+        rng = np.random.default_rng(11)
+        for L in (2, 3, 6, 10):
+            profile = PotentialProfile.random_symmetric(L, 3.0, rng)
+            circuits = [build_fcqw_step(L, profile, c) for c in ("right", "left")]
+            # swaps lowered to cnot(i, j) cnot(j, i) cnot(i, j) reverse a
+            # two-qubit gate against its block's qubit order
+            circuits.append(lower_swaps(circuits[0]))
+            circuits += [
+                build_xy_trotter(L, profile, TrotterConfig(1.0, 0.9, 3), periodic=p)
+                for p in (False, True)
+            ]
+            for circ in circuits:
+                assert _conserving_blocks(circ) is not None
+                reduced = reduce_to_single_particle(circ).matrix
+                assert np.max(np.abs(reduced - _reduce_dense(circ))) <= 1e-12
+
+    def test_both_builders_split_into_conserving_blocks_at_L14(self):
+        L = 14
+        profile = PotentialProfile.random_symmetric(L, 2.0, np.random.default_rng(5))
+        step = _conserving_blocks(build_fcqw_step(L, profile))
+        assert len(step) == L + (L - 1)  # one per rz, one per swap
+        n = 2
+        trotter = _conserving_blocks(build_xy_trotter(L, profile, TrotterConfig(1.0, 1.0, n)))
+        assert len(trotter) == n * ((L - 1) + L)  # one per XX+YY pair, one per rz
+        assert {len(b.qubits) for b in trotter} == {1, 2}
+
+    def test_conserving_circuit_without_block_split_uses_dense_fallback(self):
+        # cnot(0, 1) alone leaks out of the sector and cannot grow past
+        # rz(2), yet the whole circuit conserves particle number
+        circ = Circuit(3, (cnot(0, 1), rz(2, 0.3), cnot(0, 1)))
+        assert _conserving_blocks(circ) is None
+        op = reduce_to_single_particle(circ)
+        expected = np.diag(np.exp(1j * np.array([-0.15, -0.15, 0.15])))
+        assert np.max(np.abs(op.matrix - expected)) < 1e-14
 
     def test_power_matches_full_simulation_marginal(self):
         L, t = 6, 4

@@ -66,6 +66,23 @@ class TestValidation:
         cfg = validate_config(chiral_config(tmp_path, noise={"p_cnot": 0.01}, seed=42))
         assert cfg.noise.seed == 42
 
+    def test_points_sharing_a_noise_stream_key_rejected(self, tmp_path):
+        robustness = {"kind": "chiral_robustness", "L": 8, "steps": [2], "W_values": [1.0, 1.0004]}
+        with pytest.raises(ConfigError) as err:
+            validate_config(robustness)
+        assert err.value.fields == ["W_values"]
+        localization = {
+            "kind": "nonchiral_localization", "L": 8, "times": [0.1, 0.1004], "W_values": [0.0],
+        }
+        with pytest.raises(ConfigError) as err:
+            validate_config(localization)
+        assert err.value.fields == ["times"]
+        validate_config(dict(robustness, W_values=[1.0, 1.001]))
+        for bad in ([1.0, "x"], [float("nan")]):  # no key at all
+            with pytest.raises(ConfigError) as err:
+                validate_config(dict(robustness, W_values=bad))
+            assert err.value.fields == ["W_values"]
+
     def test_load_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path, chiral_config(tmp_path)))
         assert isinstance(cfg, ExperimentConfig)
@@ -330,3 +347,14 @@ class TestCli:
         path = write_config(tmp_path, {"kind": "chiral_propagation"})
         assert main(["run", str(path)]) == 2
 
+    def test_config_error_during_run_exit_code(self, tmp_path, capsys):
+        data = {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "values": [1, 2],
+                "output_dir": str(tmp_path / "x")}
+        assert main(["run", str(write_config(tmp_path, data))]) == 2
+        assert "noise" in capsys.readouterr().err
+
+    def test_crash_during_run_exit_code(self, tmp_path, capsys):
+        data = {"kind": "chiral_propagation", "L": 4, "steps": [-1],
+                "output_dir": str(tmp_path / "x")}
+        assert main(["run", str(write_config(tmp_path, data))]) == 3
+        assert capsys.readouterr().err.startswith("error: run crashed: ValueError")
