@@ -5,7 +5,7 @@
     fcqw check <result-dir>      re-validate a result directory
 
 Exit code 0 iff all built-in checks pass.
-Exit codes of a failed run: 1 a check failed, 2 bad config, 3 the run crashed.
+Exit codes of a failed run or emission: 1 a check failed, 2 bad config, 3 it crashed.
 """
 from __future__ import annotations
 
@@ -32,39 +32,34 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        try:
-            cfg = load_config(args.config)
-        except (ConfigError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
-            outdir = run_experiment(cfg, args.output_dir)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except Exception as exc:  # the CLI boundary: report, never a traceback
-            print(f"error: run crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 3
-        ok, messages = check_result_dir(outdir)
+    if args.command == "check":
+        ok, messages = check_result_dir(args.result_dir)
         for line in messages:
             print(line)
-        print(f"results written to {outdir}")
         return 0 if ok else 1
 
+    try:
+        cfg = load_config(args.config)
+    except (ConfigError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    action = run_experiment if args.command == "run" else emit_experiment_qasm
+    try:
+        result = action(cfg, args.output_dir)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # the CLI boundary: report, never a traceback
+        print(f"error: run crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.command == "emit-qasm":
-        try:
-            cfg = load_config(args.config)
-        except (ConfigError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for path in emit_experiment_qasm(cfg, args.output_dir):
+        for path in result:
             print(path)
         return 0
-
-    ok, messages = check_result_dir(args.result_dir)
+    ok, messages = check_result_dir(result)
     for line in messages:
         print(line)
+    print(f"results written to {result}")
     return 0 if ok else 1
 
 

@@ -4,6 +4,7 @@ the effective Hamiltonian -i log U."""
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,21 +385,27 @@ def quasi_energy_spectrum(op: SingleParticleOperator) -> QuasiEnergySpectrum:
     """Eigenphases in [0, 2pi) ascending with orthonormal eigenvectors.
 
     Schur decomposition of the (normal) unitary gives an orthonormal
-    eigenbasis even for degenerate phases.  Ties are broken by the
-    lexicographic order of the rounded eigenvector entries, keeping the
-    output deterministic.
+    eigenbasis even for degenerate phases.  Columns are sorted by phase
+    rounded to 12 decimals; phases that tie there are ordered by the
+    lexicographic order of their eigenvector entries, rounded the same
+    way, keeping the output deterministic.  That eigenvector key is
+    built only for the columns whose rounded phase is shared.
     """
     t, q = scipy.linalg.schur(op.matrix, output="complex")
     phases = np.angle(np.diag(t))
     phases = np.where(phases < 0.0, phases + 2.0 * np.pi, phases)
     phases[phases >= 2.0 * np.pi] -= 2.0 * np.pi
+    phase_keys = [round(float(p), 12) for p in phases]
+    key_counts = Counter(phase_keys)
 
     def sort_key(j: int):
+        if key_counts[phase_keys[j]] == 1:  # a unique phase key never reaches the tie-break
+            return (phase_keys[j], ())
         vec_key = tuple(
             (round(float(z.real), 12), round(float(z.imag), 12))
             for z in q[:, j]
         )
-        return (round(float(phases[j]), 12), vec_key)
+        return (phase_keys[j], vec_key)
 
     order = sorted(range(len(phases)), key=sort_key)
     return QuasiEnergySpectrum(phases[order], q[:, order])

@@ -13,6 +13,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import numbers
+import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -115,6 +119,18 @@ _REQUIRED = {
 }
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def validate_config(data: dict) -> ExperimentConfig:
     if "kind" not in data:
         raise ConfigError("missing required field", ["kind"])
@@ -141,8 +157,14 @@ def validate_config(data: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**kwargs)
 
     problems = []
-    if not 1 <= cfg.L:
+    min_L = 2 if cfg.kind == "disorder_spectra" else 1  # level spacings need two phases
+    if not min_L <= cfg.L:
         problems.append("L")
+    if not _is_integer(cfg.realizations) or cfg.realizations < 1:
+        problems.append("realizations")
+    for name in ("W", "J"):
+        if not _is_finite_real(getattr(cfg, name)):
+            problems.append(name)
     if cfg.profile not in ("uniform", "box", "custom"):
         problems.append("profile")
     if cfg.profile == "custom" and len(cfg.custom_u) != cfg.L:
@@ -588,64 +610,78 @@ _RUNNERS = {
 }
 
 
+@contextmanager
+def _output_dir(outdir: Path):
+    """Create ``outdir`` and check it is writable.  If that or the body
+    raises, the topmost directory this call created is removed again; a
+    directory that already existed is left alone."""
+    created = next((p for p in reversed((outdir, *outdir.parents)) if not p.exists()), None)
+    try:
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            probe = outdir / ".write_probe"
+            probe.write_text("")
+            probe.unlink()
+        except OSError as exc:
+            raise OSError(f"output directory {outdir} is not writable: {exc}") from exc
+        yield
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+
+
 def run_experiment(cfg: ExperimentConfig, output_dir=None) -> Path:
     """Run one experiment and persist all artifacts; returns the result dir."""
     outdir = Path(output_dir or cfg.output_dir or f"results/{cfg.kind}")
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        probe = outdir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise OSError(f"output directory {outdir} is not writable: {exc}") from exc
-
     resolved = resolved_config_dict(cfg)
     manifest = {
         "config": resolved,
         "content_hash": content_hash(resolved),
         "package_version": __version__,
     }
-    checks = _RUNNERS[cfg.kind](cfg, outdir)
-    report = {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (outdir / "checks.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with _output_dir(outdir):
+        checks = _RUNNERS[cfg.kind](cfg, outdir)
+        report = {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
+        (outdir / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        (outdir / "checks.json").write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     return outdir
 
 
 def emit_experiment_qasm(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
     """Write only the QASM artifacts an experiment would produce."""
     outdir = Path(output_dir or cfg.output_dir or f"results/{cfg.kind}")
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    if cfg.kind in ("chiral_propagation", "chiral_robustness"):
-        w_values = [cfg.W] if cfg.kind == "chiral_propagation" else cfg.W_values
-        for W in w_values:
-            profile = _profile_for(cfg, W)
-            for t in cfg.steps:
-                path = outdir / f"circuit_W{W:g}_t{t}.qasm"
-                path.write_text(
-                    emit_qasm3(build_fcqw_walk(cfg.L, profile, t, cfg.chirality)),
-                    encoding="utf-8",
+    with _output_dir(outdir):
+        paths = []
+        if cfg.kind in ("chiral_propagation", "chiral_robustness"):
+            w_values = [cfg.W] if cfg.kind == "chiral_propagation" else cfg.W_values
+            for W in w_values:
+                profile = _profile_for(cfg, W)
+                for t in cfg.steps:
+                    path = outdir / f"circuit_W{W:g}_t{t}.qasm"
+                    path.write_text(
+                        emit_qasm3(build_fcqw_walk(cfg.L, profile, t, cfg.chirality)),
+                        encoding="utf-8",
+                    )
+                    paths.append(path)
+        elif cfg.kind == "nonchiral_localization":
+            for W in cfg.W_values:
+                profile = _profile_for(cfg, W)
+                circuit = build_xy_trotter(
+                    cfg.L, profile, TrotterConfig(cfg.J, cfg.times[-1], cfg.trotter_n)
                 )
+                path = outdir / f"circuit_W{W:g}.qasm"
+                path.write_text(emit_qasm3(circuit), encoding="utf-8")
                 paths.append(path)
-    elif cfg.kind == "nonchiral_localization":
-        for W in cfg.W_values:
-            profile = _profile_for(cfg, W)
-            circuit = build_xy_trotter(
-                cfg.L, profile, TrotterConfig(cfg.J, cfg.times[-1], cfg.trotter_n)
-            )
-            path = outdir / f"circuit_W{W:g}.qasm"
-            path.write_text(emit_qasm3(circuit), encoding="utf-8")
+        else:
+            profile = PotentialProfile.uniform(cfg.L, 0.0)
+            path = outdir / "circuit_step.qasm"
+            path.write_text(emit_qasm3(build_fcqw_walk(cfg.L, profile, 1)), encoding="utf-8")
             paths.append(path)
-    else:
-        profile = PotentialProfile.uniform(cfg.L, 0.0)
-        path = outdir / "circuit_step.qasm"
-        path.write_text(emit_qasm3(build_fcqw_walk(cfg.L, profile, 1)), encoding="utf-8")
-        paths.append(path)
     return paths
 
 

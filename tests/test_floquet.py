@@ -228,6 +228,62 @@ class TestSpectrum:
             assert np.max(np.abs(phases - ref)) < 1e-9
 
 
+def _full_key_spectrum(op: SingleParticleOperator):
+    """Reference ordering: every column keyed on its rounded phase and its
+    whole rounded eigenvector, whether or not the phase ties."""
+    t, q = scipy.linalg.schur(op.matrix, output="complex")
+    phases = np.angle(np.diag(t))
+    phases = np.where(phases < 0.0, phases + 2.0 * np.pi, phases)
+    phases[phases >= 2.0 * np.pi] -= 2.0 * np.pi
+
+    def sort_key(j: int):
+        vec_key = tuple(
+            (round(float(z.real), 12), round(float(z.imag), 12)) for z in q[:, j]
+        )
+        return (round(float(phases[j]), 12), vec_key)
+
+    order = sorted(range(len(phases)), key=sort_key)
+    return phases[order], q[:, order]
+
+
+def _repeated_phase_blocks() -> np.ndarray:
+    rng = np.random.default_rng(8)
+    r, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return scipy.linalg.block_diag(r, np.exp(0.7j) * np.eye(3), r, [[-1.0]])
+
+
+class TestSpectrumOrdering:
+    """The phase-only key with a tie-break on demand orders columns exactly
+    as the full eigenvector key does."""
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.eye(5),
+            shift_matrix(4) @ shift_matrix(4),  # phases 0 and pi, twice each
+            _repeated_phase_blocks(),
+        ],
+        ids=["identity", "shift_squared", "repeated_blocks"],
+    )
+    def test_degenerate_matches_full_key(self, matrix):
+        op = SingleParticleOperator(matrix)
+        spec = quasi_energy_spectrum(op)
+        ref_phases, ref_vectors = _full_key_spectrum(op)
+        keys = [round(float(p), 12) for p in ref_phases]
+        assert len(set(keys)) < len(keys)  # the tie-break is exercised
+        assert np.array_equal(spec.eigenphases, ref_phases)
+        assert np.array_equal(spec.eigenvectors, ref_vectors)
+
+    def test_disordered_matches_full_key(self):
+        ensemble = DisorderEnsemble(realizations=20, W=4.0, seed=11)
+        for profile in sample_disorder_profiles(ensemble, 40):
+            for op in (fcqw_step_operator(40, profile), xy_step_operator(40, profile)):
+                spec = quasi_energy_spectrum(op)
+                ref_phases, ref_vectors = _full_key_spectrum(op)
+                assert np.array_equal(spec.eigenphases, ref_phases)
+                assert np.array_equal(spec.eigenvectors, ref_vectors)
+
+
 class TestLevelStats:
     def test_chiral_spacings_are_rigid(self):
         profile = PotentialProfile.random_symmetric(12, 4.0, np.random.default_rng(3))

@@ -83,6 +83,21 @@ class TestValidation:
                 validate_config(dict(robustness, W_values=bad))
             assert err.value.fields == ["W_values"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("L", 1), ("realizations", 0), ("realizations", 2.5), ("W", float("nan")), ("J", "x")],
+        ids=["L_1", "realizations_0", "realizations_2.5", "W_nan", "J_string"],
+    )
+    def test_disorder_spectra_field_rejected(self, tmp_path, capsys, field, value):
+        data = {"kind": "disorder_spectra", "L": 6, "W": 4.0, "realizations": 2,
+                "output_dir": str(tmp_path / "spec")}
+        data[field] = value
+        with pytest.raises(ConfigError) as err:
+            validate_config(data)
+        assert err.value.fields == [field]
+        assert main(["run", str(write_config(tmp_path, data))]) == 2
+        assert field in capsys.readouterr().err
+
     def test_load_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path, chiral_config(tmp_path)))
         assert isinstance(cfg, ExperimentConfig)
@@ -355,6 +370,31 @@ class TestCli:
 
     def test_crash_during_run_exit_code(self, tmp_path, capsys):
         data = {"kind": "chiral_propagation", "L": 4, "steps": [-1],
-                "output_dir": str(tmp_path / "x")}
+                "output_dir": str(tmp_path / "x" / "y")}
         assert main(["run", str(write_config(tmp_path, data))]) == 3
         assert capsys.readouterr().err.startswith("error: run crashed: ValueError")
+        assert not (tmp_path / "x").exists()  # every directory the run created is gone
+
+    def test_crash_leaves_existing_output_dir_alone(self, tmp_path, capsys):
+        outdir = tmp_path / "x"
+        outdir.mkdir()
+        (outdir / "keep.txt").write_text("kept")
+        data = {"kind": "chiral_propagation", "L": 4, "steps": [-1], "output_dir": str(outdir)}
+        assert main(["run", str(write_config(tmp_path, data))]) == 3
+        assert (outdir / "keep.txt").read_text() == "kept"
+
+    def test_crash_during_emit_qasm_exit_code(self, tmp_path, capsys):
+        data = {"kind": "chiral_propagation", "L": 4, "steps": [-1],
+                "output_dir": str(tmp_path / "x")}
+        assert main(["emit-qasm", str(write_config(tmp_path, data))]) == 3
+        assert capsys.readouterr().err.startswith("error: run crashed: ValueError")
+        assert not (tmp_path / "x").exists()
+
+    def test_config_error_during_emit_qasm_exit_code(self, tmp_path, monkeypatch, capsys):
+        def reject(cfg, outdir):
+            raise ConfigError("rejected during emission", ["steps"])
+
+        monkeypatch.setattr("fcqw.cli.emit_experiment_qasm", reject)
+        path = write_config(tmp_path, chiral_config(tmp_path))
+        assert main(["emit-qasm", str(path)]) == 2
+        assert "steps" in capsys.readouterr().err
