@@ -458,32 +458,26 @@ def effective_hamiltonian(op: SingleParticleOperator) -> np.ndarray:
 # CSV export (complex entries as re,im pairs)
 
 
-def save_spectrum_csv(spectrum: QuasiEnergySpectrum, path) -> None:
-    dim = len(spectrum.eigenphases)
-    header = ["n", "eigenphase"]
-    for j in range(dim):
-        header += [f"v{j}_re", f"v{j}_im"]
+def write_csv(path, header: list[str], rows) -> None:
+    """One header row, then the rows; floats (numpy floats too) as their
+    shortest round-tripping repr, LF line endings."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for n in range(dim):
-            vec = spectrum.eigenvectors[:, n]
-            row = [n, repr(float(spectrum.eigenphases[n]))]
-            for z in vec:
-                row += [repr(float(z.real)), repr(float(z.imag))]
-            writer.writerow(row)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+
+
+def save_spectrum_csv(spectrum: QuasiEnergySpectrum, path) -> None:
+    dim = len(spectrum.eigenphases)
+    header = ["n", "eigenphase"] + [f"v{j}_{part}" for j in range(dim) for part in ("re", "im")]
+    # row n of the float view interleaves re, im of eigenvector n
+    vectors = np.ascontiguousarray(spectrum.eigenvectors.T, dtype=complex).view(float)
+    rows = [[n, phase, *vec] for n, (phase, vec) in enumerate(zip(spectrum.eigenphases, vectors))]
+    write_csv(path, header, rows)
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
-    m = np.asarray(matrix, dtype=complex)
-    header = []
-    for j in range(m.shape[1]):
-        header += [f"c{j}_re", f"c{j}_im"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in m:
-            flat = []
-            for z in row:
-                flat += [repr(float(z.real)), repr(float(z.imag))]
-            writer.writerow(flat)
+    m = np.ascontiguousarray(matrix, dtype=complex)
+    header = [f"c{j}_{part}" for j in range(m.shape[1]) for part in ("re", "im")]
+    write_csv(path, header, m.view(float))

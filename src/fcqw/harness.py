@@ -10,14 +10,13 @@ Sites in all CSV output are labelled 1..L; the API itself is 0-based.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
 import numbers
 import shutil
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from .circuits import (
 )
 from .floquet import (
     DisorderEnsemble,
-    SingleParticleOperator,
     chiral_momentum_family,
     fcqw_step_operator,
     level_spacing_stats,
@@ -41,6 +39,7 @@ from .floquet import (
     reduce_to_single_particle,
     sample_disorder_profiles,
     winding_number,
+    write_csv,
     xy_step_operator,
 )
 from .noise import NoiseSpec, amplitude_decay_sweep, run_noisy
@@ -53,7 +52,7 @@ from .observables import (
     site_density_counts,
 )
 from .qasm import emit_qasm3
-from .statevec import one_hot_state
+from .statevec import derived_seed, one_hot_state
 
 KINDS = (
     "chiral_propagation",
@@ -209,17 +208,10 @@ def resolved_config_dict(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "shots": cfg.shots,
         "output_dir": cfg.output_dir,
-        "noise": None
-        if cfg.noise is None
-        else {
-            "p_cnot": cfg.noise.p_cnot,
-            "p_1q": cfg.noise.p_1q,
-            "p_readout": cfg.noise.p_readout,
-            "seed": cfg.noise.seed,
-        },
+        "noise": None if cfg.noise is None else asdict(cfg.noise),
     }
     for key in sorted(_KIND_KEYS[cfg.kind]):
-        out[key] = getattr(cfg, "custom_u" if key == "custom_u" else key)
+        out[key] = getattr(cfg, key)
     return out
 
 
@@ -242,25 +234,6 @@ def _point_key(value: float) -> int:
     return int(round(value * 1000))
 
 
-def _derived_seed(base: int, *key: int) -> int:
-    masked = tuple(k & 0xFFFFFFFF for k in key)  # spawn keys must be non-negative
-    return int(np.random.SeedSequence(base, spawn_key=masked).generate_state(1)[0])
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
-
-
 def _rsquared(x: np.ndarray, y: np.ndarray) -> float:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -274,197 +247,182 @@ def _rsquared(x: np.ndarray, y: np.ndarray) -> float:
 # experiment kinds
 
 
-def _sector_density(op: SingleParticleOperator, site: int) -> SiteDistribution:
-    """Site density of the one-hot start ``site`` under a sector operator."""
-    return SiteDistribution(np.abs(op.matrix[:, site]) ** 2, normalized=False)
+def _check(name: str, passed, detail: str) -> dict:
+    return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _measure_walk(cfg: ExperimentConfig, circuit: Circuit, t: int, W: float):
-    """Site densities after the t-step walk ``circuit``: post-processed
-    distribution plus, for noisy runs, the raw and weight-1-restricted
-    baselines."""
+def _method(cfg: ExperimentConfig) -> str:
+    """The resolved ``method`` of a nonchiral_localization run."""
+    if cfg.method == "auto":
+        return "single_particle" if (cfg.noise is None and cfg.L > 12) else "statevector"
+    return cfg.method
+
+
+def _sweep(cfg: ExperimentConfig) -> tuple[list[float], list]:
+    """The W values and the steps or times measured at each; the kinds
+    without circuit points (spectra, amplitude scaling) have no W values."""
+    if cfg.kind == "nonchiral_localization":
+        return cfg.W_values, cfg.times
+    return ([cfg.W] if cfg.kind == "chiral_propagation" else cfg.W_values), cfg.steps
+
+
+def _point_circuit(cfg: ExperimentConfig, profile: PotentialProfile, x) -> Circuit:
+    """The circuit of a measured point: the x-step walk, or the trotterized
+    XY chain evolved to time x."""
+    if cfg.kind == "nonchiral_localization":
+        return build_xy_trotter(cfg.L, profile, TrotterConfig(cfg.J, float(x), cfg.trotter_n))
+    return build_fcqw_walk(cfg.L, profile, x, cfg.chirality)
+
+
+def _qasm_name(cfg: ExperimentConfig, W: float, x) -> str | None:
+    """QASM file name of the point (W, x), or None if it has no file: every
+    walk point has one, a Trotter sweep one for its last time."""
+    if cfg.kind in ("chiral_propagation", "chiral_robustness"):
+        return f"circuit_W{W:g}_t{x}.qasm"
+    if cfg.kind == "nonchiral_localization" and _method(cfg) == "statevector":
+        return f"circuit_W{W:g}.qasm" if x == cfg.times[-1] else None
+    return None
+
+
+def _write_qasm(outdir: Path, name: str, circuit: Circuit) -> Path:
+    path = outdir / name
+    path.write_text(emit_qasm3(circuit), encoding="utf-8")
+    return path
+
+
+def _measure(cfg: ExperimentConfig, circuit: Circuit, W: float, x):
+    """Raw site density of the one-hot start after ``circuit``, the point
+    (W, x), and its shot counts (None when noiseless).  A noiseless density
+    is a column of the sector matrix; a noisy point draws ``cfg.shots``
+    shots from a stream keyed by the point (a walk step keys as itself)."""
     if cfg.noise is None:
-        raw = _sector_density(reduce_to_single_particle(circuit), cfg.start_site)
-        return post_process(raw), raw, None
+        op = reduce_to_single_particle(circuit)
+        return SiteDistribution(np.abs(op.matrix[:, cfg.start_site]) ** 2), None
+    step_key = _point_key(x) if cfg.kind == "nonchiral_localization" else x
+    seed = derived_seed(cfg.noise.seed, step_key, _point_key(W))
     init = one_hot_state(cfg.L, cfg.start_site)
-    seed = _derived_seed(cfg.noise.seed, t, _point_key(W))
     result = run_noisy(circuit, init, cfg.noise.replace_seed(seed), cfg.shots)
-    raw = site_density_counts(result, cfg.L)
-    restricted = restricted_site_density_counts(result, cfg.L)
-    return post_process(raw), raw, restricted
+    return site_density_counts(result, cfg.L), result
 
 
 def _site_rows(step, dist: SiteDistribution):
     return [(step, site + 1, float(p)) for site, p in enumerate(dist.p)]
 
 
-def _run_chiral(
-    cfg: ExperimentConfig, outdir: Path, W_values: list[float]
-) -> tuple[list[dict], list[list[tuple]]]:
-    """Checks, plus the (step, ipr, peak) summary rows of each W in order."""
+def _run_chiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
     checks, summaries = [], []
+    W_values, steps = _sweep(cfg)
     for W in W_values:
         profile = _profile_for(cfg, W)
         wtag = f"W{W:g}"
         site_rows, summary_rows, mitigation_rows = [], [], []
-        for t in cfg.steps:
-            circuit = build_fcqw_walk(cfg.L, profile, t, cfg.chirality)
-            density, raw, restricted = _measure_walk(cfg, circuit, t, profile.W)
+        for t in steps:
+            circuit = _point_circuit(cfg, profile, t)
+            raw, result = _measure(cfg, circuit, W, t)
+            density = post_process(raw)
             target = (cfg.start_site + t) % cfg.L
             site_rows += _site_rows(t, density)
             summary_rows.append((t, ipr(density), peak_amplitude(density, target)))
-            if restricted is not None:
-                mitigation_rows.append(
-                    (
-                        t,
-                        peak_amplitude(density, target),
-                        peak_amplitude(raw, target),
-                        peak_amplitude(restricted, target),
-                    )
-                )
-            qasm_path = outdir / f"circuit_{wtag}_t{t}.qasm"
-            qasm_path.write_text(emit_qasm3(circuit), encoding="utf-8")
-        _write_csv(outdir / f"site_density_{wtag}.csv", ["step", "site", "probability"], site_rows)
-        _write_csv(outdir / f"summary_{wtag}.csv", ["step", "ipr", "peak_amplitude"], summary_rows)
-        if mitigation_rows:
-            _write_csv(
+            if result is not None:
+                restricted = restricted_site_density_counts(result, cfg.L)
+                peaks = [peak_amplitude(d, target) for d in (density, raw, restricted)]
+                mitigation_rows.append((t, *peaks))
+            _write_qasm(outdir, _qasm_name(cfg, W, t), circuit)
+        write_csv(outdir / f"site_density_{wtag}.csv", ["step", "site", "probability"], site_rows)
+        write_csv(outdir / f"summary_{wtag}.csv", ["step", "ipr", "peak_amplitude"], summary_rows)
+        if cfg.noise is None:
+            worst = max(abs(peak - 1.0) for _, _, peak in summary_rows)
+            worst_ipr = max(abs(v - 1.0) for _, v, _ in summary_rows)
+            checks += [
+                _check(
+                    f"ballistic_peak_exact_{wtag}",
+                    worst < 1e-12,
+                    f"max |peak - 1| = {worst:.3e} over steps {steps}",
+                ),
+                _check(f"ipr_unity_{wtag}", worst_ipr < 1e-12, f"max |ipr - 1| = {worst_ipr:.3e}"),
+            ]
+        else:
+            write_csv(
                 outdir / f"mitigation_{wtag}.csv",
                 ["step", "peak_post_processed", "peak_raw", "peak_sector_restricted"],
                 mitigation_rows,
             )
-        checks += _chiral_checks(cfg, W, summary_rows, mitigation_rows)
+            checks.append(
+                _check(
+                    f"post_processing_benefit_{wtag}",
+                    all(pp > rest for _, pp, _, rest in mitigation_rows),
+                    "post-processed peak vs weight-1-restricted peak per step",
+                )
+            )
         summaries.append(summary_rows)
-    return checks, summaries
-
-
-def _chiral_checks(cfg, W, summary_rows, mitigation_rows) -> list[dict]:
-    checks = []
-    if cfg.noise is None:
-        worst = max(abs(peak - 1.0) for _, _, peak in summary_rows)
-        checks.append(
-            {
-                "name": f"ballistic_peak_exact_W{W:g}",
-                "passed": bool(worst < 1e-12),
-                "detail": f"max |peak - 1| = {worst:.3e} over steps {cfg.steps}",
-            }
-        )
-        worst_ipr = max(abs(v - 1.0) for _, v, _ in summary_rows)
-        checks.append(
-            {
-                "name": f"ipr_unity_W{W:g}",
-                "passed": bool(worst_ipr < 1e-12),
-                "detail": f"max |ipr - 1| = {worst_ipr:.3e}",
-            }
-        )
-    else:
-        ok = all(pp > rest for _, pp, _, rest in mitigation_rows)
-        checks.append(
-            {
-                "name": f"post_processing_benefit_W{W:g}",
-                "passed": bool(ok),
-                "detail": "post-processed peak vs weight-1-restricted peak per step",
-            }
-        )
-    return checks
-
-
-def _run_chiral_propagation(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
-    checks, _ = _run_chiral(cfg, outdir, [cfg.W])
-    return checks
-
-
-def _run_chiral_robustness(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
-    checks, summaries = _run_chiral(cfg, outdir, list(cfg.W_values))
-    if cfg.noise is not None and len(cfg.W_values) >= 2:
-        last = cfg.steps.index(max(cfg.steps))
+    if cfg.kind == "chiral_robustness" and cfg.noise is not None and len(W_values) >= 2:
+        last = steps.index(max(steps))
         _, ipr0, peak0 = summaries[0][last]
         _, ipr1, peak1 = summaries[-1][last]
-        w0, w1 = cfg.W_values[0], cfg.W_values[-1]
         rel_ipr = abs(ipr1 - ipr0) / ipr0
         rel_peak = abs(peak1 - peak0) / peak0
         checks.append(
-            {
-                "name": "noisy_robustness_under_potential",
-                "passed": bool(rel_ipr < 0.10 and rel_peak < 0.10),
-                "detail": f"relative difference W={w1} vs W={w0}: "
+            _check(
+                "noisy_robustness_under_potential",
+                rel_ipr < 0.10 and rel_peak < 0.10,
+                f"relative difference W={W_values[-1]} vs W={W_values[0]}: "
                 f"ipr {rel_ipr:.4f}, peak {rel_peak:.4f}",
-            }
+            )
         )
     return checks
 
 
-def _barrier_regions(profile: PotentialProfile) -> tuple[list[int], list[int]]:
-    """(well, beyond) site sets for a box barrier: the well lies strictly
-    between the two wall segments; beyond is everything else non-wall."""
+def _beyond_barrier(profile: PotentialProfile) -> list[int]:
+    """Sites outside a box barrier: neither a wall nor in the well, which
+    lies strictly between the first two wall segments.  No walls, no barrier."""
     walls = [i for i, v in enumerate(profile.u) if v != 0.0]
     if not walls:
-        return list(range(profile.num_sites)), []
-    segments = []
-    current = [walls[0]]
-    for i in walls[1:]:
-        if i == current[-1] + 1:
-            current.append(i)
-        else:
-            segments.append(current)
-            current = [i]
-    segments.append(current)
-    if len(segments) >= 2:
-        well = list(range(segments[0][-1] + 1, segments[1][0]))
-    else:
-        well = []
-    beyond = [
-        i for i in range(profile.num_sites) if i not in walls and i not in well
-    ]
-    return well, beyond
+        return []
+    gaps = [(a, b) for a, b in zip(walls, walls[1:]) if b > a + 1]
+    well = range(gaps[0][0] + 1, gaps[0][1]) if gaps else range(0)
+    return [i for i in range(profile.num_sites) if i not in walls and i not in well]
 
 
 def _run_nonchiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
-    method = cfg.method
-    if method == "auto":
-        method = "single_particle" if (cfg.noise is None and cfg.L > 12) else "statevector"
+    method = _method(cfg)
+    W_values, times = _sweep(cfg)
     summary_by_W: dict[float, list[tuple]] = {}
-    for W in cfg.W_values:
+    for W in W_values:
         profile = _profile_for(cfg, W)
-        _, beyond = _barrier_regions(profile)
+        beyond = _beyond_barrier(profile)
         wtag = f"W{W:g}"
         site_rows, summary_rows = [], []
-        for time in cfg.times:
+        for time in times:
             if method == "single_particle":
                 op = xy_step_operator(cfg.L, profile, cfg.J, float(time))
-                density = post_process(_sector_density(op, cfg.start_site))
+                raw = SiteDistribution(np.abs(op.matrix[:, cfg.start_site]) ** 2)
             else:
-                trotter = TrotterConfig(cfg.J, float(time), cfg.trotter_n)
-                circuit = build_xy_trotter(cfg.L, profile, trotter)
-                if cfg.noise is None:
-                    op = reduce_to_single_particle(circuit)
-                    density = post_process(_sector_density(op, cfg.start_site))
-                else:
-                    init = one_hot_state(cfg.L, cfg.start_site)
-                    seed = _derived_seed(cfg.noise.seed, _point_key(time), _point_key(W))
-                    result = run_noisy(circuit, init, cfg.noise.replace_seed(seed), cfg.shots)
-                    density = post_process(site_density_counts(result, cfg.L))
+                circuit = _point_circuit(cfg, profile, time)
+                raw, _ = _measure(cfg, circuit, W, time)
+                name = _qasm_name(cfg, W, time)
+                if name is not None:
+                    _write_qasm(outdir, name, circuit)
+            density = post_process(raw)
             p_beyond = float(np.sum(density.p[beyond])) if beyond else 0.0
             site_rows += _site_rows(time, density)
             summary_rows.append(
                 (time, ipr(density), float(density.p[cfg.start_site]), p_beyond)
             )
         summary_by_W[W] = summary_rows
-        _write_csv(outdir / f"site_density_{wtag}.csv", ["step", "site", "probability"], site_rows)
-        _write_csv(
+        write_csv(outdir / f"site_density_{wtag}.csv", ["step", "site", "probability"], site_rows)
+        write_csv(
             outdir / f"summary_{wtag}.csv",
             ["step", "ipr", "peak_amplitude", "prob_beyond_barrier"],
             summary_rows,
         )
-        if method == "statevector":  # the last circuit built is the one at times[-1]
-            (outdir / f"circuit_{wtag}.qasm").write_text(emit_qasm3(circuit), encoding="utf-8")
 
     checks = []
-    quantitative = cfg.noise is None and len(cfg.W_values) >= 2
+    quantitative = cfg.noise is None and len(W_values) >= 2
     if quantitative and method == "statevector":
         # a coarse step is a different Floquet system (the potential phase
         # aliases), so the continuum-confinement bars only apply when the
         # trotterization resolves the dynamics
-        quantitative = max(cfg.times) / cfg.trotter_n <= 0.25
+        quantitative = max(times) / cfg.trotter_n <= 0.25
     if quantitative:
         if method == "single_particle":
             # bars frozen from the dense-exponential oracle: the stated
@@ -473,78 +431,71 @@ def _run_nonchiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
             ratio_bar = 2.0 if cfg.L >= 12 else 1.5
         else:
             ratio_bar = 1.3  # trotterized circuit adds splitting error
-        w_lo, w_hi = min(cfg.W_values), max(cfg.W_values)
+        w_lo, w_hi = min(W_values), max(W_values)
         ipr_lo = summary_by_W[w_lo][-1][1]
         ipr_hi = summary_by_W[w_hi][-1][1]
-        checks.append(
-            {
-                "name": "localization_ipr_ratio",
-                "passed": bool(ipr_hi >= ratio_bar * ipr_lo),
-                "detail": f"ipr(t_max, W={w_hi}) = {ipr_hi:.4f} vs "
-                f"ipr(t_max, W={w_lo}) = {ipr_lo:.4f} (bar {ratio_bar}x)",
-            }
-        )
         worst_beyond = max(row[3] for row in summary_by_W[w_hi])
-        checks.append(
-            {
-                "name": "confinement_beyond_barrier",
-                "passed": bool(worst_beyond < 0.2),
-                "detail": f"max probability beyond barrier at W={w_hi}: {worst_beyond:.4f}",
-            }
-        )
+        checks += [
+            _check(
+                "localization_ipr_ratio",
+                ipr_hi >= ratio_bar * ipr_lo,
+                f"ipr(t_max, W={w_hi}) = {ipr_hi:.4f} vs "
+                f"ipr(t_max, W={w_lo}) = {ipr_lo:.4f} (bar {ratio_bar}x)",
+            ),
+            _check(
+                "confinement_beyond_barrier",
+                worst_beyond < 0.2,
+                f"max probability beyond barrier at W={w_hi}: {worst_beyond:.4f}",
+            ),
+        ]
     return checks
 
 
 def _run_disorder_spectra(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
     ensemble = DisorderEnsemble(cfg.realizations, cfg.W, "uniform_symmetric", cfg.seed)
     profiles = sample_disorder_profiles(ensemble, cfg.L)
-    spectra_rows, stats_rows = [], []
-    chiral_var, shift_err, nonchiral_var = [], [], []
+    spectra_rows, stats_rows, shift_err = [], [], []
+    variances = {"chiral": [], "nonchiral": []}
     for r, profile in enumerate(profiles):
         chiral = quasi_energy_spectrum(fcqw_step_operator(cfg.L, profile))
-        s = level_spacing_stats(chiral)
         predicted = predicted_chiral_eigenphases(cfg.L, profile)
-        err = _circular_set_distance(chiral.eigenphases, predicted)
-        chiral_var.append(s.spacing_variance)
-        shift_err.append(err)
-        for n, phase in enumerate(chiral.eigenphases):
-            spectra_rows.append(("chiral", r, n, float(phase)))
-        stats_rows.append(("chiral", r, s.mean_spacing, s.spacing_variance, s.min_spacing))
-
+        shift_err.append(_circular_set_distance(chiral.eigenphases, predicted))
         nonchiral = quasi_energy_spectrum(xy_step_operator(cfg.L, profile, cfg.J, t=1.0))
-        sn = level_spacing_stats(nonchiral)
-        nonchiral_var.append(sn.spacing_variance)
-        for n, phase in enumerate(nonchiral.eigenphases):
-            spectra_rows.append(("nonchiral", r, n, float(phase)))
-        stats_rows.append(("nonchiral", r, sn.mean_spacing, sn.spacing_variance, sn.min_spacing))
-    _write_csv(outdir / "spectra.csv", ["model", "realization", "n", "eigenphase"], spectra_rows)
-    _write_csv(
+        for model, spectrum in (("chiral", chiral), ("nonchiral", nonchiral)):
+            s = level_spacing_stats(spectrum)
+            variances[model].append(s.spacing_variance)
+            phases = enumerate(spectrum.eigenphases)
+            spectra_rows += [(model, r, n, float(phase)) for n, phase in phases]
+            stats_rows.append((model, r, s.mean_spacing, s.spacing_variance, s.min_spacing))
+    write_csv(outdir / "spectra.csv", ["model", "realization", "n", "eigenphase"], spectra_rows)
+    write_csv(
         outdir / "level_stats.csv",
         ["model", "realization", "mean_spacing", "spacing_variance", "min_spacing"],
         stats_rows,
     )
     w = winding_number(chiral_momentum_family(256))
+    chiral_var, nonchiral_var = variances["chiral"], variances["nonchiral"]
     return [
-        {
-            "name": "chiral_spectral_rigidity",
-            "passed": bool(max(chiral_var) < 1e-18),
-            "detail": f"max spacing variance over realizations: {max(chiral_var):.3e}",
-        },
-        {
-            "name": "chiral_shift_matches_analytic",
-            "passed": bool(max(shift_err) < 1e-9),
-            "detail": f"max eigenphase deviation from analytic shift: {max(shift_err):.3e}",
-        },
-        {
-            "name": "nonchiral_spacings_disordered",
-            "passed": bool(min(nonchiral_var) > 1e-6),
-            "detail": f"min nonchiral spacing variance: {min(nonchiral_var):.3e}",
-        },
-        {
-            "name": "chiral_winding_is_one",
-            "passed": bool(w == 1),
-            "detail": f"winding number of the chiral momentum family: {w}",
-        },
+        _check(
+            "chiral_spectral_rigidity",
+            max(chiral_var) < 1e-18,
+            f"max spacing variance over realizations: {max(chiral_var):.3e}",
+        ),
+        _check(
+            "chiral_shift_matches_analytic",
+            max(shift_err) < 1e-9,
+            f"max eigenphase deviation from analytic shift: {max(shift_err):.3e}",
+        ),
+        _check(
+            "nonchiral_spacings_disordered",
+            min(nonchiral_var) > 1e-6,
+            f"min nonchiral spacing variance: {min(nonchiral_var):.3e}",
+        ),
+        _check(
+            "chiral_winding_is_one",
+            w == 1,
+            f"winding number of the chiral momentum family: {w}",
+        ),
     ]
 
 
@@ -569,41 +520,30 @@ def _run_amplitude_scaling(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
         shots=cfg.shots,
         n_seeds=cfg.sweep_seeds,
     )
-    _write_csv(outdir / "decay.csv", ["x", "mean_peak_amplitude"], rows)
+    write_csv(outdir / "decay.csv", ["x", "mean_peak_amplitude"], rows)
     xs = np.array([x for x, _ in rows], dtype=float)
     amps = np.array([a for _, a in rows])
-    checks = []
     if np.any(amps <= 0.0):
-        checks.append(
-            {"name": "amplitudes_positive", "passed": False, "detail": "zero amplitude point"}
-        )
-        return checks
+        return [_check("amplitudes_positive", False, "zero amplitude point")]
     logs = np.log(amps)
     if cfg.axis == "steps_at_fixed_L":
         r2 = _rsquared(xs, logs)
-        checks.append(
-            {
-                "name": "log_amplitude_linear_in_steps",
-                "passed": bool(r2 >= 0.9),
-                "detail": f"R^2 of log amplitude vs t: {r2:.4f}",
-            }
+        detail = f"R^2 of log amplitude vs t: {r2:.4f}"
+        return [_check("log_amplitude_linear_in_steps", r2 >= 0.9, detail)]
+    r2_linear = _rsquared(xs, logs)
+    r2_quadratic = _rsquared(xs**2, logs)
+    return [
+        _check(
+            "log_amplitude_tracks_L_squared",
+            r2_quadratic > r2_linear,
+            f"R^2 vs L^2: {r2_quadratic:.4f}, vs L: {r2_linear:.4f}",
         )
-    else:
-        r2_linear = _rsquared(xs, logs)
-        r2_quadratic = _rsquared(xs**2, logs)
-        checks.append(
-            {
-                "name": "log_amplitude_tracks_L_squared",
-                "passed": bool(r2_quadratic > r2_linear),
-                "detail": f"R^2 vs L^2: {r2_quadratic:.4f}, vs L: {r2_linear:.4f}",
-            }
-        )
-    return checks
+    ]
 
 
 _RUNNERS = {
-    "chiral_propagation": _run_chiral_propagation,
-    "chiral_robustness": _run_chiral_robustness,
+    "chiral_propagation": _run_chiral,
+    "chiral_robustness": _run_chiral,
     "nonchiral_localization": _run_nonchiral,
     "disorder_spectra": _run_disorder_spectra,
     "amplitude_scaling": _run_amplitude_scaling,
@@ -643,45 +583,25 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> Path:
     with _output_dir(outdir):
         checks = _RUNNERS[cfg.kind](cfg, outdir)
         report = {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
-        (outdir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        (outdir / "checks.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        for name, document in (("manifest.json", manifest), ("checks.json", report)):
+            text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+            (outdir / name).write_text(text, encoding="utf-8")
     return outdir
 
 
 def emit_experiment_qasm(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
-    """Write only the QASM artifacts an experiment would produce."""
+    """Write only the QASM files ``run_experiment`` writes, from the same
+    circuits; the kinds without circuit points write none."""
     outdir = Path(output_dir or cfg.output_dir or f"results/{cfg.kind}")
     with _output_dir(outdir):
         paths = []
-        if cfg.kind in ("chiral_propagation", "chiral_robustness"):
-            w_values = [cfg.W] if cfg.kind == "chiral_propagation" else cfg.W_values
-            for W in w_values:
-                profile = _profile_for(cfg, W)
-                for t in cfg.steps:
-                    path = outdir / f"circuit_W{W:g}_t{t}.qasm"
-                    path.write_text(
-                        emit_qasm3(build_fcqw_walk(cfg.L, profile, t, cfg.chirality)),
-                        encoding="utf-8",
-                    )
-                    paths.append(path)
-        elif cfg.kind == "nonchiral_localization":
-            for W in cfg.W_values:
-                profile = _profile_for(cfg, W)
-                circuit = build_xy_trotter(
-                    cfg.L, profile, TrotterConfig(cfg.J, cfg.times[-1], cfg.trotter_n)
-                )
-                path = outdir / f"circuit_W{W:g}.qasm"
-                path.write_text(emit_qasm3(circuit), encoding="utf-8")
-                paths.append(path)
-        else:
-            profile = PotentialProfile.uniform(cfg.L, 0.0)
-            path = outdir / "circuit_step.qasm"
-            path.write_text(emit_qasm3(build_fcqw_walk(cfg.L, profile, 1)), encoding="utf-8")
-            paths.append(path)
+        W_values, points = _sweep(cfg)
+        for W in W_values:
+            profile = _profile_for(cfg, W)
+            for x in points:
+                name = _qasm_name(cfg, W, x)
+                if name is not None:
+                    paths.append(_write_qasm(outdir, name, _point_circuit(cfg, profile, x)))
     return paths
 
 

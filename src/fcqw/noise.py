@@ -34,6 +34,7 @@ from .statevec import (
     StateVector,
     apply_gate_inplace,
     apply_pauli_inplace,
+    derived_seed,
     index_to_bitstring,
     one_hot_state,
     sample_index,
@@ -228,7 +229,6 @@ def amplitude_decay_sweep(
     start_site: int = 0,
     shots: int = 2000,
     n_seeds: int = 1,
-    profile_W: float = 0.0,
 ) -> list[tuple[int, float]]:
     """Mean post-processed peak amplitude of the noisy chiral walk.
 
@@ -249,14 +249,13 @@ def amplitude_decay_sweep(
             size, steps = L, int(x)
         else:
             size, steps = int(x), int(x)
-        profile = PotentialProfile.uniform(size, profile_W)
+        profile = PotentialProfile.uniform(size, 0.0)
         circuit = build_fcqw_walk(size, profile, steps)
         init = one_hot_state(size, start_site)
         target = (start_site + steps) % size
         amps = []
         for k in range(n_seeds):
-            child = np.random.SeedSequence(spec.seed, spawn_key=(int(x), k))
-            seed = int(child.generate_state(1)[0])
+            seed = derived_seed(spec.seed, int(x), k)
             result = run_noisy(circuit, init, spec.replace_seed(seed), shots)
             density = post_process(site_density_counts(result, size))
             amps.append(peak_amplitude(density, target))

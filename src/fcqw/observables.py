@@ -38,18 +38,26 @@ def site_density_exact(state: StateVector) -> SiteDistribution:
     return SiteDistribution(p, normalized=False)
 
 
-def site_density_counts(result, L: int) -> SiteDistribution:
-    """Occupation frequency per site from measured counts (unnormalized)."""
+def _count_sites(result, L: int, weight: int | None) -> SiteDistribution:
+    """Per-site frequency over the bitstrings of the given Hamming weight
+    (all of them for None), divided by the total shot count."""
     p = np.zeros(L)
     for bits, count in result.counts.items():
         if len(bits) != L:
             raise ValueError(
                 f"bitstring {bits!r} has length {len(bits)}, expected {L}"
             )
+        if weight is not None and bits.count("1") != weight:
+            continue
         for i, c in enumerate(bits):
             if c == "1":
                 p[i] += count
     return SiteDistribution(p / result.shots, normalized=False)
+
+
+def site_density_counts(result, L: int) -> SiteDistribution:
+    """Occupation frequency per site from measured counts (unnormalized)."""
+    return _count_sites(result, L, None)
 
 
 def restricted_site_density_counts(result, L: int, weight: int = 1) -> SiteDistribution:
@@ -57,18 +65,7 @@ def restricted_site_density_counts(result, L: int, weight: int = 1) -> SiteDistr
     weight, still divided by the total shot count (discard, don't rescale).
     This is the unmitigated baseline the all-sector normalization is
     compared against."""
-    p = np.zeros(L)
-    for bits, count in result.counts.items():
-        if len(bits) != L:
-            raise ValueError(
-                f"bitstring {bits!r} has length {len(bits)}, expected {L}"
-            )
-        if bits.count("1") != weight:
-            continue
-        for i, c in enumerate(bits):
-            if c == "1":
-                p[i] += count
-    return SiteDistribution(p / result.shots, normalized=False)
+    return _count_sites(result, L, weight)
 
 
 def post_process(raw: SiteDistribution) -> SiteDistribution:

@@ -1,14 +1,18 @@
 import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from fcqw.cli import main
+from fcqw.floquet import QuasiEnergySpectrum, save_matrix_csv, save_spectrum_csv
 from fcqw.harness import (
     ConfigError,
     ExperimentConfig,
     check_result_dir,
     content_hash,
+    emit_experiment_qasm,
     load_config,
     resolved_config_dict,
     run_experiment,
@@ -398,3 +402,164 @@ class TestCli:
         path = write_config(tmp_path, chiral_config(tmp_path))
         assert main(["emit-qasm", str(path)]) == 2
         assert "steps" in capsys.readouterr().err
+
+
+GOLDEN_NOISE = {"p_cnot": 0.02, "p_1q": 0.001, "p_readout": 0.01}
+
+#: one small config per measurement path of the harness
+GOLDEN_CASES = {
+    "chiral_noiseless": {
+        "kind": "chiral_propagation", "L": 8, "steps": [1, 4, 8], "W": 2.0, "profile": "box",
+        "start_site": 1,
+    },
+    "chiral_noisy": {
+        "kind": "chiral_propagation", "L": 6, "steps": [2, 5], "W": 1.5, "profile": "uniform",
+        "noise": GOLDEN_NOISE, "shots": 300, "seed": 3,
+    },
+    "chiral_robustness": {
+        "kind": "chiral_robustness", "L": 5, "steps": [2, 3], "W_values": [0.0, 2.5],
+        "profile": "custom", "custom_u": [0.0, 1.0, 0.5, 0.0, 0.0], "chirality": "left",
+        "noise": GOLDEN_NOISE, "shots": 300, "seed": 5,
+    },
+    "nonchiral_statevector": {
+        "kind": "nonchiral_localization", "L": 8, "times": [0.5, 1.0], "W_values": [0.0, 6.0],
+        "profile": "box", "start_site": 2, "method": "statevector", "trotter_n": 4,
+    },
+    "nonchiral_statevector_noisy": {
+        "kind": "nonchiral_localization", "L": 4, "times": [0.3, 0.6], "W_values": [0.0, 2.0],
+        "profile": "custom", "custom_u": [0.0, 1.0, 0.0, 0.0], "start_site": 1,
+        "method": "statevector", "noise": GOLDEN_NOISE, "shots": 40, "seed": 7,
+    },
+    "nonchiral_single_particle": {
+        "kind": "nonchiral_localization", "L": 8, "times": [0.5, 2.0], "W_values": [0.0, 6.0],
+        "profile": "box", "start_site": 3, "method": "single_particle",
+    },
+    "disorder_spectra": {
+        "kind": "disorder_spectra", "L": 5, "W": 4.0, "realizations": 3, "seed": 2,
+    },
+    "amplitude_scaling": {
+        "kind": "amplitude_scaling", "L": 5, "axis": "steps_at_fixed_L", "values": [1, 2, 3],
+        "noise": GOLDEN_NOISE, "shots": 200, "sweep_seeds": 2, "seed": 4,
+    },
+}
+
+#: first 16 hex digits of the SHA-256 of every file ``run_experiment`` writes
+#: for each case, recorded before the harness was restructured
+GOLDEN_DIGESTS = {
+    "chiral_noiseless": {
+        "checks.json": "397b189836e33fa3",
+        "circuit_W2_t1.qasm": "85665059758fbbef",
+        "circuit_W2_t4.qasm": "eb4f21b3fdf1e3f8",
+        "circuit_W2_t8.qasm": "14b8bf301545dde3",
+        "manifest.json": "f6bc2abf04cd7e6f",
+        "site_density_W2.csv": "e8646e115e94387e",
+        "summary_W2.csv": "ee55416c5cdca37f",
+    },
+    "chiral_noisy": {
+        "checks.json": "d9e2fdb99361919d",
+        "circuit_W1.5_t2.qasm": "97e49c90b4094af2",
+        "circuit_W1.5_t5.qasm": "8a015fd6fa1d0d50",
+        "manifest.json": "a6dfbe37299b430a",
+        "mitigation_W1.5.csv": "a44c5c556590ac32",
+        "site_density_W1.5.csv": "9abb02c56a25b027",
+        "summary_W1.5.csv": "0ed989ae33259ebb",
+    },
+    "chiral_robustness": {
+        "checks.json": "f8d872071f7bae20",
+        "circuit_W0_t2.qasm": "09a910432b7842d7",
+        "circuit_W0_t3.qasm": "8f6bffa86a200d08",
+        "circuit_W2.5_t2.qasm": "9eca5c84fb6baf30",
+        "circuit_W2.5_t3.qasm": "84dd6fe5398882fa",
+        "manifest.json": "de46ffa570a4766b",
+        "mitigation_W0.csv": "6751bd3dc3802d49",
+        "mitigation_W2.5.csv": "77d455a8ac3b22cc",
+        "site_density_W0.csv": "d2e5a3a76348f231",
+        "site_density_W2.5.csv": "ac835a950e603fc3",
+        "summary_W0.csv": "4424c84dd8559e73",
+        "summary_W2.5.csv": "93e7a348542f350b",
+    },
+    "nonchiral_statevector": {
+        "checks.json": "757600c6219bd936",
+        "circuit_W0.qasm": "36271aaa2e6d154e",
+        "circuit_W6.qasm": "40ad24ada72d7d97",
+        "manifest.json": "58d837e49fd12891",
+        "site_density_W0.csv": "3d36574147629cb2",
+        "site_density_W6.csv": "2262c0b1259c9210",
+        "summary_W0.csv": "9945b537c3810117",
+        "summary_W6.csv": "b6cc4e21da718ddf",
+    },
+    "nonchiral_statevector_noisy": {
+        "checks.json": "667587569208c7bb",
+        "circuit_W0.qasm": "3212ea8a469c3d69",
+        "circuit_W2.qasm": "1fea7f3743ecfca0",
+        "manifest.json": "14049aff1533e3ae",
+        "site_density_W0.csv": "1492f5e7840660e5",
+        "site_density_W2.csv": "bb026c957988023a",
+        "summary_W0.csv": "7f085b4a994ab3d7",
+        "summary_W2.csv": "d9abf4dc773872a5",
+    },
+    "nonchiral_single_particle": {
+        "checks.json": "2ccba98b6b0fac43",
+        "manifest.json": "a945fd062a79602d",
+        "site_density_W0.csv": "8b965a66f6a4b516",
+        "site_density_W6.csv": "93fc0bfd0536a4c9",
+        "summary_W0.csv": "027b90f559503cf8",
+        "summary_W6.csv": "baaaa2ba36d06874",
+    },
+    "disorder_spectra": {
+        "checks.json": "18484ed5a5331a6a",
+        "level_stats.csv": "1bb46831a75e9b37",
+        "manifest.json": "c64ca5be8447d86d",
+        "spectra.csv": "2ac4dd79e1ebf571",
+    },
+    "amplitude_scaling": {
+        "checks.json": "88d5ba484c214588",
+        "decay.csv": "a462db1d92411f80",
+        "manifest.json": "9fa6749869c54388",
+    },
+}
+
+
+def golden_config(case):
+    # a fixed output_dir keeps manifest.json independent of tmp_path
+    return validate_config(dict(GOLDEN_CASES[case], output_dir="golden"))
+
+
+def file_bytes(outdir, pattern="*"):
+    return {p.name: p.read_bytes() for p in sorted(outdir.glob(pattern))}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_run_output_is_byte_identical(self, tmp_path, case):
+        outdir = run_experiment(golden_config(case), tmp_path / case)
+        digests = {
+            name: hashlib.sha256(body).hexdigest()[:16]
+            for name, body in file_bytes(outdir).items()
+        }
+        assert digests == GOLDEN_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_emit_qasm_writes_the_qasm_files_of_run(self, tmp_path, case):
+        cfg = golden_config(case)
+        run_dir = run_experiment(cfg, tmp_path / "run")
+        paths = emit_experiment_qasm(cfg, tmp_path / "emit")
+        assert sorted(p.name for p in paths) == sorted(file_bytes(run_dir, "*.qasm"))
+        assert file_bytes(tmp_path / "emit") == file_bytes(run_dir, "*.qasm")
+
+    def test_save_spectrum_csv_bytes(self, tmp_path):
+        spec = QuasiEnergySpectrum(np.array([0.1, np.pi]), np.array([[1.0, 0.5j], [-0.25, 1 / 3]]))
+        save_spectrum_csv(spec, tmp_path / "spectrum.csv")
+        assert (tmp_path / "spectrum.csv").read_text() == (
+            "n,eigenphase,v0_re,v0_im,v1_re,v1_im\n"
+            "0,0.1,1.0,0.0,-0.25,0.0\n"
+            "1,3.141592653589793,0.0,0.5,0.3333333333333333,0.0\n"
+        )
+
+    def test_save_matrix_csv_bytes(self, tmp_path):
+        save_matrix_csv(np.array([[1, 2.5 - 1j], [np.exp(0.5j), 0]]), tmp_path / "matrix.csv")
+        assert (tmp_path / "matrix.csv").read_text() == (
+            "c0_re,c0_im,c1_re,c1_im\n"
+            "1.0,0.0,2.5,-1.0\n"
+            "0.8775825618903728,0.479425538604203,0.0,0.0\n"
+        )
