@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .circuits import (
+    BOX_SITES,
     Circuit,
     PotentialProfile,
     TrotterConfig,
@@ -52,7 +53,7 @@ from .observables import (
     site_density_counts,
 )
 from .qasm import emit_qasm3
-from .statevec import derived_seed, one_hot_state
+from .statevec import MAX_QUBITS, derived_seed, one_hot_state
 
 KINDS = (
     "chiral_propagation",
@@ -130,8 +131,42 @@ def _is_finite_real(value) -> bool:
     )
 
 
+def _int_in(value, lo: int, hi: float = math.inf) -> bool:
+    return _is_integer(value) and lo <= value <= hi
+
+
+def _nonempty_list(value, ok) -> bool:
+    return isinstance(value, list) and len(value) > 0 and all(ok(v) for v in value)
+
+
+def _noise_spec(noise_data, seed) -> NoiseSpec:
+    if not isinstance(noise_data, dict):
+        raise ConfigError("noise must be an object", ["noise"])
+    bad = sorted(set(noise_data) - {"p_cnot", "p_1q", "p_readout", "seed"})
+    if bad:
+        raise ConfigError("unknown noise keys", bad)
+    noise_data = dict(noise_data)
+    noise_data.setdefault("seed", seed)
+    bad = [k for k in ("p_cnot", "p_1q", "p_readout")
+           if k in noise_data and not (_is_finite_real(noise_data[k]) and 0 <= noise_data[k] <= 1)]
+    if not _int_in(noise_data["seed"], 0):
+        bad.append("seed")
+    if bad:
+        raise ConfigError("invalid noise values", bad)
+    return NoiseSpec(**noise_data)
+
+
+def _builds_circuits(cfg: ExperimentConfig) -> bool:
+    """Whether the run builds L-qubit circuits, which cap L at MAX_QUBITS."""
+    if cfg.kind == "nonchiral_localization":
+        return _method(cfg) == "statevector"
+    if cfg.kind == "amplitude_scaling":
+        return cfg.axis == "steps_at_fixed_L"
+    return cfg.kind != "disorder_spectra"
+
+
 def validate_config(data: dict) -> ExperimentConfig:
-    if "kind" not in data:
+    if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("missing required field", ["kind"])
     kind = data["kind"]
     if kind not in KINDS:
@@ -143,54 +178,68 @@ def validate_config(data: dict) -> ExperimentConfig:
     missing = sorted(k for k in _REQUIRED[kind] if k not in data)
     if missing:
         raise ConfigError(f"missing required fields for kind {kind!r}", missing)
+    if not _int_in(data.get("seed", 0), 0):  # SeedSequence entropy
+        raise ConfigError("invalid field values", ["seed"])
 
     kwargs = dict(data)
-    noise_data = kwargs.pop("noise", None)
-    if noise_data is not None:
-        noise_data = dict(noise_data)
-        bad = sorted(set(noise_data) - {"p_cnot", "p_1q", "p_readout", "seed"})
-        if bad:
-            raise ConfigError("unknown noise keys", bad)
-        noise_data.setdefault("seed", data.get("seed", 0))
-        kwargs["noise"] = NoiseSpec(**noise_data)
+    if kwargs.get("noise") is not None:
+        kwargs["noise"] = _noise_spec(kwargs["noise"], data.get("seed", 0))
     cfg = ExperimentConfig(**kwargs)
+    keys = _KIND_KEYS[kind]
 
     problems = []
-    min_L = 2 if cfg.kind == "disorder_spectra" else 1  # level spacings need two phases
-    if not min_L <= cfg.L:
+    if not _int_in(cfg.L, 2):  # a walk, a chain and level spacings need two sites
         problems.append("L")
-    if not _is_integer(cfg.realizations) or cfg.realizations < 1:
+    elif _builds_circuits(cfg) and cfg.L > MAX_QUBITS:
+        problems.append("L")
+    if not _int_in(cfg.realizations, 1):
         problems.append("realizations")
     for name in ("W", "J"):
         if not _is_finite_real(getattr(cfg, name)):
             problems.append(name)
     if cfg.profile not in ("uniform", "box", "custom"):
         problems.append("profile")
-    if cfg.profile == "custom" and len(cfg.custom_u) != cfg.L:
+    elif cfg.profile == "box" and _is_integer(cfg.L) and cfg.L <= max(BOX_SITES):
+        problems.append("profile")
+    if cfg.profile == "custom" and not (
+        _nonempty_list(cfg.custom_u, _is_finite_real) and len(cfg.custom_u) == cfg.L
+    ):
         problems.append("custom_u")
-    if not 0 <= cfg.start_site < cfg.L:
-        problems.append("start_site")
-    if cfg.chirality not in ("right", "left"):
-        problems.append("chirality")
     if cfg.kind == "amplitude_scaling":
         if cfg.axis not in ("steps_at_fixed_L", "size_with_t_equals_L"):
             problems.append("axis")
-        if not cfg.values:
+        lo, hi = (2, MAX_QUBITS) if cfg.axis == "size_with_t_equals_L" else (0, math.inf)
+        if not _nonempty_list(cfg.values, lambda v: _int_in(v, lo, hi)):
             problems.append("values")
-    if cfg.kind == "nonchiral_localization" and cfg.trotter_n < 1:
+    if "L" not in problems and "values" not in problems:
+        # the start site must lie on every lattice the run builds
+        sites = min(cfg.values) if cfg.axis == "size_with_t_equals_L" else cfg.L
+        if not _int_in(cfg.start_site, 0, sites - 1):
+            problems.append("start_site")
+    if cfg.chirality not in ("right", "left"):
+        problems.append("chirality")
+    if "steps" in keys and not _nonempty_list(cfg.steps, lambda t: _int_in(t, 0)):
+        problems.append("steps")
+    if not _int_in(cfg.sweep_seeds, 1):
+        problems.append("sweep_seeds")
+    if not _int_in(cfg.trotter_n, 1):
         problems.append("trotter_n")
     if cfg.method not in ("auto", "statevector", "single_particle"):
         problems.append("method")
-    if cfg.shots < 1:
+    elif cfg.method == "single_particle" and cfg.noise is not None:
+        problems.append("method")  # the exact propagator takes no noise
+    if not _int_in(cfg.shots, 1, 1 << 32):  # a spawn key per shot, one word each
         problems.append("shots")
+    if not isinstance(cfg.output_dir, str):
+        problems.append("output_dir")
     for name in ("W_values", "times"):
-        try:
-            keys = [_point_key(v) for v in getattr(cfg, name)]
-        except (TypeError, ValueError, OverflowError):  # not finite numbers
-            problems.append(name)
+        if name not in keys:
             continue
-        if len(set(keys)) < len(keys):  # two points would share a noise stream
+        values = getattr(cfg, name)
+        if not _nonempty_list(values, _is_finite_real) or (name == "times" and min(values) < 0):
             problems.append(name)
+        elif len({_point_key(v) for v in values}) < len(values):
+            problems.append(name)  # two points would share a noise stream
     if problems:
         raise ConfigError("invalid field values", problems)
     return cfg

@@ -19,11 +19,14 @@ in a fixed order (error flags, Pauli codes of the flagged gates, the
 measurement uniform, readout flips), so its outcome depends only on the
 seed, s and the circuit.  With all probabilities zero, each shot consumes
 a single uniform for the measurement, exactly matching
-``statevec.sample_bitstrings``.
+``statevec.sample_bitstrings``.  The streams of a run are seeded in one
+batch (``statevec.shot_words``), which gives every shot the same stream
+as ``statevec.shot_rng(seed, s)``.
 """
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,8 @@ from .statevec import (
     index_to_bitstring,
     one_hot_state,
     sample_index,
-    shot_rng,
+    shot_words,
+    words_rng,
 )
 
 SWEEP_AXES = ("steps_at_fixed_L", "size_with_t_equals_L")
@@ -159,7 +163,7 @@ def run_noisy(
 
     def flagged_gates(rng: np.random.Generator):
         if draw_flags:
-            return np.flatnonzero(rng.random(len(gates)) < gate_probs)
+            return (rng.random(len(gates)) < gate_probs).nonzero()[0]
         return ()
 
     def readout(rng: np.random.Generator, index: int) -> int:
@@ -167,12 +171,13 @@ def run_noisy(
             index ^= int((rng.random(L) < spec.p_readout) @ bit_weights)
         return index
 
+    words = shot_words(spec.seed, shots)
     indices = [0] * shots
     start_index = _basis_index(initial)
     if start_index is not None and all(g.kind in ("rz", "cnot") for g in gates):
         masks, clean = _fault_table(gates, L, start_index)
         for s in range(shots):
-            rng = shot_rng(spec.seed, s)
+            rng = words_rng(words[s])
             index = clean
             for j in flagged_gates(rng):
                 for mask, code in zip(masks[j], _draw_pauli(rng, gates[j])):
@@ -185,7 +190,7 @@ def run_noisy(
         clean_cumulative = np.cumsum(np.abs(final.amplitudes) ** 2)
         faulty = []  # (first flagged gate, shot)
         for s in range(shots):
-            rng = shot_rng(spec.seed, s)
+            rng = words_rng(words[s])
             flagged = flagged_gates(rng)
             if len(flagged):
                 faulty.append((int(flagged[0]), s))
@@ -200,7 +205,7 @@ def run_noisy(
             for g in gates[done:first]:
                 apply_gate_inplace(prefix, L, g)
             done = first
-            rng = shot_rng(spec.seed, s)
+            rng = words_rng(words[s])
             amps = prefix.copy()
             pos = first
             for j in flagged_gates(rng):
@@ -214,10 +219,8 @@ def run_noisy(
             cumulative = np.cumsum(np.abs(amps) ** 2)
             indices[s] = readout(rng, sample_index(cumulative, rng.random()))
 
-    counts: dict[str, int] = {}
-    for index in indices:
-        bits = index_to_bitstring(index, L)
-        counts[bits] = counts.get(bits, 0) + 1
+    # tally by index, then render each distinct outcome once (first-seen order)
+    counts = {index_to_bitstring(i, L): n for i, n in Counter(indices).items()}
     return ShotResult(counts=counts, shots=shots)
 
 

@@ -8,12 +8,20 @@ Conventions used throughout the package:
   is the least significant bit
 * bitstrings are written site 0 first: ``"0100"`` means site 1 occupied
 * a set bit marks an occupied site
+
+Shot streams: shot ``s`` of a seeded run draws from
+``shot_rng(seed, s)``, the generator of ``SeedSequence(seed, (s,))``.
+``shot_words`` computes the seed words of every shot of a run in one
+vectorized pass of the same hash, so ``words_rng`` on its row ``s`` gives a
+generator whose draws equal ``shot_rng(seed, s)``'s.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 #: Hard cap on register width; a dense register needs 16 * 2**L bytes.
 MAX_QUBITS = 24
@@ -275,6 +283,94 @@ def shot_rng(seed: int, shot: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(shot,)))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), default pool
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def shot_words(seed: int, shots: int) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(s,)).generate_state(4, np.uint64)``
+    for every ``s < shots``, as one ``(shots, 4)`` uint64 array.
+
+    The hash constants advance independently of the data, so every step of
+    the hash is one whole-array uint32 operation over the spawn keys.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if not 0 <= shots <= 1 << 32:  # a spawn key >= 2**32 is two words
+        raise ValueError(f"shots must be in [0, 2**32], got {shots}")
+    # the entropy: the seed's little-endian 32-bit words, padded to the
+    # pool size because there is a spawn key, then the spawn key itself
+    run = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        run.append(seed & _MASK32)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.uint32(w) for w in run] + [np.arange(shots, dtype=np.uint32)]
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(_XSHIFT))
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+        for i_src in range(_POOL_SIZE):
+            for i_dst in range(_POOL_SIZE):
+                if i_src != i_dst:
+                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        for w in entropy[_POOL_SIZE:]:
+            for i_dst in range(_POOL_SIZE):
+                pool[i_dst] = mix(pool[i_dst], hashmix(w))
+        # generate_state: 8 uint32 words cycling over the pool, paired
+        # little-endian into 4 uint64 words
+        hash_const = _INIT_B
+        state = []
+        for i in range(8):
+            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * np.uint32(hash_const)
+            state.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
+    words = np.empty((shots, 4), dtype=np.uint64)
+    for k in range(4):
+        words[:, k] = state[2 * k] | (state[2 * k + 1] << np.uint64(32))
+    return words
+
+
+class _Words(ISeedSequence):
+    """Seed sequence that hands a bit generator precomputed state words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def words_rng(words: np.ndarray) -> np.random.Generator:
+    """The generator of one row of ``shot_words``: ``words_rng(
+    shot_words(seed, n)[s])`` draws exactly what ``shot_rng(seed, s)`` does."""
+    return np.random.Generator(np.random.PCG64(_Words(words)))
+
+
 def derived_seed(base: int, *key: int) -> int:
     """Seed of the noise stream of one measured point, keyed under ``base``."""
     masked = tuple(k & 0xFFFFFFFF for k in key)  # spawn keys must be non-negative
@@ -298,7 +394,7 @@ def sample_bitstrings(state: StateVector, shots: int, seed: int) -> list[str]:
     cumulative = np.cumsum(np.abs(state.amplitudes) ** 2)
     L = state.num_qubits
     out = []
-    for s in range(shots):
-        u = shot_rng(seed, s).random()
+    for words in shot_words(seed, shots):
+        u = words_rng(words).random()
         out.append(index_to_bitstring(sample_index(cumulative, u), L))
     return out

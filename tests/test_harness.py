@@ -102,6 +102,72 @@ class TestValidation:
         assert main(["run", str(write_config(tmp_path, data))]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "base, key, value, field",
+        [
+            ("chiral", "L", "8", "L"),
+            ("chiral", "L", 30, "L"),
+            ("chiral", "L", 1, "L"),
+            ("noisy", "shots", 2.5, "shots"),
+            ("localization", "trotter_n", 2.5, "trotter_n"),
+            ("chiral", "steps", [-1], "steps"),
+            ("noisy", "steps", [], "steps"),
+            ("scaling", "values", ["a"], "values"),
+            ("scaling", "values", [1.5], "values"),
+            ("localization", "times", [], "times"),
+            ("localization", "W_values", [], "W_values"),
+            ("robustness", "W_values", [], "W_values"),
+            ("localization", "method", "single_particle", "method"),
+            ("noisy", "seed", -1, "seed"),
+            ("chiral", "start_site", 1.5, "start_site"),
+            ("chiral", "profile", "box", "profile"),
+            ("custom", "custom_u", ["a", 0, 0, 0], "custom_u"),
+            ("scaling", "sweep_seeds", 0, "sweep_seeds"),
+            ("chiral", "output_dir", 5, "output_dir"),
+            ("chiral", "noise", 5, "noise"),
+            ("chiral", "noise", {"p_cnot": "x"}, "p_cnot"),
+        ],
+        ids=[
+            "L_string", "L_30", "L_1", "shots_2.5", "trotter_n_2.5", "steps_negative",
+            "steps_empty", "values_string", "values_1.5", "times_empty",
+            "W_values_empty_localization", "W_values_empty_robustness",
+            "method_single_particle_with_noise", "seed_negative", "start_site_1.5",
+            "box_profile_at_L4", "custom_u_string", "sweep_seeds_0", "output_dir_number",
+            "noise_not_an_object", "noise_probability_string",
+        ],
+    )
+    def test_field_rejected(self, tmp_path, capsys, base, key, value, field):
+        noise = {"p_cnot": 0.01}
+        data = {
+            "chiral": {"kind": "chiral_propagation", "L": 4, "steps": [1]},
+            "noisy": {"kind": "chiral_propagation", "L": 4, "steps": [1], "noise": noise},
+            "custom": {"kind": "chiral_propagation", "L": 4, "steps": [1], "profile": "custom",
+                       "custom_u": [0.0, 1.0, 0.0, 0.0]},
+            "robustness": {"kind": "chiral_robustness", "L": 4, "steps": [1], "W_values": [0.0],
+                           "noise": noise},
+            "localization": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
+                             "W_values": [0.0], "noise": noise},
+            "scaling": {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "L": 4,
+                        "values": [1], "noise": noise},
+        }[base]
+        validate_config(data)  # the base config itself is valid
+        data = {"output_dir": str(tmp_path / "out"), **data, key: value}
+        with pytest.raises(ConfigError) as err:
+            validate_config(data)
+        assert err.value.fields == [field]
+        assert main(["run", str(write_config(tmp_path, data))]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_circuit_width_cap_applies_only_to_circuit_runs(self):
+        exact = {"kind": "nonchiral_localization", "L": 30, "times": [0.1], "W_values": [0.0]}
+        assert validate_config(dict(exact, method="single_particle")).L == 30
+        assert validate_config({"kind": "disorder_spectra", "L": 30, "W": 1.0,
+                                "realizations": 1}).L == 30
+        with pytest.raises(ConfigError) as err:
+            validate_config(dict(exact, method="statevector"))
+        assert err.value.fields == ["L"]
+
     def test_load_config(self, tmp_path):
         cfg = load_config(write_config(tmp_path, chiral_config(tmp_path)))
         assert isinstance(cfg, ExperimentConfig)
@@ -348,6 +414,10 @@ class TestCheckResultDir:
         assert not ok
 
 
+def _crash(*args, **kwargs):
+    raise ValueError("circuit construction failed")
+
+
 class TestCli:
     def test_run_and_check_exit_codes(self, tmp_path, capsys):
         path = write_config(tmp_path, chiral_config(tmp_path))
@@ -372,23 +442,26 @@ class TestCli:
         assert main(["run", str(write_config(tmp_path, data))]) == 2
         assert "noise" in capsys.readouterr().err
 
-    def test_crash_during_run_exit_code(self, tmp_path, capsys):
-        data = {"kind": "chiral_propagation", "L": 4, "steps": [-1],
+    def test_crash_during_run_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("fcqw.harness.build_fcqw_walk", _crash)
+        data = {"kind": "chiral_propagation", "L": 4, "steps": [1],
                 "output_dir": str(tmp_path / "x" / "y")}
         assert main(["run", str(write_config(tmp_path, data))]) == 3
         assert capsys.readouterr().err.startswith("error: run crashed: ValueError")
         assert not (tmp_path / "x").exists()  # every directory the run created is gone
 
-    def test_crash_leaves_existing_output_dir_alone(self, tmp_path, capsys):
+    def test_crash_leaves_existing_output_dir_alone(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("fcqw.harness.build_fcqw_walk", _crash)
         outdir = tmp_path / "x"
         outdir.mkdir()
         (outdir / "keep.txt").write_text("kept")
-        data = {"kind": "chiral_propagation", "L": 4, "steps": [-1], "output_dir": str(outdir)}
+        data = {"kind": "chiral_propagation", "L": 4, "steps": [1], "output_dir": str(outdir)}
         assert main(["run", str(write_config(tmp_path, data))]) == 3
         assert (outdir / "keep.txt").read_text() == "kept"
 
-    def test_crash_during_emit_qasm_exit_code(self, tmp_path, capsys):
-        data = {"kind": "chiral_propagation", "L": 4, "steps": [-1],
+    def test_crash_during_emit_qasm_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("fcqw.harness.build_fcqw_walk", _crash)
+        data = {"kind": "chiral_propagation", "L": 4, "steps": [1],
                 "output_dir": str(tmp_path / "x")}
         assert main(["emit-qasm", str(write_config(tmp_path, data))]) == 3
         assert capsys.readouterr().err.startswith("error: run crashed: ValueError")

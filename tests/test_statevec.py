@@ -18,9 +18,13 @@ from fcqw.statevec import (
     one_hot_state,
     rz,
     sample_bitstrings,
+    sample_index,
+    shot_rng,
+    shot_words,
     swap,
     swap_as_cnots,
     total_probability,
+    words_rng,
 )
 
 
@@ -252,6 +256,55 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             sample_bitstrings(one_hot_state(2, 0), 0, seed=0)
+
+    def test_draws_follow_shot_rng(self):
+        state = random_state(np.random.default_rng(4), 3)
+        cumulative = np.cumsum(np.abs(state.amplitudes) ** 2)
+        expected = [
+            index_to_bitstring(sample_index(cumulative, shot_rng(11, s).random()), 3)
+            for s in range(200)
+        ]
+        assert sample_bitstrings(state, 200, seed=11) == expected
+
+
+class TestShotWords:
+    #: every key below 1000, then a stride past 2**16 (where the key's high
+    #: half word first reaches the hash's xor-shift), and the edges around it
+    ROWS = np.r_[0:1000, 1000:70000:37, 65535, 65536, 69999]
+
+    @pytest.mark.parametrize(
+        "seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**131 + 12345],
+        ids=["0", "2^32-1", "2^32", "2^64+1", "above_2^128"],
+    )
+    def test_rows_equal_seed_sequence_state(self, seed):
+        words = shot_words(seed, 70_000)
+        assert words.shape == (70_000, 4) and words.dtype == np.uint64
+        for s in self.ROWS:
+            expected = np.random.SeedSequence(seed, spawn_key=(int(s),)).generate_state(4, np.uint64)
+            assert np.array_equal(words[s], expected), s
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**70 + 3])
+    def test_generators_draw_what_shot_rng_draws(self, seed):
+        words = shot_words(seed, 40)
+        for s in (0, 1, 39):
+            ours, ref = words_rng(words[s]), shot_rng(seed, s)
+            assert np.array_equal(ours.random(300), ref.random(300))
+            assert np.array_equal(ours.integers(1, 16, size=300), ref.integers(1, 16, size=300))
+            assert np.array_equal(ours.integers(1, 4, size=300), ref.integers(1, 4, size=300))
+
+    def test_zero_shots(self):
+        assert shot_words(3, 0).shape == (0, 4)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 2.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            shot_words(seed, 4)
+
+    @pytest.mark.parametrize("shots", [2**32 + 1, 2**40, -1])
+    def test_bad_shot_count_rejected(self, shots):
+        # a spawn key >= 2**32 would be two words; refused before allocating
+        with pytest.raises(ValueError):
+            shot_words(0, shots)
 
 
 class TestBitstrings:
