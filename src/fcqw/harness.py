@@ -206,6 +206,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     ):
         problems.append("custom_u")
     if cfg.kind == "amplitude_scaling":
+        if cfg.noise is None:
+            problems.append("noise")  # the sweep measures decay under noise
         if cfg.axis not in ("steps_at_fixed_L", "size_with_t_equals_L"):
             problems.append("axis")
         lo, hi = (2, MAX_QUBITS) if cfg.axis == "size_with_t_equals_L" else (0, math.inf)
@@ -558,8 +560,6 @@ def _circular_set_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _run_amplitude_scaling(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
-    if cfg.noise is None:
-        raise ConfigError("amplitude_scaling requires a noise block", ["noise"])
     rows = amplitude_decay_sweep(
         cfg.axis,
         cfg.noise,

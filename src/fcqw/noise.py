@@ -14,6 +14,14 @@ index (a Pauli frame, as in Stim).  One backward pass over the gates gives
 every mask and the clean final index; a shot on a basis-state start then
 costs its random draws plus one XOR per X/Y fault.
 
+Trajectory batch: any other circuit or start runs on dense amplitudes.
+Every shot's stream is read first; the faulty shots, in order of first
+fault, are then rows of one (rows, 2^L) array whose row 0 is the clean
+trajectory, so each gate is one kernel call on all active rows.  A batch
+holds about 2^20 amplitudes at most (16 MiB); a larger run is evolved in
+chunks of 2^20 >> L faulty rows, at least one, so past L = 20 a batch is
+the clean row and one faulty row.
+
 Determinism: shot s draws from its own substream SeedSequence(seed, (s,))
 in a fixed order (error flags, Pauli codes of the flagged gates, the
 measurement uniform, readout flips), so its outcome depends only on the
@@ -26,6 +34,7 @@ as ``statevec.shot_rng(seed, s)``.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -46,6 +55,9 @@ from .statevec import (
 )
 
 SWEEP_AXES = ("steps_at_fixed_L", "size_with_t_equals_L")
+
+# amplitudes per batch of faulty trajectories (16 MiB)
+_BATCH_AMPLITUDES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -130,6 +142,36 @@ def _draw_pauli(rng: np.random.Generator, gate) -> tuple[int, ...]:
     return (int(rng.integers(1, 4)),)
 
 
+def _evolve_faulty(initial: np.ndarray, gates, L: int, faults_per_row) -> np.ndarray:
+    """Final amplitudes of faulty trajectories, one row each, given each
+    row's (gate, Pauli codes) faults with rows in order of first fault.
+
+    Row 0 of the batch is the clean trajectory.  Each gate is applied once
+    to the active rows, a C-contiguous prefix that the kernels see as one
+    vector with extra high bits; a row becomes active as a copy of the clean
+    row at its first fault, then takes its Paulis.  The kernels are
+    elementwise, so every row equals a gate-by-gate run of its own.
+    """
+    batch = np.empty((len(faults_per_row) + 1, 1 << L), dtype=complex)
+    batch[0] = initial
+    firsts = [faults[0][0] for faults in faults_per_row]
+    paulis: dict[int, list] = {}
+    for row, faults in enumerate(faults_per_row, 1):
+        for j, codes in faults:
+            paulis.setdefault(j, []).append((row, codes))
+    active = 1
+    for j, g in enumerate(gates):
+        apply_gate_inplace(batch[:active].reshape(-1), L, g)
+        if j in paulis:
+            end = 1 + bisect_right(firsts, j)
+            batch[active:end] = batch[0]
+            active = end
+            for row, codes in paulis[j]:
+                for q, code in zip(g.targets, codes):
+                    apply_pauli_inplace(batch[row], L, q, code)
+    return batch[1:]
+
+
 def run_noisy(
     circuit: Circuit,
     initial: StateVector,
@@ -141,8 +183,9 @@ def run_noisy(
     Each shot evolves a fresh trajectory.  Circuits built from rz/swap/cnot
     acting on a basis state map basis states to basis states, so those
     shots XOR fault-table masks into the clean final index; anything else
-    runs through the dense statevector kernels, each faulty shot starting
-    from the clean state just before its first fault.  Both paths consume
+    runs through the dense statevector kernels, with the faulty shots
+    evolved together as rows of one batch, each starting as a copy of the
+    clean trajectory at its first fault.  Both paths consume
     the random stream identically: the per-gate error flags (one vector,
     skipped when both gate probabilities are zero), then one Pauli draw per
     flagged gate in order, one uniform for the measurement, and the readout
@@ -166,10 +209,10 @@ def run_noisy(
             return (rng.random(len(gates)) < gate_probs).nonzero()[0]
         return ()
 
-    def readout(rng: np.random.Generator, index: int) -> int:
+    def readout(rng: np.random.Generator) -> int:
         if spec.p_readout > 0.0:
-            index ^= int((rng.random(L) < spec.p_readout) @ bit_weights)
-        return index
+            return int((rng.random(L) < spec.p_readout) @ bit_weights)
+        return 0
 
     words = shot_words(spec.seed, shots)
     indices = [0] * shots
@@ -184,40 +227,28 @@ def run_noisy(
                     if code in (1, 2):
                         index ^= mask
             rng.random()  # the measurement uniform, kept for stream alignment
-            indices[s] = readout(rng, index)
+            indices[s] = index ^ readout(rng)
     else:
+        # the clean final state, for the fault-free shots; its own call, as
+        # perfbench's trace tells a statevector run by this child span
         final = simulate(lowered, initial)
         clean_cumulative = np.cumsum(np.abs(final.amplitudes) ** 2)
-        faulty = []  # (first flagged gate, shot)
+        draws = []  # (faults, measurement uniform, readout flips) per shot
         for s in range(shots):
             rng = words_rng(words[s])
-            flagged = flagged_gates(rng)
-            if len(flagged):
-                faulty.append((int(flagged[0]), s))
-            else:
-                indices[s] = readout(rng, sample_index(clean_cumulative, rng.random()))
-        # faulty shots in order of first fault: one clean prefix state,
-        # advanced gate by gate, is each one's starting point, and each
-        # re-creates its stream to read it from the start
-        prefix = initial.amplitudes.copy()
-        done = 0
-        for first, s in sorted(faulty):
-            for g in gates[done:first]:
-                apply_gate_inplace(prefix, L, g)
-            done = first
-            rng = words_rng(words[s])
-            amps = prefix.copy()
-            pos = first
-            for j in flagged_gates(rng):
-                for g in gates[pos:j + 1]:
-                    apply_gate_inplace(amps, L, g)
-                pos = j + 1
-                for q, code in zip(gates[j].targets, _draw_pauli(rng, gates[j])):
-                    apply_pauli_inplace(amps, L, q, code)
-            for g in gates[pos:]:
-                apply_gate_inplace(amps, L, g)
-            cumulative = np.cumsum(np.abs(amps) ** 2)
-            indices[s] = readout(rng, sample_index(cumulative, rng.random()))
+            faults = [(int(j), _draw_pauli(rng, gates[j])) for j in flagged_gates(rng)]
+            u, flips = rng.random(), readout(rng)
+            draws.append((faults, u, flips))
+            if not faults:
+                indices[s] = sample_index(clean_cumulative, u) ^ flips
+        faulty = sorted((faults[0][0], s) for s, (faults, _, _) in enumerate(draws) if faults)
+        rows = max(1, _BATCH_AMPLITUDES >> L)
+        for c in range(0, len(faulty), rows):
+            chunk = [s for _, s in faulty[c:c + rows]]
+            states = _evolve_faulty(initial.amplitudes, gates, L, [draws[s][0] for s in chunk])
+            for s, cumulative in zip(chunk, np.cumsum(np.abs(states) ** 2, axis=1)):
+                _, u, flips = draws[s]
+                indices[s] = sample_index(cumulative, u) ^ flips
 
     # tally by index, then render each distinct outcome once (first-seen order)
     counts = {index_to_bitstring(i, L): n for i, n in Counter(indices).items()}

@@ -126,6 +126,7 @@ class TestValidation:
             ("chiral", "output_dir", 5, "output_dir"),
             ("chiral", "noise", 5, "noise"),
             ("chiral", "noise", {"p_cnot": "x"}, "p_cnot"),
+            ("scaling", "noise", None, "noise"),
         ],
         ids=[
             "L_string", "L_30", "L_1", "shots_2.5", "trotter_n_2.5", "steps_negative",
@@ -133,7 +134,7 @@ class TestValidation:
             "W_values_empty_localization", "W_values_empty_robustness",
             "method_single_particle_with_noise", "seed_negative", "start_site_1.5",
             "box_profile_at_L4", "custom_u_string", "sweep_seeds_0", "output_dir_number",
-            "noise_not_an_object", "noise_probability_string",
+            "noise_not_an_object", "noise_probability_string", "scaling_without_noise",
         ],
     )
     def test_field_rejected(self, tmp_path, capsys, base, key, value, field):
@@ -383,17 +384,17 @@ class TestAmplitudeScaling:
         assert [int(r["x"]) for r in rows] == [2, 4, 6, 8]
 
     def test_noise_required(self, tmp_path):
-        cfg = validate_config(
-            {
-                "kind": "amplitude_scaling",
-                "axis": "steps_at_fixed_L",
-                "values": [1, 2],
-                "seed": 0,
-                "output_dir": str(tmp_path / "x"),
-            }
-        )
-        with pytest.raises(ConfigError):
-            run_experiment(cfg)
+        with pytest.raises(ConfigError) as err:  # at validation, before any run
+            validate_config(
+                {
+                    "kind": "amplitude_scaling",
+                    "axis": "steps_at_fixed_L",
+                    "values": [1, 2],
+                    "seed": 0,
+                    "output_dir": str(tmp_path / "x"),
+                }
+            )
+        assert err.value.fields == ["noise"]
 
 
 class TestCheckResultDir:

@@ -18,12 +18,17 @@ from fcqw.observables import (
     site_density_counts,
 )
 from fcqw.statevec import (
+    apply_gate,
+    apply_gate_inplace,
+    apply_pauli_inplace,
     basis_state,
     cnot,
+    h,
     index_to_bitstring,
     one_hot_state,
     rz,
     sample_bitstrings,
+    sample_index,
     shot_rng,
     swap,
 )
@@ -181,6 +186,132 @@ class TestFaultTable:
         spec = NoiseSpec(**HIGH_NOISE, seed=trial)
         expected = _replay_counts(circuit, start, spec, shots=200)
         assert run_noisy(circuit, basis_state(L, start), spec, shots=200).counts == expected
+
+
+def _per_shot_counts(circuit, initial, spec, shots):
+    """Reference statevector sampler, one shot at a time: faulty shots in
+    order of first fault, each copied from one clean prefix state advanced
+    gate by gate, re-creating its stream and replaying its remaining gates."""
+    lowered = lower_swaps(circuit)
+    gates = lowered.instructions
+    L = lowered.num_qubits
+    probs = np.array([spec.p_cnot if g.kind == "cnot" else spec.p_1q for g in gates])
+    draw_flags = bool(np.any(probs > 0.0))
+    weights = 1 << np.arange(L, dtype=np.int64)
+
+    def flagged(rng):
+        return (rng.random(len(gates)) < probs).nonzero()[0] if draw_flags else ()
+
+    def paulis(rng, g):
+        if g.kind == "cnot":
+            code = int(rng.integers(1, 16))
+            return (code & 3, (code >> 2) & 3)
+        return (int(rng.integers(1, 4)),)
+
+    def readout(rng, index):
+        if spec.p_readout > 0.0:
+            index ^= int((rng.random(L) < spec.p_readout) @ weights)
+        return index
+
+    clean = np.cumsum(np.abs(simulate(lowered, initial).amplitudes) ** 2)
+    indices = [0] * shots
+    faulty = []
+    for s in range(shots):
+        rng = shot_rng(spec.seed, s)
+        first = flagged(rng)
+        if len(first):
+            faulty.append((int(first[0]), s))
+        else:
+            indices[s] = readout(rng, sample_index(clean, rng.random()))
+    prefix = initial.amplitudes.copy()
+    done = 0
+    for first, s in sorted(faulty):
+        for g in gates[done:first]:
+            apply_gate_inplace(prefix, L, g)
+        done = first
+        rng = shot_rng(spec.seed, s)
+        amps = prefix.copy()
+        pos = first
+        for j in flagged(rng):
+            for g in gates[pos:j + 1]:
+                apply_gate_inplace(amps, L, g)
+            pos = j + 1
+            for q, code in zip(gates[j].targets, paulis(rng, gates[j])):
+                apply_pauli_inplace(amps, L, q, code)
+        for g in gates[pos:]:
+            apply_gate_inplace(amps, L, g)
+        indices[s] = readout(rng, sample_index(np.cumsum(np.abs(amps) ** 2), rng.random()))
+    counts: dict[str, int] = {}
+    for i in indices:
+        bits = index_to_bitstring(i, L)
+        counts[bits] = counts.get(bits, 0) + 1
+    return counts
+
+
+def _trotter_case(L):
+    profile = PotentialProfile.uniform(L, 0.8)
+    circuit = build_xy_trotter(L, profile, TrotterConfig(1.0, 0.9, 3))
+    spec = NoiseSpec(p_cnot=0.1 + 0.04 * (L - 3), p_1q=0.05, p_readout=0.05, seed=300 + L)
+    return circuit, one_hot_state(L, L // 2), spec
+
+
+def _superposed_walk_case(L):
+    # a walk (rz/cnot after lowering, which the fault table could take)
+    # from h on the start qubit, which only the statevector branch can run
+    circuit, init, _ = walk_setup(L=L, t=3, W=0.7)
+    spec = NoiseSpec(p_cnot=0.2, p_1q=0.05, p_readout=0.05, seed=400 + L)
+    return circuit, apply_gate(init, h(0)), spec
+
+
+BATCH_CASES = [(_trotter_case, L) for L in range(3, 9)] + [
+    (_superposed_walk_case, L) for L in (3, 6)]
+
+
+class TestTrajectoryBatch:
+    @pytest.mark.parametrize("rows", [None, 2, 3])
+    @pytest.mark.parametrize("make, L", BATCH_CASES)
+    def test_matches_per_shot_replay(self, monkeypatch, make, L, rows):
+        import fcqw.noise as noise_mod
+
+        circuit, init, spec = make(L)
+        if rows is not None:  # chunks of 2 or 3 faulty rows
+            monkeypatch.setattr(noise_mod, "_BATCH_AMPLITUDES", rows << L)
+        for shots in (1, 40):
+            expected = _per_shot_counts(circuit, init, spec, shots)
+            counts = run_noisy(circuit, init, spec, shots).counts
+            assert list(counts.items()) == list(expected.items())
+
+    def test_noiseless_matches_sample_bitstrings(self):
+        circuit, init, _ = _trotter_case(6)
+        spec = NoiseSpec(0.0, 0.0, 0.0, seed=41)
+        expected: dict[str, int] = {}
+        for bits in sample_bitstrings(simulate(circuit, init), 300, seed=41):
+            expected[bits] = expected.get(bits, 0) + 1
+        counts = run_noisy(circuit, init, spec, 300).counts
+        assert list(counts.items()) == list(expected.items())
+        assert counts == _per_shot_counts(circuit, init, spec, 300)
+
+    def test_one_gate_call_per_gate_per_chunk(self, monkeypatch):
+        # the batch plus the clean reference run: a per-shot replay would
+        # make about one call per remaining gate per faulty shot
+        import fcqw.circuits as circuits_mod
+        import fcqw.noise as noise_mod
+
+        L, shots = 8, 50
+        circuit = build_xy_trotter(L, PotentialProfile.uniform(L, 6.0), TrotterConfig(1.0, 2.0, 8))
+        init = one_hot_state(L, 3)
+        calls = []
+
+        def counting(amps, num_qubits, gate):
+            calls.append(gate)
+            apply_gate_inplace(amps, num_qubits, gate)
+
+        monkeypatch.setattr(noise_mod, "apply_gate_inplace", counting)
+        monkeypatch.setattr(circuits_mod, "apply_gate_inplace", counting)
+        run_noisy(circuit, init, NoiseSpec(seed=5), shots)
+        n_gates = len(lower_swaps(circuit))
+        chunks = -(-shots // max(1, noise_mod._BATCH_AMPLITUDES >> L))
+        assert n_gates < len(calls) <= (chunks + 1) * n_gates
 
 
 class TestErrorModel:
