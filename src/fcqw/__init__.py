@@ -35,6 +35,7 @@ from .floquet import (
     level_spacing_stats,
     momentum_operator,
     predicted_chiral_eigenphases,
+    quasi_energy_phases,
     quasi_energy_spectrum,
     reduce_to_single_particle,
     sample_disorder_profiles,

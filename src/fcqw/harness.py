@@ -36,7 +36,7 @@ from .floquet import (
     fcqw_step_operator,
     level_spacing_stats,
     predicted_chiral_eigenphases,
-    quasi_energy_spectrum,
+    quasi_energy_phases,
     reduce_to_single_particle,
     sample_disorder_profiles,
     winding_number,
@@ -508,15 +508,14 @@ def _run_disorder_spectra(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
     spectra_rows, stats_rows, shift_err = [], [], []
     variances = {"chiral": [], "nonchiral": []}
     for r, profile in enumerate(profiles):
-        chiral = quasi_energy_spectrum(fcqw_step_operator(cfg.L, profile))
+        chiral = quasi_energy_phases(fcqw_step_operator(cfg.L, profile))
         predicted = predicted_chiral_eigenphases(cfg.L, profile)
-        shift_err.append(_circular_set_distance(chiral.eigenphases, predicted))
-        nonchiral = quasi_energy_spectrum(xy_step_operator(cfg.L, profile, cfg.J, t=1.0))
-        for model, spectrum in (("chiral", chiral), ("nonchiral", nonchiral)):
-            s = level_spacing_stats(spectrum)
+        shift_err.append(_circular_set_distance(chiral, predicted))
+        nonchiral = quasi_energy_phases(xy_step_operator(cfg.L, profile, cfg.J, t=1.0))
+        for model, phases in (("chiral", chiral), ("nonchiral", nonchiral)):
+            s = level_spacing_stats(phases)
             variances[model].append(s.spacing_variance)
-            phases = enumerate(spectrum.eigenphases)
-            spectra_rows += [(model, r, n, float(phase)) for n, phase in phases]
+            spectra_rows += [(model, r, n, float(phase)) for n, phase in enumerate(phases)]
             stats_rows.append((model, r, s.mean_spacing, s.spacing_variance, s.min_spacing))
     write_csv(outdir / "spectra.csv", ["model", "realization", "n", "eigenphase"], spectra_rows)
     write_csv(

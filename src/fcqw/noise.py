@@ -202,17 +202,24 @@ def run_noisy(
         [spec.p_cnot if g.kind == "cnot" else spec.p_1q for g in gates]
     )
     draw_flags = bool(np.any(gate_probs > 0.0))
-    bit_weights = 1 << np.arange(L, dtype=np.int64)
+    p_readout = spec.p_readout
 
     def flagged_gates(rng: np.random.Generator):
         if draw_flags:
             return (rng.random(len(gates)) < gate_probs).nonzero()[0]
         return ()
 
-    def readout(rng: np.random.Generator) -> int:
-        if spec.p_readout > 0.0:
-            return int((rng.random(L) < spec.p_readout) @ bit_weights)
-        return 0
+    def measure(rng: np.random.Generator) -> tuple[float, int]:
+        """The measurement uniform and the readout flip mask, drawn in one
+        call (the same stream as a uniform, then L readout uniforms)."""
+        if p_readout > 0.0:
+            draws = rng.random(1 + L).tolist()
+            flips = 0
+            for q in range(L):
+                if draws[1 + q] < p_readout:
+                    flips |= 1 << q
+            return draws[0], flips
+        return rng.random(), 0
 
     words = shot_words(spec.seed, shots)
     indices = [0] * shots
@@ -226,8 +233,8 @@ def run_noisy(
                 for mask, code in zip(masks[j], _draw_pauli(rng, gates[j])):
                     if code in (1, 2):
                         index ^= mask
-            rng.random()  # the measurement uniform, kept for stream alignment
-            indices[s] = index ^ readout(rng)
+            _, flips = measure(rng)  # the uniform is drawn for stream alignment
+            indices[s] = index ^ flips
     else:
         # the clean final state, for the fault-free shots; its own call, as
         # perfbench's trace tells a statevector run by this child span
@@ -237,7 +244,7 @@ def run_noisy(
         for s in range(shots):
             rng = words_rng(words[s])
             faults = [(int(j), _draw_pauli(rng, gates[j])) for j in flagged_gates(rng)]
-            u, flips = rng.random(), readout(rng)
+            u, flips = measure(rng)
             draws.append((faults, u, flips))
             if not faults:
                 indices[s] = sample_index(clean_cumulative, u) ^ flips

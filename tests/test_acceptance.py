@@ -103,7 +103,7 @@ def test_criterion_03_chiral_spectral_rigidity():
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(r,)))
         profile = PotentialProfile.random_symmetric(L, W, rng)
         spectrum = quasi_energy_spectrum(fcqw_step_operator(L, profile))
-        stats = level_spacing_stats(spectrum)
+        stats = level_spacing_stats(spectrum.eigenphases)
         worst_variance = max(worst_variance, stats.spacing_variance)
         predicted = predicted_chiral_eigenphases(L, profile)
         worst_shift = max(worst_shift, circular_max_distance(spectrum.eigenphases, predicted))

@@ -26,6 +26,7 @@ from fcqw.floquet import (
     level_spacing_stats,
     momentum_operator,
     predicted_chiral_eigenphases,
+    quasi_energy_phases,
     quasi_energy_spectrum,
     reduce_to_single_particle,
     sample_disorder_profiles,
@@ -284,16 +285,38 @@ class TestSpectrumOrdering:
                 assert np.array_equal(spec.eigenvectors, ref_vectors)
 
 
+class TestPhasesOnly:
+    """The eigenvalue-only solve gives the Schur path's phases bit for bit."""
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 8, 20, 40])
+    @pytest.mark.parametrize("W", [0.0, 1.5, 4.0])
+    def test_matches_schur_phases(self, L, W):
+        ensemble = DisorderEnsemble(realizations=5, W=W, seed=L)
+        for profile in sample_disorder_profiles(ensemble, L):
+            for op in (fcqw_step_operator(L, profile), xy_step_operator(L, profile)):
+                assert np.array_equal(
+                    quasi_energy_phases(op), quasi_energy_spectrum(op).eigenphases
+                )
+
+    @pytest.mark.parametrize(
+        "matrix", [np.eye(6), shift_matrix(7)], ids=["identity", "shift"]
+    )
+    def test_matches_schur_phases_exact_cases(self, matrix):
+        op = SingleParticleOperator(matrix)
+        assert np.array_equal(quasi_energy_phases(op), quasi_energy_spectrum(op).eigenphases)
+
+
 class TestLevelStats:
     def test_chiral_spacings_are_rigid(self):
         profile = PotentialProfile.random_symmetric(12, 4.0, np.random.default_rng(3))
-        stats = level_spacing_stats(quasi_energy_spectrum(fcqw_step_operator(12, profile)))
+        spec = quasi_energy_spectrum(fcqw_step_operator(12, profile))
+        stats = level_spacing_stats(spec.eigenphases)
         assert stats.spacing_variance < 1e-18
         assert abs(stats.mean_spacing - 2 * np.pi / 12) < 1e-12
 
     def test_uniform_spacing_minimum(self):
         op = SingleParticleOperator(shift_matrix(8))
-        stats = level_spacing_stats(quasi_energy_spectrum(op))
+        stats = level_spacing_stats(quasi_energy_spectrum(op).eigenphases)
         assert abs(stats.min_spacing - np.pi / 4) < 1e-12
 
     def test_nonchiral_disorder_breaks_rigidity(self):
@@ -301,7 +324,7 @@ class TestLevelStats:
         variances = []
         for profile in sample_disorder_profiles(ensemble, 20):
             spec = quasi_energy_spectrum(xy_step_operator(20, profile))
-            variances.append(level_spacing_stats(spec).spacing_variance)
+            variances.append(level_spacing_stats(spec.eigenphases).spacing_variance)
         assert min(variances) > 1e-6
 
 

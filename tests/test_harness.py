@@ -360,6 +360,25 @@ class TestDisorderSpectra:
         assert {r["model"] for r in rows} == {"chiral", "nonchiral"}
         assert len(rows) == 2 * 10 * 12
 
+    def test_runs_without_schur_vectors(self, tmp_path, monkeypatch):
+        # the run reads only eigenphases, so it must not pay for a Schur basis
+        def no_schur(*args, **kwargs):
+            raise AssertionError("disorder_spectra formed Schur vectors")
+
+        monkeypatch.setattr("fcqw.floquet.scipy.linalg.schur", no_schur)
+        cfg = validate_config(
+            {
+                "kind": "disorder_spectra",
+                "L": 8,
+                "W": 4.0,
+                "realizations": 3,
+                "seed": 1,
+                "output_dir": str(tmp_path / "spec"),
+            }
+        )
+        outdir = run_experiment(cfg)
+        assert json.loads((outdir / "checks.json").read_text())["all_passed"]
+
 
 class TestAmplitudeScaling:
     def test_steps_axis_run(self, tmp_path):
