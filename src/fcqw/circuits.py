@@ -9,11 +9,13 @@ import numpy as np
 
 from .statevec import (
     MAX_QUBITS,
+    SWAP_QUBITS,
     GateInstruction,
     StateVector,
-    apply_gate_inplace,
+    apply_matrix_inplace,
     basis_state,
     cnot,
+    gate_matrix,
     h,
     hy,
     rz,
@@ -26,6 +28,13 @@ from .statevec import (
 BOX_SITES = (1, 2, 6, 7)
 
 CHIRALITIES = ("right", "left")
+
+UNITARITY_TOL = 1e-10
+
+#: Hamming weight of each block basis index b = bit(q0) + 2 * bit(q1)
+_WEIGHT = np.array([0, 1, 1, 2])
+#: per block dimension, True where row and column differ in Hamming weight
+_CROSS_WEIGHT = {n: _WEIGHT[:n, None] != _WEIGHT[:n] for n in (2, 4)}
 
 
 @dataclass(frozen=True)
@@ -197,8 +206,101 @@ def lower_swaps(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qubits, tuple(gates), label=circuit.label)
 
 
+@dataclass(eq=False)
+class Block:
+    """Product of ``size`` consecutive gates on at most two qubits, in the basis
+    bit(qubits[0]) + 2 * bit(qubits[1]); ``prev`` is the block before its
+    last ``gate``.  Hashed by identity."""
+
+    qubits: tuple[int, ...]
+    matrix: np.ndarray
+    conserves: bool
+    gate: GateInstruction
+    prev: "Block | None" = None
+    size: int = 1
+
+    def pushed_through(self, pos: int, op: np.ndarray) -> np.ndarray:
+        """K with K @ matrix equal to the block's gates with ``op`` (on the
+        targets of gate ``pos``) inserted after gate ``pos``: K = R op R^+,
+        R = matrix @ Pre^+ the gates after ``pos``, Pre the ``prev`` block's
+        product through ``pos``."""
+        pre = self
+        for _ in range(self.size - 1 - pos):
+            pre = pre.prev
+        r = self.matrix @ _embed(pre.matrix, pre.qubits, self.qubits).conj().T
+        return r @ _embed(op, pre.gate.targets, self.qubits) @ r.conj().T
+
+
+def _conserves(m: np.ndarray) -> bool:
+    """Entries between different Hamming weights are below UNITARITY_TOL."""
+    return bool(np.abs(m[_CROSS_WEIGHT[len(m)]]).max() < UNITARITY_TOL)
+
+
+def _embed(u: np.ndarray, targets: tuple[int, ...], qubits: tuple[int, ...]) -> np.ndarray:
+    """A matrix on ``targets`` (``gate_matrix``'s basis) on a block's qubits."""
+    if len(qubits) == len(targets):
+        return u if targets == qubits else u[np.ix_(SWAP_QUBITS, SWAP_QUBITS)]
+    return _widen(u, high=targets[0] == qubits[1])
+
+
+def _widen(u: np.ndarray, high: bool) -> np.ndarray:
+    """A one-qubit matrix on the high (or low) bit of a two-qubit block:
+    kron(u, I) (or kron(I, u)), built directly because np.kron is slow."""
+    out = np.zeros((4, 4), dtype=complex)
+    if high:
+        out[0::2, 0::2] = out[1::2, 1::2] = u
+    else:
+        out[:2, :2] = out[2:, 2:] = u
+    return out
+
+
+def _absorb(block: Block | None, gate: GateInstruction) -> Block | None:
+    """A new block of ``gate`` when ``block`` is None, else ``block`` with
+    ``gate`` absorbed, or None when their qubits number more than two."""
+    if block is None:
+        u = gate_matrix(gate)
+        return Block(gate.targets, u, _conserves(u), gate)
+    qubits = block.qubits + tuple(q for q in gate.targets if q not in block.qubits)
+    if len(qubits) > 2:
+        return None
+    m = _embed(gate_matrix(gate), gate.targets, qubits)
+    m = m @ _embed(block.matrix, block.qubits, qubits)
+    return Block(qubits, m, _conserves(m), gate, block, block.size + 1)
+
+
+def fuse_blocks(circuit: Circuit) -> list[Block]:
+    """Cut the gate list into consecutive blocks on at most two qubits.
+
+    An open block absorbs the next gate while the union of their qubits has
+    at most two members and the block does not yet conserve particle number
+    (entries between different Hamming weights below ``UNITARITY_TOL``);
+    otherwise it is closed and the gate opens the next block.  A walk step
+    gives one block per rz and per swap, a Trotter repetition one per XX+YY
+    pair and per rz.  Fusions are memoized per call on (open block, gate),
+    so a repeated walk step or Trotter repetition is fused once.
+    """
+    blocks: list[Block] = []
+    grown: dict = {}
+    block = None
+    for g in circuit.instructions:
+        if block is not None and block.conserves:
+            blocks.append(block)
+            block = None
+        for key in ((block, g), (None, g)):  # grow the open block, else open one
+            nxt = grown.get(key, key)  # one lookup; the key itself marks a miss
+            if nxt is key:
+                nxt = grown[key] = _absorb(*key)
+            if nxt is not None:
+                break
+            blocks.append(block)
+        block = nxt
+    if block is not None:
+        blocks.append(block)
+    return blocks
+
+
 def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Run the circuit exactly on a dense statevector."""
+    """Run the circuit exactly on a dense statevector, block by block."""
     if initial is None:
         initial = basis_state(circuit.num_qubits, 0)
     if initial.num_qubits != circuit.num_qubits:
@@ -206,6 +308,6 @@ def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVecto
             f"state has {initial.num_qubits} qubits, circuit {circuit.num_qubits}"
         )
     amps = initial.amplitudes.copy()
-    for g in circuit.instructions:
-        apply_gate_inplace(amps, circuit.num_qubits, g)
+    for block in fuse_blocks(circuit):
+        apply_matrix_inplace(amps, block.qubits, block.matrix)
     return StateVector(circuit.num_qubits, amps)

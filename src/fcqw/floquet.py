@@ -10,10 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .circuits import Circuit, PotentialProfile, simulate
-from .statevec import GateInstruction, gate_matrix, one_hot_state
-
-UNITARITY_TOL = 1e-10
+from .circuits import UNITARITY_TOL, Block, Circuit, PotentialProfile, fuse_blocks, simulate
+from .statevec import one_hot_state
 
 #: numerical-noise window: eigenphases this close below -pi are treated as +pi
 _CUT_SNAP = 1e-12
@@ -172,88 +170,13 @@ def xy_step_operator(
     return SingleParticleOperator(u)
 
 
-#: Hamming weight of each block basis index b = bit(q0) + 2 * bit(q1)
-_WEIGHT = np.array([0, 1, 1, 2])
-#: per block dimension, True where row and column differ in Hamming weight
-_CROSS_WEIGHT = {n: _WEIGHT[:n, None] != _WEIGHT[:n] for n in (2, 4)}
-#: index permutation exchanging the two qubits of a 4x4 block
-_SWAP_QUBITS = np.array([0, 2, 1, 3])
+def _conserving_blocks(circuit: Circuit) -> list[Block] | None:
+    """``fuse_blocks(circuit)`` if every block conserves particle number."""
+    blocks = fuse_blocks(circuit)
+    return blocks if all(b.conserves for b in blocks) else None
 
 
-@dataclass(eq=False)
-class _Block:
-    """Product of consecutive gates on at most two qubits, in the basis
-    bit(qubits[0]) + 2 * bit(qubits[1]); hashed by identity."""
-
-    qubits: tuple[int, ...]
-    matrix: np.ndarray
-    conserves: bool
-
-
-def _conserves(m: np.ndarray) -> bool:
-    """Entries between different Hamming weights are below UNITARITY_TOL."""
-    return bool(np.abs(m[_CROSS_WEIGHT[len(m)]]).max() < UNITARITY_TOL)
-
-
-def _embed(gate: GateInstruction, qubits: tuple[int, ...]) -> np.ndarray:
-    """``gate_matrix(gate)`` on a block's qubits."""
-    u = gate_matrix(gate)
-    if len(qubits) == len(gate.targets):
-        return u if gate.targets == qubits else u[np.ix_(_SWAP_QUBITS, _SWAP_QUBITS)]
-    return _widen(u, high=gate.targets[0] == qubits[1])
-
-
-def _widen(u: np.ndarray, high: bool) -> np.ndarray:
-    """A one-qubit matrix on the high (or low) bit of a two-qubit block:
-    kron(u, I) (or kron(I, u)), built directly because np.kron is slow."""
-    out = np.zeros((4, 4), dtype=complex)
-    if high:
-        out[0::2, 0::2] = out[1::2, 1::2] = u
-    else:
-        out[:2, :2] = out[2:, 2:] = u
-    return out
-
-
-def _absorb(block: _Block | None, gate: GateInstruction) -> _Block | None:
-    """The open block with ``gate`` absorbed, or a new block when there is
-    none; None when their qubits number more than two."""
-    if block is None:
-        u = gate_matrix(gate)
-        return _Block(gate.targets, u, _conserves(u))
-    qubits = block.qubits + tuple(q for q in gate.targets if q not in block.qubits)
-    if len(qubits) > 2:
-        return None
-    m = block.matrix if len(qubits) == len(block.qubits) else _widen(block.matrix, high=False)
-    m = _embed(gate, qubits) @ m
-    return _Block(qubits, m, _conserves(m))
-
-
-def _conserving_blocks(circuit: Circuit) -> list[_Block] | None:
-    """The block split described in ``reduce_to_single_particle``, or None
-    when there is none.  Fusions are memoized per call on (open block,
-    gate), so a repeated gate sequence (a walk step, a Trotter
-    repetition) is fused once."""
-    blocks: list[_Block] = []
-    grown: dict = {}
-    block = None
-    for g in circuit.instructions:
-        if block is not None and block.conserves:
-            blocks.append(block)
-            block = None
-        key = (block, g)
-        if key not in grown:
-            grown[key] = _absorb(block, g)
-        block = grown[key]
-        if block is None:
-            return None
-    if block is not None:
-        if not block.conserves:
-            return None
-        blocks.append(block)
-    return blocks
-
-
-def _apply_block(u: np.ndarray, block: _Block) -> None:
+def _apply_block(u: np.ndarray, block: Block) -> None:
     """Left-multiply the sector matrix ``u`` in place by a conserving block.
 
     A one-hot state off the block's qubits sees the block's empty-branch
@@ -287,21 +210,11 @@ def _reduce_dense(circuit: Circuit) -> np.ndarray:
 def reduce_to_single_particle(circuit: Circuit) -> SingleParticleOperator:
     """Project a number-conserving circuit onto the one-excitation sector.
 
-    The gate list is cut into consecutive blocks on at most two qubits,
-    each the product of its gates' ``gate_matrix`` embeddings.  An open
-    block absorbs the next gate while the union of their qubits has at
-    most two members and the block does not yet conserve particle
-    number; a block conserves when its entries between different Hamming
-    weights are below ``UNITARITY_TOL``, and is then closed.  Each closed
-    block acts on an L x L matrix, with no dense state: a walk step gives
-    one block per rz and per swap, a Trotter repetition one per XX+YY
-    pair and per rz.
-
-    A circuit with no such split (a non-conserving block that cannot grow
-    or that ends the circuit) falls back to evolving each one-hot state
-    through the full 2**L simulation; leakage out of the sector there, or
-    a reduced matrix that is not unitary, flags the circuit as not
-    particle-number conserving.
+    When every block of ``circuits.fuse_blocks`` conserves particle number,
+    each acts on an L x L matrix, with no dense state.  Otherwise each
+    one-hot state is evolved through the full 2**L simulation; leakage out
+    of the sector there, or a reduced matrix that is not unitary, flags the
+    circuit as not particle-number conserving.
     """
     blocks = _conserving_blocks(circuit)
     if blocks is None:

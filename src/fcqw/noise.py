@@ -14,13 +14,15 @@ index (a Pauli frame, as in Stim).  One backward pass over the gates gives
 every mask and the clean final index; a shot on a basis-state start then
 costs its random draws plus one XOR per X/Y fault.
 
-Trajectory batch: any other circuit or start runs on dense amplitudes.
-Every shot's stream is read first; the faulty shots, in order of first
-fault, are then rows of one (rows, 2^L) array whose row 0 is the clean
-trajectory, so each gate is one kernel call on all active rows.  A batch
-holds about 2^20 amplitudes at most (16 MiB); a larger run is evolved in
-chunks of 2^20 >> L faulty rows, at least one, so past L = 20 a batch is
-the clean row and one faulty row.
+Trajectory batch: any other circuit or start runs on dense amplitudes,
+in the two-qubit blocks of ``circuits.fuse_blocks``.  Every shot's stream
+is read first; the faulty shots, in order of first fault, are then rows
+of one (rows, 2^L) array whose row 0 is the clean trajectory, so each
+block is one kernel call on all active rows.  A Pauli P after gate j of
+block B is the correction B Pre_j^+ P Pre_j B^+ after B, Pre_j being B's
+product through gate j.  A batch holds about 2^20 amplitudes at most
+(16 MiB); a larger run is evolved in chunks of 2^20 >> L faulty rows, at
+least one, so past L = 20 a batch is the clean row and one faulty row.
 
 Determinism: shot s draws from its own substream SeedSequence(seed, (s,))
 in a fixed order (error flags, Pauli codes of the flagged gates, the
@@ -40,12 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, PotentialProfile, build_fcqw_walk, lower_swaps, simulate
+from .circuits import (
+    Circuit, PotentialProfile, build_fcqw_walk, fuse_blocks, lower_swaps, simulate)
 from .observables import peak_amplitude, post_process, site_density_counts
 from .statevec import (
+    PAULI_MATRICES,
     StateVector,
-    apply_gate_inplace,
-    apply_pauli_inplace,
+    apply_matrix_inplace,
     derived_seed,
     index_to_bitstring,
     one_hot_state,
@@ -58,6 +61,11 @@ SWEEP_AXES = ("steps_at_fixed_L", "size_with_t_equals_L")
 
 # amplitudes per batch of faulty trajectories (16 MiB)
 _BATCH_AMPLITUDES = 1 << 20
+
+#: matrix of the Pauli codes on a gate's targets, in ``gate_matrix``'s basis
+_PAULI_OPS = {(c,): p for c, p in enumerate(PAULI_MATRICES)} | {
+    (c0, c1): np.kron(p1, p0)
+    for c0, p0 in enumerate(PAULI_MATRICES) for c1, p1 in enumerate(PAULI_MATRICES)}
 
 
 @dataclass(frozen=True)
@@ -142,33 +150,36 @@ def _draw_pauli(rng: np.random.Generator, gate) -> tuple[int, ...]:
     return (int(rng.integers(1, 4)),)
 
 
-def _evolve_faulty(initial: np.ndarray, gates, L: int, faults_per_row) -> np.ndarray:
+def _evolve_faulty(initial: np.ndarray, blocks, L: int, faults_per_row) -> np.ndarray:
     """Final amplitudes of faulty trajectories, one row each, given each
     row's (gate, Pauli codes) faults with rows in order of first fault.
 
-    Row 0 of the batch is the clean trajectory.  Each gate is applied once
-    to the active rows, a C-contiguous prefix that the kernels see as one
-    vector with extra high bits; a row becomes active as a copy of the clean
-    row at its first fault, then takes its Paulis.  The kernels are
-    elementwise, so every row equals a gate-by-gate run of its own.
+    Row 0 of the batch is the clean trajectory.  Each block is applied
+    once to the active rows, a C-contiguous prefix that the kernel sees as
+    one vector with extra high bits; a row becomes active as a copy of the
+    clean row after the block of its first fault, and takes each fault of a
+    block as that block's correction (``Block.pushed_through``), in order.
     """
+    # (block, position in the block) of every gate
+    owner = [(b, pos) for b, block in enumerate(blocks) for pos in range(block.size)]
     batch = np.empty((len(faults_per_row) + 1, 1 << L), dtype=complex)
     batch[0] = initial
-    firsts = [faults[0][0] for faults in faults_per_row]
-    paulis: dict[int, list] = {}
+    firsts = [owner[faults[0][0]][0] for faults in faults_per_row]
+    corrections: dict[int, list] = {}
     for row, faults in enumerate(faults_per_row, 1):
         for j, codes in faults:
-            paulis.setdefault(j, []).append((row, codes))
+            b, pos = owner[j]
+            corrections.setdefault(b, []).append((row, pos, _PAULI_OPS[codes]))
     active = 1
-    for j, g in enumerate(gates):
-        apply_gate_inplace(batch[:active].reshape(-1), L, g)
-        if j in paulis:
-            end = 1 + bisect_right(firsts, j)
+    for b, block in enumerate(blocks):
+        apply_matrix_inplace(batch[:active].reshape(-1), block.qubits, block.matrix)
+        if b in corrections:
+            end = 1 + bisect_right(firsts, b)
             batch[active:end] = batch[0]
             active = end
-            for row, codes in paulis[j]:
-                for q, code in zip(g.targets, codes):
-                    apply_pauli_inplace(batch[row], L, q, code)
+            for row, pos, pauli in corrections[b]:
+                k = block.pushed_through(pos, pauli)
+                apply_matrix_inplace(batch[row], block.qubits, k)
     return batch[1:]
 
 
@@ -183,13 +194,13 @@ def run_noisy(
     Each shot evolves a fresh trajectory.  Circuits built from rz/swap/cnot
     acting on a basis state map basis states to basis states, so those
     shots XOR fault-table masks into the clean final index; anything else
-    runs through the dense statevector kernels, with the faulty shots
-    evolved together as rows of one batch, each starting as a copy of the
-    clean trajectory at its first fault.  Both paths consume
-    the random stream identically: the per-gate error flags (one vector,
-    skipped when both gate probabilities are zero), then one Pauli draw per
-    flagged gate in order, one uniform for the measurement, and the readout
-    flips (skipped when p_readout is zero).
+    runs on dense amplitudes, one kernel call per fused block, with the
+    faulty shots evolved together as rows of one batch, each a copy of the
+    clean trajectory after its first fault's block, corrected for each
+    fault.  Both paths consume the random stream identically: the per-gate
+    error flags (one vector, skipped when both gate probabilities are zero),
+    then one Pauli draw per flagged gate in order, one uniform for the
+    measurement, and the readout flips (skipped when p_readout is zero).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -249,10 +260,11 @@ def run_noisy(
             if not faults:
                 indices[s] = sample_index(clean_cumulative, u) ^ flips
         faulty = sorted((faults[0][0], s) for s, (faults, _, _) in enumerate(draws) if faults)
+        blocks = fuse_blocks(lowered)
         rows = max(1, _BATCH_AMPLITUDES >> L)
         for c in range(0, len(faulty), rows):
             chunk = [s for _, s in faulty[c:c + rows]]
-            states = _evolve_faulty(initial.amplitudes, gates, L, [draws[s][0] for s in chunk])
+            states = _evolve_faulty(initial.amplitudes, blocks, L, [draws[s][0] for s in chunk])
             for s, cumulative in zip(chunk, np.cumsum(np.abs(states) ** 2, axis=1)):
                 _, u, flips = draws[s]
                 indices[s] = sample_index(cumulative, u) ^ flips

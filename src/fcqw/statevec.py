@@ -36,6 +36,12 @@ H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _INV_SQRT2
 # HY @ Z @ HY == Y.  Equal to rz(pi/2) @ H @ rz(-pi/2) with no phase slack.
 HY_MATRIX = np.array([[1.0, -1.0j], [1.0j, -1.0]], dtype=complex) * _INV_SQRT2
 
+#: index permutation exchanging the two qubits of a 4x4 gate matrix
+SWAP_QUBITS = np.array([0, 2, 1, 3])
+
+#: Pauli matrices by code: 0=I, 1=X, 2=Y, 3=Z
+PAULI_MATRICES = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
+
 
 @dataclass(frozen=True)
 class GateInstruction:
@@ -195,12 +201,20 @@ def _view_2q(amps: np.ndarray, qlo: int, qhi: int) -> np.ndarray:
     return amps.reshape(-1, 2, mid, 2, 1 << qlo)
 
 
-def _apply_1q_matrix(amps: np.ndarray, q: int, u: np.ndarray) -> None:
-    v = _view_1q(amps, q)
-    a = v[:, 0, :].copy()
-    b = v[:, 1, :]
-    v[:, 0, :] = u[0, 0] * a + u[0, 1] * b
-    v[:, 1, :] = u[1, 0] * a + u[1, 1] * b
+def apply_matrix_inplace(amps: np.ndarray, qubits: tuple[int, ...], m: np.ndarray) -> None:
+    """Left-multiply the amplitudes by a 2x2 or 4x4 matrix on ``qubits``, in
+    ``gate_matrix``'s basis bit(qubits[0]) + 2 * bit(qubits[1]), as one
+    (d, d) @ (d, N) product over the qubit axes moved first; a C-contiguous
+    batch of rows seen as one vector adds columns to it."""
+    if len(qubits) == 1:
+        w = _view_1q(amps, qubits[0]).transpose(1, 0, 2)
+    else:
+        qlo, qhi = sorted(qubits)
+        if qubits[0] > qubits[1]:
+            m = m[np.ix_(SWAP_QUBITS, SWAP_QUBITS)]
+        # axes (bit qhi, bit qlo, rest, bits between, bits below)
+        w = _view_2q(amps, qlo, qhi).transpose(1, 3, 0, 2, 4)
+    w[...] = (m @ w.reshape(len(m), -1)).reshape(w.shape)
 
 
 def _apply_rz(amps: np.ndarray, q: int, theta: float) -> None:
@@ -237,10 +251,8 @@ def apply_gate_inplace(amps: np.ndarray, num_qubits: int, gate: GateInstruction)
         )
     if gate.kind == "rz":
         _apply_rz(amps, gate.targets[0], gate.theta)
-    elif gate.kind == "h":
-        _apply_1q_matrix(amps, gate.targets[0], H_MATRIX)
-    elif gate.kind == "hy":
-        _apply_1q_matrix(amps, gate.targets[0], HY_MATRIX)
+    elif gate.kind in ("h", "hy"):
+        apply_matrix_inplace(amps, gate.targets, H_MATRIX if gate.kind == "h" else HY_MATRIX)
     elif gate.kind == "swap":
         _apply_swap(amps, *gate.targets)
     else:
@@ -251,19 +263,10 @@ def apply_pauli_inplace(amps: np.ndarray, num_qubits: int, q: int, code: int) ->
     """Apply a Pauli to qubit q; code 1=X, 2=Y, 3=Z (0 is a no-op)."""
     if not 0 <= q < num_qubits:
         raise IndexError(f"qubit {q} out of range for L={num_qubits}")
-    if code == 0:
-        return
-    v = _view_1q(amps, q)
-    if code == 1:
-        _exchange(v, np.s_[:, 0, :], np.s_[:, 1, :])
-    elif code == 2:
-        a = v[:, 0, :].copy()
-        v[:, 0, :] = -1j * v[:, 1, :]
-        v[:, 1, :] = 1j * a
-    elif code == 3:
-        v[:, 1, :] *= -1.0
-    else:
+    if not 0 <= code <= 3:
         raise ValueError(f"pauli code must be 0..3, got {code}")
+    if code:
+        apply_matrix_inplace(amps, (q,), PAULI_MATRICES[code])
 
 
 def apply_gate(state: StateVector, gate: GateInstruction) -> StateVector:

@@ -11,12 +11,23 @@ from fcqw.circuits import (
     build_hopping_ladder,
     build_onsite_layer,
     build_xy_trotter,
+    fuse_blocks,
     lower_swaps,
     simulate,
 )
 from fcqw.floquet import reduce_to_single_particle, xy_chain_hamiltonian
 from fcqw.observables import site_density_exact
-from fcqw.statevec import StateVector, basis_state, one_hot_state, rz, swap
+from fcqw.statevec import (
+    StateVector,
+    apply_gate_inplace,
+    apply_matrix_inplace,
+    basis_state,
+    cnot,
+    h,
+    one_hot_state,
+    rz,
+    swap,
+)
 
 
 def compose_swaps_by_hand(L, pairs):
@@ -222,6 +233,56 @@ class TestLowerSwaps:
         a = simulate(circ, state)
         b = simulate(lowered, state)
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+
+
+def fusion_cases():
+    """Circuits at L <= 5: conserving ones, and ones whose blocks do not
+    all conserve particle number."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for L in (3, 5):
+        profile = PotentialProfile.random_symmetric(L, 2.0, rng)
+        walk = build_fcqw_walk(L, profile, 2)
+        cases += [walk, lower_swaps(walk), build_fcqw_walk(L, profile, 1, "left")]
+        cases += [build_xy_trotter(L, profile, TrotterConfig(1.0, 0.7, 2), periodic=p)
+                  for p in (False, True)]
+    cases += [Circuit(3, (h(1),)), Circuit(3, (cnot(0, 1), rz(2, 0.3), cnot(0, 1)))]
+    return cases
+
+
+def unitary(circuit, apply):
+    """Columns of the circuit's unitary: ``apply`` on the rows of the
+    identity, seen as one vector with extra high bits."""
+    dim = 1 << circuit.num_qubits
+    rows = np.eye(dim, dtype=complex)
+    apply(rows.reshape(-1))
+    return rows.T
+
+
+class TestFuseBlocks:
+    @pytest.mark.parametrize("circuit", fusion_cases(), ids=lambda c: f"{c.label}_L{c.num_qubits}")
+    def test_block_product_equals_gate_by_gate_unitary(self, circuit):
+        L = circuit.num_qubits
+        blocks = fuse_blocks(circuit)
+        assert sum(b.size for b in blocks) == len(circuit)
+        assert all(len(b.qubits) <= 2 for b in blocks)
+
+        def by_gate(amps):
+            for g in circuit.instructions:
+                apply_gate_inplace(amps, L, g)
+
+        def by_block(amps):
+            for b in blocks:
+                apply_matrix_inplace(amps, b.qubits, b.matrix)
+
+        err = np.max(np.abs(unitary(circuit, by_block) - unitary(circuit, by_gate)))
+        assert err <= 1e-12
+
+    def test_non_conserving_block_is_closed_when_it_cannot_grow(self):
+        blocks = fuse_blocks(Circuit(3, (cnot(0, 1), rz(2, 0.3), cnot(0, 1))))
+        assert [(b.qubits, b.conserves) for b in blocks] == [
+            ((0, 1), False), ((2,), True), ((0, 1), False)]
+        assert [b.conserves for b in fuse_blocks(Circuit(2, (h(0),)))] == [False]
 
 
 class TestCircuitType:

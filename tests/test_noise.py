@@ -7,10 +7,11 @@ from fcqw.circuits import (
     TrotterConfig,
     build_fcqw_walk,
     build_xy_trotter,
+    fuse_blocks,
     lower_swaps,
     simulate,
 )
-from fcqw.noise import NoiseSpec, ShotResult, amplitude_decay_sweep, run_noisy
+from fcqw.noise import _PAULI_OPS, NoiseSpec, ShotResult, amplitude_decay_sweep, run_noisy
 from fcqw.observables import (
     peak_amplitude,
     post_process,
@@ -20,6 +21,7 @@ from fcqw.observables import (
 from fcqw.statevec import (
     apply_gate,
     apply_gate_inplace,
+    apply_matrix_inplace,
     apply_pauli_inplace,
     basis_state,
     cnot,
@@ -263,8 +265,16 @@ def _superposed_walk_case(L):
     return circuit, apply_gate(init, h(0)), spec
 
 
+def _periodic_trotter_case(L):
+    # the wrap pair (L-1, 0) puts the high qubit first in its block
+    profile = PotentialProfile.uniform(L, 0.8)
+    circuit = build_xy_trotter(L, profile, TrotterConfig(1.0, 0.9, 3), periodic=True)
+    spec = NoiseSpec(p_cnot=0.15, p_1q=0.05, p_readout=0.05, seed=500 + L)
+    return circuit, one_hot_state(L, L - 1), spec
+
+
 BATCH_CASES = [(_trotter_case, L) for L in range(3, 9)] + [
-    (_superposed_walk_case, L) for L in (3, 6)]
+    (_superposed_walk_case, L) for L in (3, 6)] + [(_periodic_trotter_case, L) for L in (4, 5)]
 
 
 class TestTrajectoryBatch:
@@ -291,27 +301,78 @@ class TestTrajectoryBatch:
         assert list(counts.items()) == list(expected.items())
         assert counts == _per_shot_counts(circuit, init, spec, 300)
 
-    def test_one_gate_call_per_gate_per_chunk(self, monkeypatch):
-        # the batch plus the clean reference run: a per-shot replay would
-        # make about one call per remaining gate per faulty shot
+    def test_one_kernel_call_per_block_per_chunk(self, monkeypatch):
+        # the batch plus the clean reference run, one call per fused block,
+        # and one correction per fault: a per-gate or per-shot replay would
+        # make about one call per remaining gate
         import fcqw.circuits as circuits_mod
         import fcqw.noise as noise_mod
 
-        L, shots = 8, 50
-        circuit = build_xy_trotter(L, PotentialProfile.uniform(L, 6.0), TrotterConfig(1.0, 2.0, 8))
+        L, shots = 8, 50  # the noisy point of the dense benchmark
+        circuit = build_xy_trotter(L, PotentialProfile.box(L, 6.0), TrotterConfig(1.0, 2.0, 8))
         init = one_hot_state(L, 3)
-        calls = []
+        calls, faults = [], []
 
-        def counting(amps, num_qubits, gate):
-            calls.append(gate)
-            apply_gate_inplace(amps, num_qubits, gate)
+        def counting(amps, qubits, m):
+            calls.append(qubits)
+            apply_matrix_inplace(amps, qubits, m)
 
-        monkeypatch.setattr(noise_mod, "apply_gate_inplace", counting)
-        monkeypatch.setattr(circuits_mod, "apply_gate_inplace", counting)
+        def evolve(initial, blocks, L, faults_per_row):
+            faults.extend(f for row in faults_per_row for f in row)
+            return evolve_faulty(initial, blocks, L, faults_per_row)
+
+        evolve_faulty = noise_mod._evolve_faulty
+        monkeypatch.setattr(noise_mod, "apply_matrix_inplace", counting)
+        monkeypatch.setattr(circuits_mod, "apply_matrix_inplace", counting)
+        monkeypatch.setattr(noise_mod, "_evolve_faulty", evolve)
         run_noisy(circuit, init, NoiseSpec(seed=5), shots)
         n_gates = len(lower_swaps(circuit))
+        n_blocks = len(fuse_blocks(lower_swaps(circuit)))
         chunks = -(-shots // max(1, noise_mod._BATCH_AMPLITUDES >> L))
-        assert n_gates < len(calls) <= (chunks + 1) * n_gates
+        assert faults and n_blocks <= n_gates / 8
+        assert n_blocks < len(calls) <= (chunks + 1) * n_blocks + len(faults)
+
+
+def _block_gates(block):
+    gates = []
+    while block is not None:
+        gates.append(block.gate)
+        block = block.prev
+    return gates[::-1]
+
+
+class TestFaultCorrection:
+    @pytest.mark.parametrize("circuit", [
+        build_xy_trotter(4, PotentialProfile.uniform(4, 0.9), TrotterConfig(1.0, 0.8, 2), True),
+        lower_swaps(walk_setup(L=4, t=2, W=0.6)[0]),
+    ], ids=["periodic_trotter", "lowered_walk"])
+    def test_block_then_correction_equals_gate_by_gate(self, circuit):
+        # a Pauli after gate j of a block equals the block followed by
+        # K = R P R^+; the walk's lowered swaps reverse two of their CNOTs
+        # against the block's qubit order, the wrap pair puts qubit 3 first
+        L = circuit.num_qubits
+        rng = np.random.default_rng(8)
+        state = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
+        blocks = {id(b): b for b in fuse_blocks(circuit)}.values()
+        checked = 0
+        for block in blocks:
+            for pos, gate in enumerate(_block_gates(block)):
+                codes = range(1, 16) if len(gate.targets) == 2 else range(1, 4)
+                for code in codes:
+                    paulis = (code & 3, code >> 2) if len(gate.targets) == 2 else (code,)
+                    expected = state.copy()
+                    for j, g in enumerate(_block_gates(block)):
+                        apply_gate_inplace(expected, L, g)
+                        if j == pos:
+                            for q, c in zip(g.targets, paulis):
+                                apply_pauli_inplace(expected, L, q, c)
+                    out = state.copy()
+                    apply_matrix_inplace(out, block.qubits, block.matrix)
+                    k = block.pushed_through(pos, _PAULI_OPS[paulis])
+                    apply_matrix_inplace(out, block.qubits, k)
+                    assert np.max(np.abs(out - expected)) < 1e-13
+                    checked += 1
+        assert checked > 100
 
 
 class TestErrorModel:

@@ -7,6 +7,7 @@ from fcqw.statevec import (
     HY_MATRIX,
     apply_gate,
     apply_gate_inplace,
+    apply_matrix_inplace,
     basis_state,
     bitstring_to_index,
     cnot,
@@ -29,20 +30,24 @@ from fcqw.statevec import (
 
 
 def embed_gate(gate: GateInstruction, L: int) -> np.ndarray:
-    """Independent dense embedding of a gate into the full 2**L space,
-    built entry by entry with explicit bit arithmetic (no reshape tricks)."""
+    return embed_matrix(gate_matrix(gate), gate.targets, L)
+
+
+def embed_matrix(g: np.ndarray, targets: tuple[int, ...], L: int) -> np.ndarray:
+    """Independent dense embedding of a 2x2 or 4x4 matrix on ``targets``
+    into the full 2**L space, built entry by entry with explicit bit
+    arithmetic (no reshape tricks)."""
     dim = 1 << L
-    g = gate_matrix(gate)
     full = np.zeros((dim, dim), dtype=complex)
-    if len(gate.targets) == 1:
-        q = gate.targets[0]
+    if len(targets) == 1:
+        q = targets[0]
         for col in range(dim):
             src = (col >> q) & 1
             base = col & ~(1 << q)
             for dst in (0, 1):
                 full[base | (dst << q), col] += g[dst, src]
     else:
-        a, b = gate.targets  # a is the low bit of the 4x4 index
+        a, b = targets  # a is the low bit of the 4x4 index
         for col in range(dim):
             src = ((col >> a) & 1) + 2 * ((col >> b) & 1)
             base = col & ~(1 << a) & ~(1 << b)
@@ -50,6 +55,11 @@ def embed_gate(gate: GateInstruction, L: int) -> np.ndarray:
                 row = base | ((dst & 1) << a) | (((dst >> 1) & 1) << b)
                 full[row, col] += g[dst, src]
     return full
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_state(rng, L):
@@ -154,6 +164,16 @@ class TestApplyGate:
             expected = embed_gate(gate, 5) @ state.amplitudes
             out = apply_gate(state, gate)
             assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
+        # random unitaries on every qubit and every ordered pair, q0 > q1
+        # included, applied to a batch of three rows seen as one vector
+        targets = [(q,) for q in range(5)]
+        targets += [(a, b) for a in range(5) for b in range(5) if a != b]
+        for qubits in targets:
+            m = random_unitary(rng, 1 << len(qubits))
+            rows = np.array([random_state(rng, 5).amplitudes for _ in range(3)])
+            expected = rows @ embed_matrix(m, qubits, 5).T
+            apply_matrix_inplace(rows.reshape(-1), qubits, m)
+            assert np.max(np.abs(rows - expected)) < 1e-13
 
     def test_norm_preserved_over_1000_random_gates(self):
         rng = np.random.default_rng(11)
