@@ -32,10 +32,20 @@ a single uniform for the measurement, exactly matching
 ``statevec.sample_bitstrings``.  The streams of a run are seeded in one
 batch (``statevec.shot_words``), which gives every shot the same stream
 as ``statevec.shot_rng(seed, s)``.
+
+Stream decoding: both paths read a shot's stream as raw PCG64 words (one
+bit generator and one C call per shot, ``statevec.raw_words``) and decode
+the draws of a chunk of shots with whole-array operations, bit for bit as
+numpy's ``Generator`` makes them.  A uniform is ``(x >> 11) 2^-53``, so
+``u < p`` is an integer compare; a Pauli code is a Lemire draw on the
+32-bit halves after the flags, low half first; the measurement starts on
+the next whole word.  A shot with a rejected Lemire draw (probability
+2^-32 each) is read again through a ``Generator``.
 """
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -52,6 +62,7 @@ from .statevec import (
     derived_seed,
     index_to_bitstring,
     one_hot_state,
+    raw_words,
     sample_index,
     shot_words,
     words_rng,
@@ -61,6 +72,9 @@ SWEEP_AXES = ("steps_at_fixed_L", "size_with_t_equals_L")
 
 # amplitudes per batch of faulty trajectories (16 MiB)
 _BATCH_AMPLITUDES = 1 << 20
+
+# raw stream words decoded per chunk of shots (0.5 MiB)
+_CHUNK_WORDS = 1 << 16
 
 #: matrix of the Pauli codes on a gate's targets, in ``gate_matrix``'s basis
 _PAULI_OPS = {(c,): p for c, p in enumerate(PAULI_MATRICES)} | {
@@ -119,19 +133,20 @@ def _basis_index(state: StateVector) -> int | None:
     return None
 
 
-def _fault_table(gates, L: int, start_index: int) -> tuple[list[tuple[int, ...]], int]:
-    """Final-index flip of an X (or Y) after each gate, per target qubit,
-    and the clean final index, from one backward pass over rz/cnot gates.
+def _fault_table(gates, L: int, start_index: int) -> tuple[np.ndarray, int]:
+    """Final-index flip of an X (or Y) after each gate, per target qubit
+    (an (n, 2) array, 0 for a one-qubit gate's missing second target), and
+    the clean final index, from one backward pass over rz/cnot gates.
 
     ``col[q]`` is the final-index flip that an X on qubit q causes from the
     current point on.  X_c before CNOT(c, t) equals X_c X_t after it, so
     each CNOT does ``col[c] ^= col[t]``; rz leaves indices alone.
     """
     col = [1 << q for q in range(L)]
-    masks: list[tuple[int, ...]] = [()] * len(gates)
+    masks = [(0, 0)] * len(gates)
     for j in range(len(gates) - 1, -1, -1):
         g = gates[j]
-        masks[j] = tuple(col[q] for q in g.targets)
+        masks[j] = (col[g.targets[0]], col[g.targets[1]] if g.kind == "cnot" else 0)
         if g.kind == "cnot":
             c, t = g.targets
             col[c] ^= col[t]
@@ -139,15 +154,53 @@ def _fault_table(gates, L: int, start_index: int) -> tuple[list[tuple[int, ...]]
     for q in range(L):
         if (start_index >> q) & 1:
             clean ^= col[q]
-    return masks, clean
+    return np.array(masks, dtype=np.int64).reshape(-1, 2), clean
 
 
-def _draw_pauli(rng: np.random.Generator, gate) -> tuple[int, ...]:
-    """Codes (0=I, 1=X, 2=Y, 3=Z) per target qubit, never all-identity."""
-    if gate.kind == "cnot":
-        code = int(rng.integers(1, 16))
-        return (code & 3, (code >> 2) & 3)
-    return (int(rng.integers(1, 4)),)
+def _rejected(m: np.ndarray) -> np.ndarray:
+    """Lemire products ``v * 15`` (``v * 3``) that ``integers(1, 16)``
+    (``integers(1, 4)``) throws away for a redraw: low half below
+    ``(2^32 - 15) mod 15`` (``(2^32 - 3) mod 3``), which is 1 for both."""
+    return (m & 0xFFFFFFFF) == 0
+
+
+def _read_streams(words: np.ndarray, probs: np.ndarray, cnots: np.ndarray,
+                  p_readout: float, L: int):
+    """Every shot's draws (see "Stream decoding" above): arrays (shot, gate,
+    code) of the flagged gates in shot then gate order with their Pauli
+    codes (1-15 after a CNOT, 1-3 otherwise), and per shot the measurement
+    uniform and the readout flip mask."""
+    n = len(probs) if np.any(probs > 0.0) else 0
+    readout = L if p_readout > 0.0 else 0
+    width = n + (n + 1) // 2 + 1 + readout
+    below = np.ceil(probs[:n] * 2.0**53).astype(np.uint64)
+    ro_below = math.ceil(p_readout * 2.0**53)
+    choices = np.where(cnots, 15, 3).astype(np.uint64)
+    weights = 1 << np.arange(readout)
+    rows = max(1, _CHUNK_WORDS // width)
+    parts = []
+    for c in range(0, len(words), rows):
+        raw = raw_words(words[c:c + rows], width)
+        here = np.arange(len(raw))
+        shot, gate = divmod(np.flatnonzero((raw[:, :n] >> 11) < below), n)
+        k = np.bincount(shot, minlength=len(raw))
+        rank = np.arange(len(shot)) - (np.cumsum(k) - k)[shot]
+        half = raw[shot, n + rank // 2] >> (rank % 2 * 32).astype(np.uint64) & 0xFFFFFFFF
+        m = half * choices[gate]
+        code = (m >> 32) + 1
+        at = n + (k + 1) // 2
+        u = (raw[here, at] >> 11) * 2.0**-53
+        flips = ((raw[here[:, None], at[:, None] + 1 + np.arange(readout)] >> 11)
+                 < ro_below) @ weights
+        for s in np.unique(shot[_rejected(m)]):
+            rng = words_rng(words[c + s])
+            rng.random(n)
+            mine = shot == s
+            code[mine] = [rng.integers(1, 1 + int(choices[j])) for j in gate[mine]]
+            draws = rng.random(1 + readout)
+            u[s], flips[s] = draws[0], (draws[1:] < p_readout) @ weights
+        parts.append((shot + c, gate, code, u, flips))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _evolve_faulty(initial: np.ndarray, blocks, L: int, faults_per_row) -> np.ndarray:
@@ -197,10 +250,10 @@ def run_noisy(
     runs on dense amplitudes, one kernel call per fused block, with the
     faulty shots evolved together as rows of one batch, each a copy of the
     clean trajectory after its first fault's block, corrected for each
-    fault.  Both paths consume the random stream identically: the per-gate
-    error flags (one vector, skipped when both gate probabilities are zero),
-    then one Pauli draw per flagged gate in order, one uniform for the
-    measurement, and the readout flips (skipped when p_readout is zero).
+    fault.  Both paths read the same decoded streams: the per-gate error
+    flags (skipped when both gate probabilities are zero), one Pauli draw
+    per flagged gate in order, one uniform for the measurement, and the
+    readout flips (skipped when p_readout is zero).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -209,65 +262,36 @@ def run_noisy(
     lowered = lower_swaps(circuit)
     gates = lowered.instructions
     L = lowered.num_qubits
-    gate_probs = np.array(
-        [spec.p_cnot if g.kind == "cnot" else spec.p_1q for g in gates]
-    )
-    draw_flags = bool(np.any(gate_probs > 0.0))
-    p_readout = spec.p_readout
-
-    def flagged_gates(rng: np.random.Generator):
-        if draw_flags:
-            return (rng.random(len(gates)) < gate_probs).nonzero()[0]
-        return ()
-
-    def measure(rng: np.random.Generator) -> tuple[float, int]:
-        """The measurement uniform and the readout flip mask, drawn in one
-        call (the same stream as a uniform, then L readout uniforms)."""
-        if p_readout > 0.0:
-            draws = rng.random(1 + L).tolist()
-            flips = 0
-            for q in range(L):
-                if draws[1 + q] < p_readout:
-                    flips |= 1 << q
-            return draws[0], flips
-        return rng.random(), 0
-
-    words = shot_words(spec.seed, shots)
-    indices = [0] * shots
+    cnots = np.array([g.kind == "cnot" for g in gates], dtype=bool)
+    gate_probs = np.where(cnots, spec.p_cnot, spec.p_1q)
+    shot, gate, code, u, flips = _read_streams(
+        shot_words(spec.seed, shots), gate_probs, cnots, spec.p_readout, L)
     start_index = _basis_index(initial)
     if start_index is not None and all(g.kind in ("rz", "cnot") for g in gates):
         masks, clean = _fault_table(gates, L, start_index)
-        for s in range(shots):
-            rng = words_rng(words[s])
-            index = clean
-            for j in flagged_gates(rng):
-                for mask, code in zip(masks[j], _draw_pauli(rng, gates[j])):
-                    if code in (1, 2):
-                        index ^= mask
-            _, flips = measure(rng)  # the uniform is drawn for stream alignment
-            indices[s] = index ^ flips
+        index = np.full(shots, clean, dtype=np.int64)
+        # an X (1) or Y (2) on a target flips its mask; codes are c0 + 4 c1
+        xy0, xy1 = (np.isin(c, (1, 2)) for c in (code & 3, code >> 2))
+        np.bitwise_xor.at(index, shot, masks[gate, 0] * xy0 ^ masks[gate, 1] * xy1)
+        indices = (index ^ flips).tolist()
     else:
         # the clean final state, for the fault-free shots; its own call, as
         # perfbench's trace tells a statevector run by this child span
         final = simulate(lowered, initial)
         clean_cumulative = np.cumsum(np.abs(final.amplitudes) ** 2)
-        draws = []  # (faults, measurement uniform, readout flips) per shot
-        for s in range(shots):
-            rng = words_rng(words[s])
-            faults = [(int(j), _draw_pauli(rng, gates[j])) for j in flagged_gates(rng)]
-            u, flips = measure(rng)
-            draws.append((faults, u, flips))
-            if not faults:
-                indices[s] = sample_index(clean_cumulative, u) ^ flips
-        faulty = sorted((faults[0][0], s) for s, (faults, _, _) in enumerate(draws) if faults)
+        samples = np.searchsorted(clean_cumulative, u, side="right")
+        indices = (np.minimum(samples, len(clean_cumulative) - 1) ^ flips).tolist()
+        faults: dict[int, list] = {}  # (gate, Pauli codes per target) per faulty shot
+        for s, j, c in zip(shot.tolist(), gate.tolist(), code.tolist()):
+            faults.setdefault(s, []).append((j, (c & 3, c >> 2) if cnots[j] else (c,)))
+        faulty = sorted((row[0][0], s) for s, row in faults.items())
         blocks = fuse_blocks(lowered)
         rows = max(1, _BATCH_AMPLITUDES >> L)
         for c in range(0, len(faulty), rows):
             chunk = [s for _, s in faulty[c:c + rows]]
-            states = _evolve_faulty(initial.amplitudes, blocks, L, [draws[s][0] for s in chunk])
+            states = _evolve_faulty(initial.amplitudes, blocks, L, [faults[s] for s in chunk])
             for s, cumulative in zip(chunk, np.cumsum(np.abs(states) ** 2, axis=1)):
-                _, u, flips = draws[s]
-                indices[s] = sample_index(cumulative, u) ^ flips
+                indices[s] = sample_index(cumulative, u[s]) ^ int(flips[s])
 
     # tally by index, then render each distinct outcome once (first-seen order)
     counts = {index_to_bitstring(i, L): n for i, n in Counter(indices).items()}

@@ -13,7 +13,8 @@ Shot streams: shot ``s`` of a seeded run draws from
 ``shot_rng(seed, s)``, the generator of ``SeedSequence(seed, (s,))``.
 ``shot_words`` computes the seed words of every shot of a run in one
 vectorized pass of the same hash, so ``words_rng`` on its row ``s`` gives a
-generator whose draws equal ``shot_rng(seed, s)``'s.
+generator whose draws equal ``shot_rng(seed, s)``'s, and ``raw_words``
+gives the raw 64-bit words those draws are made of.
 """
 from __future__ import annotations
 
@@ -372,6 +373,18 @@ def words_rng(words: np.ndarray) -> np.random.Generator:
     """The generator of one row of ``shot_words``: ``words_rng(
     shot_words(seed, n)[s])`` draws exactly what ``shot_rng(seed, s)`` does."""
     return np.random.Generator(np.random.PCG64(_Words(words)))
+
+
+def raw_words(words: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` raw 64-bit outputs of each row's stream, as one
+    ``(len(words), width)`` uint64 array: row ``s`` is ``np.random.PCG64(
+    _Words(words[s])).random_raw(width)``, one bit generator and one C call
+    per row and no ``Generator``.  A ``Generator`` on the same row draws its
+    doubles, bounded integers and bits from exactly these words."""
+    out = np.empty((len(words), width), dtype=np.uint64)
+    for s, row in enumerate(words):
+        out[s] = np.random.PCG64(_Words(row)).random_raw(width)
+    return out
 
 
 def derived_seed(base: int, *key: int) -> int:

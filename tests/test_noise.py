@@ -11,7 +11,15 @@ from fcqw.circuits import (
     lower_swaps,
     simulate,
 )
-from fcqw.noise import _PAULI_OPS, NoiseSpec, ShotResult, amplitude_decay_sweep, run_noisy
+from fcqw.noise import (
+    _PAULI_OPS,
+    NoiseSpec,
+    ShotResult,
+    _fault_table,
+    _read_streams,
+    amplitude_decay_sweep,
+    run_noisy,
+)
 from fcqw.observables import (
     peak_amplitude,
     post_process,
@@ -31,8 +39,11 @@ from fcqw.statevec import (
     rz,
     sample_bitstrings,
     sample_index,
+    _Words,
     shot_rng,
+    shot_words,
     swap,
+    words_rng,
 )
 
 
@@ -373,6 +384,173 @@ class TestFaultCorrection:
                     assert np.max(np.abs(out - expected)) < 1e-13
                     checked += 1
         assert checked > 100
+
+
+def _generator_draws(rngs, probs, cnots, p_readout, L):
+    """What each shot's ``Generator`` draws, in the decoder's layout:
+    (shot, gate, code) of the flagged gates, then the measurement uniforms
+    and the readout flip masks."""
+    shot, gate, code, u, flips = [], [], [], [], []
+    for s, rng in enumerate(rngs):
+        flagged = np.flatnonzero(rng.random(len(probs)) < probs) if np.any(probs > 0) else []
+        for j in flagged:
+            shot.append(s)
+            gate.append(j)
+            code.append(rng.integers(1, 16 if cnots[j] else 4))
+        if p_readout > 0:
+            draws = rng.random(1 + L)
+            u.append(draws[0])
+            flips.append(sum(1 << q for q in range(L) if draws[1 + q] < p_readout))
+        else:
+            u.append(rng.random())
+            flips.append(0)
+    return shot, gate, code, u, flips
+
+
+#: (flag probability, is a CNOT) per gate; 0 and 1 fix which gates draw a
+#: Pauli code, so the runs of 1-5 draws leave a buffered half when odd
+DECODE_CASES = {
+    "flag_edges": ([0.0, 2.0**-53, 0.007, 0.5, 1.0] * 6, [True, False, True] * 10, 0.3),
+    "one_cnot": ([1.0], [True], 0.2),
+    "two_mixed": ([1.0, 0.0, 1.0], [True, True, False], 0.2),
+    "three_1q": ([1.0, 1.0, 0.0, 1.0], [False] * 4, 0.5),
+    "four_mixed": ([1.0, 1.0, 1.0, 1.0, 0.0], [True, False, False, True, True], 0.1),
+    "five_mixed": ([1.0] * 5 + [0.0], [False, True, True, False, True, False], 0.9),
+    "no_readout": ([1.0, 0.5, 1.0], [True, False, False], 0.0),
+    "no_flags": ([0.0] * 7, [True] * 7, 0.2),
+}
+
+
+class TestReadStreams:
+    @pytest.mark.parametrize("case", DECODE_CASES)
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1], ids=["0", "2^32", "2^64+1"])
+    def test_equals_generator_draws(self, monkeypatch, seed, case):
+        import fcqw.noise as noise_mod
+
+        probs, cnots, p_readout = (np.array(x) for x in DECODE_CASES[case])
+        L, shots = 5, 150
+        rngs = (shot_rng(seed, s) for s in range(shots))
+        expected = _generator_draws(rngs, probs, cnots, p_readout, L)
+        for chunk in (None, 1, 7):  # one chunk, one shot per chunk, several
+            if chunk is not None:
+                width = len(probs) + (len(probs) + 1) // 2 + 1 + L
+                monkeypatch.setattr(noise_mod, "_CHUNK_WORDS", chunk * width)
+            got = _read_streams(shot_words(seed, shots), probs, cnots, float(p_readout), L)
+            for name, ours, ref in zip(("shot", "gate", "code", "u", "flips"), got, expected):
+                assert np.array_equal(ours, np.array(ref, dtype=ours.dtype)), (name, chunk)
+
+
+#: numpy's 128-bit PCG64 multiplier
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _words_with_output(out_index, lo, initseq=12345):
+    """Seed words (as in ``shot_words``) whose PCG64 stream's output number
+    ``out_index`` is ``lo``: the post-step state is (hi, lo) = (0, lo), and
+    XSL-RR of a state with hi = 0 outputs lo.  Inverts the LCG steps and
+    the seeding."""
+    inc = (initseq << 1 | 1) & _MASK128
+    back = pow(_PCG_MULT, -1, 1 << 128)
+    state = lo
+    for _ in range(out_index + 1):  # the state before the first output
+        state = (state - inc) * back & _MASK128
+    # seeding: state = ((inc + initstate) * mult + inc)
+    initstate = ((state - inc) * back - inc) & _MASK128
+    words = [initstate >> 64, initstate & (2**64 - 1), initseq >> 64, initseq & (2**64 - 1)]
+    return np.array(words, dtype=np.uint64)
+
+
+class TestRejectedDraw:
+    def test_zero_low_half_is_replayed(self, monkeypatch):
+        import fcqw.noise as noise_mod
+
+        # one CNOT flagged for sure: word 0 is its flag, word 1 its Pauli draw
+        high = 0xDEADBEEF
+        words = _words_with_output(1, high << 32)
+        assert np.random.PCG64(_Words(words)).random_raw(2)[1] == high << 32
+        rng = words_rng(words)
+        rng.random(1)
+        code = rng.integers(1, 16)
+        state = rng.bit_generator.state
+        # the zero low half was thrown away and the high half of the same
+        # word drawn instead: one word consumed, no half left in the buffer
+        assert code == (high * 15 >> 32) + 1
+        assert state["state"]["state"] == high << 32 and state["has_uint32"] == 0
+
+        replays = []
+        monkeypatch.setattr(noise_mod, "words_rng", lambda w: replays.append(w) or words_rng(w))
+        probs, cnots, L = np.array([1.0]), np.array([True]), 3
+        got = _read_streams(words[None], probs, cnots, 0.4, L)
+        assert len(replays) == 1
+        expected = _generator_draws([words_rng(words)], probs, cnots, 0.4, L)
+        for ours, ref in zip(got, expected):
+            assert np.array_equal(ours, np.array(ref, dtype=ours.dtype))
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_forced_rejections_keep_counts(self, monkeypatch, trial):
+        import fcqw.noise as noise_mod
+
+        replays = []
+        monkeypatch.setattr(noise_mod, "_rejected", lambda m: np.arange(len(m)) % 3 == trial)
+        monkeypatch.setattr(noise_mod, "words_rng", lambda w: replays.append(w) or words_rng(w))
+        circuit, init, _ = walk_setup(L=6, t=6, W=0.7)
+        spec = NoiseSpec(**HIGH_NOISE, seed=700 + trial)
+        expected = _replay_counts(circuit, 1, spec, 200)
+        assert run_noisy(circuit, init, spec, shots=200).counts == expected
+        assert replays
+
+
+class TestCallCount:
+    def test_one_bit_generator_and_one_raw_call_per_shot(self, monkeypatch):
+        built, raw_calls, generators = [], [], []
+
+        class CountingPCG64(np.random.PCG64):
+            def __init__(self, seed=None):
+                built.append(1)
+                super().__init__(seed)
+
+            def random_raw(self, size=None, output=True):
+                raw_calls.append(1)
+                return super().random_raw(size, output)
+
+        real_generator = np.random.Generator
+        monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+        monkeypatch.setattr(
+            np.random, "Generator", lambda bg: generators.append(1) or real_generator(bg))
+        circuit, init, _ = walk_setup(L=8, t=8)
+        shots = 300
+        run_noisy(circuit, init, NoiseSpec(**HIGH_NOISE, seed=3), shots)
+        assert not generators
+        assert len(built) <= shots and len(raw_calls) <= shots
+
+
+class TestExactExpectation:
+    def test_sampled_site_signs_match_fault_table_product(self):
+        # E[(-1)^bit_i] = (-1)^clean_i prod_j (1 - 2 p_j q_ji) (1 - 2 p_ro),
+        # q_ji the share of gate j's Pauli codes whose flip sets bit i
+        L, start, shots = 6, 1, 20_000
+        circuit, init, _ = walk_setup(L=L, t=1, W=0.7)
+        spec = NoiseSpec(p_cnot=0.3, p_1q=0.1, p_readout=0.05, seed=44)
+        gates = lower_swaps(circuit).instructions
+        masks, clean = _fault_table(gates, L, start)
+        sites = np.arange(L)
+        expected = (-1.0) ** ((clean >> sites) & 1) * (1 - 2 * spec.p_readout)
+        for j, g in enumerate(gates):
+            codes = range(1, 16) if g.kind == "cnot" else range(1, 4)
+            p = spec.p_cnot if g.kind == "cnot" else spec.p_1q
+            flips = [(masks[j][0] if (c & 3) in (1, 2) else 0)
+                     ^ (masks[j][1] if (c >> 2) in (1, 2) else 0) for c in codes]
+            q = np.mean([(f >> sites) & 1 for f in flips], axis=0)
+            expected *= 1 - 2 * p * q
+        counts = run_noisy(circuit, init, spec, shots).counts
+        signs = np.zeros(L)
+        for bits, n in counts.items():
+            signs += n * np.array([1.0 if b == "0" else -1.0 for b in bits])
+        sampled = signs / shots
+        z = (sampled - expected) / np.sqrt((1 - expected**2) / shots)
+        # the world line's bits are near 0 here, the others near +-0.25
+        assert np.max(np.abs(expected)) > 0.2 and np.all(np.abs(z) < 4), z
 
 
 class TestErrorModel:

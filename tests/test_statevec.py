@@ -17,6 +17,7 @@ from fcqw.statevec import (
     hy,
     index_to_bitstring,
     one_hot_state,
+    raw_words,
     rz,
     sample_bitstrings,
     sample_index,
@@ -325,6 +326,20 @@ class TestShotWords:
         # a spawn key >= 2**32 would be two words; refused before allocating
         with pytest.raises(ValueError):
             shot_words(0, shots)
+
+
+class TestRawWords:
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
+    def test_rows_are_the_generators_words(self, seed):
+        words = shot_words(seed, 30)
+        raw = raw_words(words, 50)
+        assert raw.shape == (30, 50) and raw.dtype == np.uint64
+        for s in (0, 17, 29):
+            # a double is the top 53 bits of one word
+            assert np.array_equal((raw[s] >> 11) * 2.0**-53, shot_rng(seed, s).random(50))
+
+    def test_no_rows(self):
+        assert raw_words(shot_words(1, 0), 5).shape == (0, 5)
 
 
 class TestBitstrings:
