@@ -44,6 +44,7 @@ from .floquet import (
     xy_chain_hamiltonian,
     xy_momentum_family,
     xy_step_operator,
+    xy_step_phases,
 )
 from .noise import NoiseSpec, ShotResult, amplitude_decay_sweep, run_noisy
 from .observables import (

@@ -107,11 +107,7 @@ def sample_disorder_profiles(ensemble: DisorderEnsemble, L: int) -> list[Potenti
 def shift_matrix(L: int, chirality: str = "right") -> np.ndarray:
     """Cyclic one-site shift; ``right`` moves occupation i -> i+1 (mod L)."""
     s = np.zeros((L, L), dtype=complex)
-    for i in range(L):
-        if chirality == "right":
-            s[(i + 1) % L, i] = 1.0
-        else:
-            s[(i - 1) % L, i] = 1.0
+    s[(np.arange(L) + (1 if chirality == "right" else -1)) % L, np.arange(L)] = 1.0
     return s
 
 
@@ -148,8 +144,8 @@ def xy_chain_hamiltonian(
     if profile.num_sites != L:
         raise ValueError(f"profile has {profile.num_sites} sites, expected {L}")
     hmat = np.zeros((L, L), dtype=complex)
-    for i in range(L - 1):
-        hmat[i, i + 1] = hmat[i + 1, i] = -2.0 * J
+    i = np.arange(L - 1)
+    hmat[i, i + 1] = hmat[i + 1, i] = -2.0 * J
     if periodic and L > 2:
         hmat[0, L - 1] = hmat[L - 1, 0] = -2.0 * J
     np.fill_diagonal(hmat, profile.W * (np.sum(profile.u) - 2.0 * profile.u))
@@ -168,6 +164,14 @@ def xy_step_operator(
     evals, evecs = np.linalg.eigh(hmat)
     u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     return SingleParticleOperator(u)
+
+
+def xy_step_phases(L: int, profile: PotentialProfile, J: float = 1.0, t: float = 1.0) -> np.ndarray:
+    """Phases of the open chain's :func:`xy_step_operator`, [0, 2pi) ascending, as
+    e^{-i E t} of the tridiagonal H's energies E: zgeev's to rounding, no unitary built."""
+    hmat = xy_chain_hamiltonian(L, profile, J)
+    energies = scipy.linalg.eigvalsh_tridiagonal(np.diag(hmat).real, np.diag(hmat, 1).real)
+    return np.sort(_phases_0_2pi(np.exp(-1j * energies * t)))
 
 
 def _conserving_blocks(circuit: Circuit) -> list[Block] | None:
@@ -333,15 +337,12 @@ def quasi_energy_spectrum(op: SingleParticleOperator) -> QuasiEnergySpectrum:
 
 
 def quasi_energy_phases(op: SingleParticleOperator) -> np.ndarray:
-    """Eigenphases in [0, 2pi), ascending, with no eigenvectors formed.
+    """Eigenphases in [0, 2pi), ascending, from one eigenvalue-only zgeev.
 
-    One eigenvalue-only LAPACK solve (zgeev without vectors).  A unitary
-    has unit-norm rows and columns, so zgeev's balancing changes nothing,
-    and it then runs the same Hessenberg reduction and QR iterations on
-    the eigenvalues as the Schur decomposition in
-    :func:`quasi_energy_spectrum`, whose Schur vectors never feed back
-    into them: the phases equal that function's ``eigenphases`` bit for
-    bit, at about half the cost.
+    zgeev's balancing leaves a unitary alone, then runs the Hessenberg
+    reduction and QR iterations of :func:`quasi_energy_spectrum`, whose
+    Schur vectors never feed back: the same phases bit for bit, at about
+    half the cost.  The open XY chain has :func:`xy_step_phases`.
     """
     return np.sort(_phases_0_2pi(np.linalg.eigvals(op.matrix)))
 
@@ -367,25 +368,52 @@ def predicted_chiral_eigenphases(L: int, profile: PotentialProfile) -> np.ndarra
     return np.sort(np.mod(phases, 2.0 * np.pi))
 
 
-def effective_hamiltonian(op: SingleParticleOperator) -> np.ndarray:
-    """Hermitian H with e^{iH} = U, phases on the principal branch (-pi, pi].
+def _shift_gauge(m: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """``(phi, g)`` with m = e^{i phi} G S G^+, G = diag(g), S the right cyclic
+    shift, if m = S diag(d) (L nonzeros, all at [(j + 1) mod L, j]); else None.
+    phi = sum(angle d) / L, g_0 = 1 and g_{j+1} = g_j d_j e^{-i phi}."""
+    L = m.shape[0]
+    cols = np.arange(L)
+    d = m[(cols + 1) % L, cols]
+    if np.count_nonzero(d) != L or np.count_nonzero(m) != L:
+        return None
+    angles = np.angle(d)
+    phi = float(np.sum(angles)) / L
+    return phi, np.exp(1j * (np.concatenate(([0.0], np.cumsum(angles[:-1]))) - phi * cols))
 
-    Eigenvalues exactly at -1 map deterministically to +pi; eigenphases on
-    the wrapped side of the cut (within 1e-9 past -pi, beyond numerical
-    noise) raise :class:`BranchCutError` because the log is discontinuous
-    there.
-    """
-    t, q = scipy.linalg.schur(op.matrix, output="complex")
-    phases = np.angle(np.diag(t))
+
+def _principal_phases(phases: np.ndarray) -> np.ndarray:
+    """Phases in [-pi, pi] moved onto (-pi, pi] under the branch-cut rules."""
     phases = np.where(phases < -np.pi + _CUT_SNAP, phases + 2.0 * np.pi, phases)
     bad = phases < (-np.pi + _CUT_TOL)
     if np.any(bad):
-        worst = phases[bad][0]
-        raise BranchCutError(
-            f"eigenphase {worst:.12f} lies within {_CUT_TOL:g} of the principal "
-            "branch cut at pi"
-        )
-    hmat = (q * phases) @ q.conj().T
+        raise BranchCutError(f"eigenphase {phases[bad][0]:.12f} lies within {_CUT_TOL:g} "
+                             "of the principal branch cut at pi")
+    return phases
+
+
+def effective_hamiltonian(op: SingleParticleOperator) -> np.ndarray:
+    """Hermitian H with e^{iH} = U, phases on the principal branch (-pi, pi].
+
+    Eigenvalues exactly at -1 map to +pi; eigenphases within 1e-9 past -pi,
+    beyond numerical noise, raise :class:`BranchCutError`.  A walk step
+    U = S diag(d), S either shift (left is right under site reversal), is
+    e^{i phi} G S G^+ (:func:`_shift_gauge`), so H[i, j] = g_i h[(i - j) mod L]
+    conj(g_j), h the inverse DFT of the wrapped phi - 2 pi k / L.  Any other
+    U takes a complex Schur decomposition.
+    """
+    for sites in (slice(None), slice(None, None, -1)):
+        gauge = _shift_gauge(op.matrix[sites, sites])
+        if gauge is not None:
+            phi, g = gauge
+            k = np.arange(len(g))
+            theta = np.mod(phi - 2.0 * np.pi * k / len(g) + np.pi, 2.0 * np.pi) - np.pi
+            h = np.fft.ifft(_principal_phases(theta))[np.subtract.outer(k, k) % len(g)]
+            hmat = (g[:, np.newaxis] * h * g.conj())[sites, sites]
+            break
+    else:
+        t, q = scipy.linalg.schur(op.matrix, output="complex")
+        hmat = (q * _principal_phases(np.angle(np.diag(t)))) @ q.conj().T
     return 0.5 * (hmat + hmat.conj().T)
 
 

@@ -37,8 +37,10 @@ from fcqw.floquet import (
     xy_chain_hamiltonian,
     xy_momentum_family,
     xy_step_operator,
+    xy_step_phases,
 )
-from fcqw.floquet import _conserving_blocks, _reduce_dense
+from fcqw.floquet import _conserving_blocks, _reduce_dense, _shift_gauge
+from fcqw.harness import _circular_set_distance
 from fcqw.observables import site_density_exact
 from fcqw.statevec import cnot, h, one_hot_state, rz
 
@@ -305,6 +307,24 @@ class TestPhasesOnly:
         op = SingleParticleOperator(matrix)
         assert np.array_equal(quasi_energy_phases(op), quasi_energy_spectrum(op).eigenphases)
 
+    @pytest.mark.parametrize("L", [2, 3, 5, 8, 20, 40])
+    @pytest.mark.parametrize("W", [0.0, 1.5, 4.0])
+    def test_xy_tridiagonal_phases_match_operator_phases(self, L, W):
+        # the tridiagonal solve agrees with zgeev on the unitary to rounding,
+        # not bit for bit, and a phase near 0 may wrap to near 2 pi
+        ensemble = DisorderEnsemble(realizations=5, W=W, seed=L)
+        for profile in sample_disorder_profiles(ensemble, L):
+            phases = xy_step_phases(L, profile)
+            assert np.all((phases >= 0.0) & (phases < 2.0 * np.pi))
+            assert np.all(np.diff(phases) >= 0.0)
+            ref = quasi_energy_phases(xy_step_operator(L, profile))
+            assert _circular_set_distance(phases, ref) <= 1e-12
+
+    def test_xy_tridiagonal_phases_pass_J_and_t(self):
+        profile = PotentialProfile.box(8, 2.0)
+        ref = quasi_energy_phases(xy_step_operator(8, profile, J=1.5, t=0.7))
+        assert _circular_set_distance(xy_step_phases(8, profile, J=1.5, t=0.7), ref) <= 1e-12
+
 
 class TestLevelStats:
     def test_chiral_spacings_are_rigid(self):
@@ -373,6 +393,93 @@ class TestEffectiveHamiltonian:
         u = np.diag([np.exp(1j * (np.pi + 1e-10)), 1.0])
         with pytest.raises(BranchCutError):
             effective_hamiltonian(SingleParticleOperator(u))
+
+
+def _schur_log(u: np.ndarray) -> np.ndarray:
+    """Reference -i log U from the complex Schur form, under the same
+    branch-cut rules as effective_hamiltonian."""
+    t, q = scipy.linalg.schur(u, output="complex")
+    phases = np.angle(np.diag(t))
+    phases = np.where(phases < -np.pi + 1e-12, phases + 2.0 * np.pi, phases)
+    hmat = (q * phases) @ q.conj().T
+    return 0.5 * (hmat + hmat.conj().T)
+
+
+class TestShiftGauge:
+    """A walk step U = S diag(d) is e^{i phi} G S G^+, and -i log U follows."""
+
+    @pytest.mark.parametrize("chirality", ["right", "left"])
+    @pytest.mark.parametrize("L", [2, 3, 8, 40])
+    def test_step_is_gauged_uniform_shift(self, L, chirality):
+        sites = slice(None) if chirality == "right" else slice(None, None, -1)
+        for profile in sample_disorder_profiles(DisorderEnsemble(5, W=4.0, seed=L), L):
+            u = fcqw_step_operator(L, profile, chirality).matrix
+            phi, g = _shift_gauge(u[sites, sites])
+            g = g[sites]
+            assert g[0 if chirality == "right" else L - 1] == 1.0
+            assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-12
+            rebuilt = np.exp(1j * phi) * (g[:, np.newaxis] * shift_matrix(L, chirality) * g.conj())
+            assert np.max(np.abs(rebuilt - u)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.eye(4), np.diag(np.exp(1j * np.arange(5.0))), scipy.linalg.expm(-1j * np.ones((3, 3)))],
+        ids=["identity", "diagonal", "dense"],
+    )
+    def test_other_matrices_have_no_gauge(self, matrix):
+        assert _shift_gauge(matrix) is None
+
+    @pytest.mark.parametrize("chirality", ["right", "left"])
+    def test_matches_schur_log_over_ensemble(self, chirality):
+        for L, W in ((40, 4.0), (9, 1.0), (16, 0.0)):
+            for profile in sample_disorder_profiles(DisorderEnsemble(20, W=W, seed=7), L):
+                op = fcqw_step_operator(L, profile, chirality)
+                hmat = effective_hamiltonian(op)
+                assert np.max(np.abs(hmat - _schur_log(op.matrix))) < 1e-12
+                assert np.max(np.abs(hmat - hmat.conj().T)) == 0.0
+
+    @pytest.mark.parametrize("chirality", ["right", "left"])
+    def test_eigenvalue_at_minus_one_gives_plus_pi(self, chirality):
+        # angles summing to zero: the spectrum is that of the bare shift,
+        # 1, -i, -1, i, so one eigenvalue is -1
+        d = np.exp(1j * np.array([0.5, -1.25, 2.0, -1.25]))
+        u = shift_matrix(4, chirality) * d
+        hmat = effective_hamiltonian(SingleParticleOperator(u))
+        energies = np.linalg.eigvalsh(hmat)
+        assert abs(energies[-1] - np.pi) < 1e-12
+        assert energies[0] > -np.pi / 2 - 1e-12
+        assert np.max(np.abs(hmat - _schur_log(u))) < 1e-12
+
+    @pytest.mark.parametrize("chirality", ["right", "left"])
+    def test_phase_just_past_the_cut_raises(self, chirality):
+        # phi = 1e-10, so the k = 2 eigenphase is 1e-10 past -pi
+        d = np.array([np.exp(4e-10j), 1.0, 1.0, 1.0])
+        with pytest.raises(BranchCutError):
+            effective_hamiltonian(SingleParticleOperator(shift_matrix(4, chirality) * d))
+
+
+class TestLoopReferences:
+    """The index-assigned operators equal their per-entry loop versions."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 8])
+    @pytest.mark.parametrize("chirality", ["right", "left"])
+    def test_shift_matrix(self, L, chirality):
+        ref = np.zeros((L, L), dtype=complex)
+        for i in range(L):
+            ref[(i + (1 if chirality == "right" else -1)) % L, i] = 1.0
+        assert np.array_equal(shift_matrix(L, chirality), ref)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 8])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_xy_chain_hamiltonian(self, L, periodic):
+        profile = PotentialProfile.random_symmetric(L, 2.5, np.random.default_rng(L))
+        ref = np.zeros((L, L), dtype=complex)
+        for i in range(L - 1):
+            ref[i, i + 1] = ref[i + 1, i] = -2.0 * 1.5
+        if periodic and L > 2:
+            ref[0, L - 1] = ref[L - 1, 0] = -2.0 * 1.5
+        np.fill_diagonal(ref, profile.W * (np.sum(profile.u) - 2.0 * profile.u))
+        assert np.array_equal(xy_chain_hamiltonian(L, profile, 1.5, periodic), ref)
 
 
 class TestXYChain:

@@ -601,9 +601,9 @@ GOLDEN_DIGESTS = {
     },
     "disorder_spectra": {
         "checks.json": "18484ed5a5331a6a",
-        "level_stats.csv": "1bb46831a75e9b37",
+        "level_stats.csv": "552f2edac1c9f7d3",
         "manifest.json": "c64ca5be8447d86d",
-        "spectra.csv": "2ac4dd79e1ebf571",
+        "spectra.csv": "e1045ea9b8ed225c",
     },
     "amplitude_scaling": {
         "checks.json": "88d5ba484c214588",
