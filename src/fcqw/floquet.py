@@ -166,12 +166,12 @@ def xy_step_operator(
     return SingleParticleOperator(u)
 
 
-def xy_step_phases(L: int, profile: PotentialProfile, J: float = 1.0, t: float = 1.0) -> np.ndarray:
-    """Phases of the open chain's :func:`xy_step_operator`, [0, 2pi) ascending, as
-    e^{-i E t} of the tridiagonal H's energies E: zgeev's to rounding, no unitary built."""
+def xy_step_phases(L: int, profile: PotentialProfile, J: float = 1.0) -> np.ndarray:
+    """Phases of the open chain's one-step :func:`xy_step_operator`, [0, 2pi) ascending,
+    as e^{-i E} of the tridiagonal H's energies E: zgeev's to rounding, no unitary built."""
     hmat = xy_chain_hamiltonian(L, profile, J)
     energies = scipy.linalg.eigvalsh_tridiagonal(np.diag(hmat).real, np.diag(hmat, 1).real)
-    return np.sort(_phases_0_2pi(np.exp(-1j * energies * t)))
+    return np.sort(_phases_0_2pi(np.exp(-1j * energies)))
 
 
 def _conserving_blocks(circuit: Circuit) -> list[Block] | None:
@@ -337,12 +337,15 @@ def quasi_energy_spectrum(op: SingleParticleOperator) -> QuasiEnergySpectrum:
 
 
 def quasi_energy_phases(op: SingleParticleOperator) -> np.ndarray:
-    """Eigenphases in [0, 2pi), ascending, from one eigenvalue-only zgeev.
+    """Eigenphases in [0, 2pi), ascending, with no eigenvectors formed.
 
-    zgeev's balancing leaves a unitary alone, then runs the Hessenberg
-    reduction and QR iterations of :func:`quasi_energy_spectrum`, whose
-    Schur vectors never feed back: the same phases bit for bit, at about
-    half the cost.  The open XY chain has :func:`xy_step_phases`.
+    One eigenvalue-only LAPACK solve (zgeev without vectors).  A unitary
+    has unit-norm rows and columns, so zgeev's balancing changes nothing,
+    and it then runs the same Hessenberg reduction and QR iterations on
+    the eigenvalues as the Schur decomposition in
+    :func:`quasi_energy_spectrum`, whose Schur vectors never feed back
+    into them: the phases equal that function's ``eigenphases`` bit for
+    bit, at about half the cost.  See :func:`xy_step_phases` for the XY chain.
     """
     return np.sort(_phases_0_2pi(np.linalg.eigvals(op.matrix)))
 
@@ -373,13 +376,12 @@ def _shift_gauge(m: np.ndarray) -> tuple[float, np.ndarray] | None:
     shift, if m = S diag(d) (L nonzeros, all at [(j + 1) mod L, j]); else None.
     phi = sum(angle d) / L, g_0 = 1 and g_{j+1} = g_j d_j e^{-i phi}."""
     L = m.shape[0]
-    cols = np.arange(L)
-    d = m[(cols + 1) % L, cols]
+    d = np.roll(m, -1, axis=0).diagonal()
     if np.count_nonzero(d) != L or np.count_nonzero(m) != L:
         return None
     angles = np.angle(d)
     phi = float(np.sum(angles)) / L
-    return phi, np.exp(1j * (np.concatenate(([0.0], np.cumsum(angles[:-1]))) - phi * cols))
+    return phi, np.exp(1j * (np.concatenate(([0.0], np.cumsum(angles[:-1]))) - phi * np.arange(L)))
 
 
 def _principal_phases(phases: np.ndarray) -> np.ndarray:
@@ -398,13 +400,11 @@ def effective_hamiltonian(op: SingleParticleOperator) -> np.ndarray:
     Eigenvalues exactly at -1 map to +pi; eigenphases within 1e-9 past -pi,
     beyond numerical noise, raise :class:`BranchCutError`.  A walk step
     U = S diag(d), S either shift (left is right under site reversal), is
-    e^{i phi} G S G^+ (:func:`_shift_gauge`), so H[i, j] = g_i h[(i - j) mod L]
-    conj(g_j), h the inverse DFT of the wrapped phi - 2 pi k / L.  Any other
-    U takes a complex Schur decomposition.
+    e^{i phi} G S G^+ (:func:`_shift_gauge`): H[i, j] = g_i h[(i - j) mod L]
+    conj(g_j), h = ifft(wrapped phi - 2 pi k / L).  Other U go through Schur.
     """
     for sites in (slice(None), slice(None, None, -1)):
-        gauge = _shift_gauge(op.matrix[sites, sites])
-        if gauge is not None:
+        if (gauge := _shift_gauge(op.matrix[sites, sites])) is not None:
             phi, g = gauge
             k = np.arange(len(g))
             theta = np.mod(phi - 2.0 * np.pi * k / len(g) + np.pi, 2.0 * np.pi) - np.pi

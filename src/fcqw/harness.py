@@ -512,7 +512,7 @@ def _run_disorder_spectra(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
         chiral = quasi_energy_phases(fcqw_step_operator(cfg.L, profile))
         predicted = predicted_chiral_eigenphases(cfg.L, profile)
         shift_err.append(_circular_set_distance(chiral, predicted))
-        nonchiral = xy_step_phases(cfg.L, profile, cfg.J, t=1.0)
+        nonchiral = xy_step_phases(cfg.L, profile, cfg.J)
         for model, phases in (("chiral", chiral), ("nonchiral", nonchiral)):
             s = level_spacing_stats(phases)
             variances[model].append(s.spacing_variance)
