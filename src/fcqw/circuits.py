@@ -4,6 +4,7 @@ non-chiral XY chain."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,10 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    @cached_property
+    def _blocks(self) -> tuple["Block", ...]:  # not a field: eq and hash ignore it
+        return _fuse(self.instructions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +174,10 @@ def build_xy_trotter(
 ) -> Circuit:
     """First-order trotterization of the XY chain with onsite sigma-z terms.
 
-    Per repetition, each neighbour pair gets its sigma^x sigma^x block
-    (H-conjugated CNOT-RZ-CNOT) immediately followed by its sigma^y sigma^y
-    block (HY-conjugated), then every site with a nonzero potential gets
-    rz(2 W u_i t / n).  Grouping the two blocks per pair keeps every prefix
+    n copies of one repetition, the same gate objects: each neighbour pair
+    gets its sigma^x sigma^x block (H-conjugated CNOT-RZ-CNOT) followed by
+    its sigma^y sigma^y block (HY-conjugated), then every site with a
+    nonzero potential gets rz(2 W u_i t / n).  Grouping the two blocks per pair keeps every prefix
     of a pair sequence particle-number conserving, which a layer-by-layer
     ordering (all xx, then all yy) does not.
     """
@@ -184,25 +189,22 @@ def build_xy_trotter(
     pairs = [(i, i + 1) for i in range(L - 1)]
     if periodic:
         pairs.append((L - 1, 0))
-    gates: list[GateInstruction] = []
-    for _ in range(cfg.n):
-        for a, b in pairs:
-            gates += [h(a), h(b), cnot(a, b), rz(b, theta_hop), cnot(a, b), h(a), h(b)]
-            gates += [hy(a), hy(b), cnot(a, b), rz(b, theta_hop), cnot(a, b), hy(a), hy(b)]
-        for i in range(L):
-            if profile.W * profile.u[i] != 0.0:
-                gates.append(rz(i, 2.0 * profile.W * profile.u[i] * dt))
-    return Circuit(L, tuple(gates), label=f"xy_trotter_n{cfg.n}")
+    rep: list[GateInstruction] = []
+    for a, b in pairs:
+        rep += [h(a), h(b), cnot(a, b), rz(b, theta_hop), cnot(a, b), h(a), h(b)]
+        rep += [hy(a), hy(b), cnot(a, b), rz(b, theta_hop), cnot(a, b), hy(a), hy(b)]
+    rep += [rz(i, 2.0 * profile.W * profile.u[i] * dt)
+            for i in range(L) if profile.W * profile.u[i] != 0.0]
+    return Circuit(L, tuple(rep) * cfg.n, label=f"xy_trotter_n{cfg.n}")
 
 
 def lower_swaps(circuit: Circuit) -> Circuit:
-    """Replace each SWAP with its three-CNOT realization."""
-    gates: list[GateInstruction] = []
-    for g in circuit.instructions:
-        if g.kind == "swap":
-            gates += swap_as_cnots(*g.targets)
-        else:
-            gates.append(g)
+    """Replace each SWAP with its three-CNOT realization; a circuit without
+    SWAPs is returned as is, keeping its fused blocks."""
+    if all(g.kind != "swap" for g in circuit.instructions):
+        return circuit
+    gates = [c for g in circuit.instructions
+             for c in (swap_as_cnots(*g.targets) if g.kind == "swap" else (g,))]
     return Circuit(circuit.num_qubits, tuple(gates), label=circuit.label)
 
 
@@ -268,7 +270,7 @@ def _absorb(block: Block | None, gate: GateInstruction) -> Block | None:
     return Block(qubits, m, _conserves(m), gate, block, block.size + 1)
 
 
-def fuse_blocks(circuit: Circuit) -> list[Block]:
+def fuse_blocks(circuit: Circuit) -> tuple[Block, ...]:
     """Cut the gate list into consecutive blocks on at most two qubits.
 
     An open block absorbs the next gate while the union of their qubits has
@@ -276,13 +278,18 @@ def fuse_blocks(circuit: Circuit) -> list[Block]:
     (entries between different Hamming weights below ``UNITARITY_TOL``);
     otherwise it is closed and the gate opens the next block.  A walk step
     gives one block per rz and per swap, a Trotter repetition one per XX+YY
-    pair and per rz.  Fusions are memoized per call on (open block, gate),
+    pair and per rz.  Fused once per Circuit, shared by simulate, reduction
+    and sampler; within the fusion, (open block, gate) pairs are memoized,
     so a repeated walk step or Trotter repetition is fused once.
     """
+    return circuit._blocks
+
+
+def _fuse(gates) -> tuple[Block, ...]:
     blocks: list[Block] = []
     grown: dict = {}
     block = None
-    for g in circuit.instructions:
+    for g in gates:
         if block is not None and block.conserves:
             blocks.append(block)
             block = None
@@ -296,7 +303,7 @@ def fuse_blocks(circuit: Circuit) -> list[Block]:
         block = nxt
     if block is not None:
         blocks.append(block)
-    return blocks
+    return tuple(blocks)
 
 
 def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVector:

@@ -46,9 +46,6 @@ def main(argv=None) -> int:
     action = run_experiment if args.command == "run" else emit_experiment_qasm
     try:
         result = action(cfg, args.output_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # the CLI boundary: report, never a traceback
         print(f"error: run crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

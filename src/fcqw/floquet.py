@@ -174,7 +174,7 @@ def xy_step_phases(L: int, profile: PotentialProfile, J: float = 1.0) -> np.ndar
     return np.sort(_phases_0_2pi(np.exp(-1j * energies)))
 
 
-def _conserving_blocks(circuit: Circuit) -> list[Block] | None:
+def _conserving_blocks(circuit: Circuit) -> tuple[Block, ...] | None:
     """``fuse_blocks(circuit)`` if every block conserves particle number."""
     blocks = fuse_blocks(circuit)
     return blocks if all(b.conserves for b in blocks) else None

@@ -276,7 +276,8 @@ def run_noisy(
         indices = (index ^ flips).tolist()
     else:
         # the clean final state, for the fault-free shots; its own call, as
-        # perfbench's trace tells a statevector run by this child span
+        # perfbench's trace tells a statevector run by this child span.  Its
+        # fusion of ``lowered`` is cached on it, so the batch reuses the blocks
         final = simulate(lowered, initial)
         clean_cumulative = np.cumsum(np.abs(final.amplitudes) ** 2)
         samples = np.searchsorted(clean_cumulative, u, side="right")

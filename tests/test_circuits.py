@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fcqw import circuits
 from fcqw.circuits import (
     Circuit,
     PotentialProfile,
@@ -16,6 +17,7 @@ from fcqw.circuits import (
     simulate,
 )
 from fcqw.floquet import reduce_to_single_particle, xy_chain_hamiltonian
+from fcqw.noise import NoiseSpec, run_noisy
 from fcqw.observables import site_density_exact
 from fcqw.statevec import (
     StateVector,
@@ -24,6 +26,7 @@ from fcqw.statevec import (
     basis_state,
     cnot,
     h,
+    hy,
     one_hot_state,
     rz,
     swap,
@@ -152,7 +155,43 @@ class TestFcqwStep:
         assert count == 50
 
 
+def xy_trotter_gate_by_gate(L, profile, cfg, periodic):
+    """Oracle: the Trotter gate list built one repetition after another."""
+    dt = cfg.t / cfg.n
+    theta = -2.0 * cfg.J * dt
+    pairs = [(i, i + 1) for i in range(L - 1)] + ([(L - 1, 0)] if periodic else [])
+    gates = []
+    for _ in range(cfg.n):
+        for a, b in pairs:
+            gates += [h(a), h(b), cnot(a, b), rz(b, theta), cnot(a, b), h(a), h(b)]
+            gates += [hy(a), hy(b), cnot(a, b), rz(b, theta), cnot(a, b), hy(a), hy(b)]
+        for i in range(L):
+            if profile.W * profile.u[i] != 0.0:
+                gates.append(rz(i, 2.0 * profile.W * profile.u[i] * dt))
+    return gates
+
+
+def trotter_profiles(L):
+    rng = np.random.default_rng(L)
+    profiles = [PotentialProfile.uniform(L, W) for W in (0.0, 1.3)]
+    profiles += [PotentialProfile.random_symmetric(L, W, rng) for W in (0.0, 2.5)]
+    if L > 7:
+        profiles += [PotentialProfile.box(L, W) for W in (0.0, 4.0)]
+    return profiles
+
+
 class TestXYTrotter:
+    @pytest.mark.parametrize("L", [2, 5, 8])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_gates_equal_repetition_by_repetition(self, L, n, periodic):
+        cfg = TrotterConfig(0.9, 1.7, n)
+        for profile in trotter_profiles(L):
+            circ = build_xy_trotter(L, profile, cfg, periodic=periodic)
+            assert list(circ.instructions) == xy_trotter_gate_by_gate(L, profile, cfg, periodic)
+            assert circ.instructions == circ.instructions[:len(circ) // n] * n
+            assert circ.label == f"xy_trotter_n{n}"
+
     def test_single_pair_block_sequence(self):
         circ = build_xy_trotter(2, PotentialProfile.uniform(2, 0.0), TrotterConfig(1.0, 0.7, 1))
         kinds = [g.kind for g in circ.instructions]
@@ -283,6 +322,70 @@ class TestFuseBlocks:
         assert [(b.qubits, b.conserves) for b in blocks] == [
             ((0, 1), False), ((2,), True), ((0, 1), False)]
         assert [b.conserves for b in fuse_blocks(Circuit(2, (h(0),)))] == [False]
+
+
+@pytest.fixture
+def absorbs(monkeypatch):
+    """Counts ``circuits._absorb`` calls, that is fusion work."""
+    calls = []
+    absorb = circuits._absorb
+
+    def counting(block, gate):
+        calls.append(gate)
+        return absorb(block, gate)
+
+    monkeypatch.setattr(circuits, "_absorb", counting)
+    return calls
+
+
+def trotter_L6():
+    profile = PotentialProfile.random_symmetric(6, 2.0, np.random.default_rng(6))
+    return build_xy_trotter(6, profile, TrotterConfig(1.0, 2.0, 8))
+
+
+class TestFusedOnce:
+    def test_second_fusion_is_free_and_shared(self, absorbs):
+        circ = trotter_L6()
+        blocks = fuse_blocks(circ)
+        assert isinstance(blocks, tuple) and len(absorbs) > 0
+        absorbs.clear()
+        assert fuse_blocks(circ) is blocks
+        assert absorbs == []
+        simulate(circ, one_hot_state(6, 2))
+        reduce_to_single_particle(circ)
+        assert absorbs == []
+
+    def test_fusion_ignored_by_eq_and_hash(self):
+        fused, fresh = trotter_L6(), trotter_L6()
+        fuse_blocks(fused)
+        assert fused == fresh and hash(fused) == hash(fresh)
+
+    def test_noisy_statevector_run_fuses_once(self, absorbs):
+        fuse_blocks(trotter_L6())
+        one_fusion = len(absorbs)
+        absorbs.clear()
+        spec = NoiseSpec(p_cnot=0.05, p_1q=0.01, p_readout=0.01, seed=3)
+        result = run_noisy(trotter_L6(), one_hot_state(6, 2), spec, shots=40)
+        assert result.shots == 40
+        assert len(absorbs) == one_fusion
+
+    def test_lower_swaps_returns_swap_free_circuit_itself(self):
+        circ = trotter_L6()
+        assert lower_swaps(circ) is circ
+        onsite = build_onsite_layer(PotentialProfile.uniform(4, 0.5))
+        assert lower_swaps(onsite) is onsite
+
+    def test_lower_swaps_still_lowers_each_swap(self):
+        walk = build_fcqw_walk(5, PotentialProfile.uniform(5, 0.7), 2)
+        expected = []
+        for g in walk.instructions:
+            if g.kind == "swap":
+                i, j = g.targets
+                expected += [cnot(i, j), cnot(j, i), cnot(i, j)]
+            else:
+                expected.append(g)
+        assert len(expected) == len(walk) + 2 * 2 * 4  # 4 swaps per step
+        assert list(lower_swaps(walk).instructions) == expected
 
 
 class TestCircuitType:

@@ -487,14 +487,12 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: run crashed: ValueError")
         assert not (tmp_path / "x").exists()
 
-    def test_config_error_during_emit_qasm_exit_code(self, tmp_path, monkeypatch, capsys):
-        def reject(cfg, outdir):
-            raise ConfigError("rejected during emission", ["steps"])
-
-        monkeypatch.setattr("fcqw.cli.emit_experiment_qasm", reject)
-        path = write_config(tmp_path, chiral_config(tmp_path))
+    def test_bad_config_emit_qasm_exit_code(self, tmp_path, capsys):
+        # config errors come from validation, before any emission
+        path = write_config(tmp_path, chiral_config(tmp_path, steps="many"))
         assert main(["emit-qasm", str(path)]) == 2
         assert "steps" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 GOLDEN_NOISE = {"p_cnot": 0.02, "p_1q": 0.001, "p_readout": 0.01}
