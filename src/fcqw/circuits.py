@@ -61,7 +61,7 @@ class Circuit:
         return len(self.instructions)
 
     @cached_property
-    def _blocks(self) -> tuple["Block", ...]:  # not a field: eq and hash ignore it
+    def _blocks(self) -> tuple[Block, ...]:  # not a field: eq and hash ignore it
         return _fuse(self.instructions)
 
 
@@ -174,12 +174,12 @@ def build_xy_trotter(
 ) -> Circuit:
     """First-order trotterization of the XY chain with onsite sigma-z terms.
 
-    n copies of one repetition, the same gate objects: each neighbour pair
-    gets its sigma^x sigma^x block (H-conjugated CNOT-RZ-CNOT) followed by
-    its sigma^y sigma^y block (HY-conjugated), then every site with a
-    nonzero potential gets rz(2 W u_i t / n).  Grouping the two blocks per pair keeps every prefix
-    of a pair sequence particle-number conserving, which a layer-by-layer
-    ordering (all xx, then all yy) does not.
+    n copies of one repetition (the same gate objects): each neighbour pair
+    gets its sigma^x sigma^x block (H-conjugated CNOT-RZ-CNOT), directly
+    followed by its sigma^y sigma^y block (HY-conjugated), then each site
+    with a nonzero potential gets rz(2 W u_i t / n).  Grouping the two
+    blocks per pair keeps every prefix of a pair sequence particle-number
+    conserving, which a layer-by-layer ordering (all xx, then all yy) does not.
     """
     if L < 2:
         raise ValueError(f"XY chain needs L >= 2, got {L}")
