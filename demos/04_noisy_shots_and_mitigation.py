@@ -20,6 +20,7 @@ from fcqw import (
     run_noisy,
     site_density_counts,
 )
+from fcqw.statevec import index_to_bitstring
 
 L, steps, shots = 8, 8, 5000
 walk = build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), steps)
@@ -41,8 +42,8 @@ print(f"  all sectors, renormalized             : {peak_amplitude(mitigated, tar
 
 top = sorted(result.counts.items(), key=lambda kv: -kv[1])[:5]
 print("\nmost frequent bitstrings (site 1 is the leftmost character):")
-for bits, count in top:
-    print(f"  {bits}: {count}")
+for index, count in top:
+    print(f"  {index_to_bitstring(index, L)}: {count}")
 
 print("\npeak amplitude vs walk length (2000 shots per point):")
 rows = amplitude_decay_sweep("steps_at_fixed_L", spec, range(1, 9), L=L, shots=2000)

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .circuits import UNITARITY_TOL, Block, Circuit, PotentialProfile, fuse_blocks, simulate
-from .statevec import one_hot_state
+from .circuits import UNITARITY_TOL, Block, Circuit, PotentialProfile, fuse_blocks
 
 #: numerical-noise window: eigenphases this close below -pi are treated as +pi
 _CUT_SNAP = 1e-12
@@ -174,12 +173,6 @@ def xy_step_phases(L: int, profile: PotentialProfile, J: float = 1.0) -> np.ndar
     return np.sort(_phases_0_2pi(np.exp(-1j * energies)))
 
 
-def _conserving_blocks(circuit: Circuit) -> tuple[Block, ...] | None:
-    """``fuse_blocks(circuit)`` if every block conserves particle number."""
-    blocks = fuse_blocks(circuit)
-    return blocks if all(b.conserves for b in blocks) else None
-
-
 def _apply_block(u: np.ndarray, block: Block) -> None:
     """Left-multiply the sector matrix ``u`` in place by a conserving block.
 
@@ -192,39 +185,19 @@ def _apply_block(u: np.ndarray, block: Block) -> None:
     u[rows] = new
 
 
-def _reduce_dense(circuit: Circuit) -> np.ndarray:
-    """Sector matrix from the full 2**L simulation of each one-hot state;
-    raises if any of them leaks out of the one-excitation sector."""
-    L = circuit.num_qubits
-    rows = [1 << i for i in range(L)]
-    m = np.empty((L, L), dtype=complex)
-    for i in range(L):
-        psi = simulate(circuit, one_hot_state(L, i))
-        col = psi.amplitudes[rows]
-        leak = 1.0 - float(np.sum(np.abs(col) ** 2))
-        if leak > UNITARITY_TOL:
-            raise ValueError(
-                f"circuit does not conserve particle number: one-hot site {i} "
-                f"leaks {leak:g} out of the one-excitation sector"
-            )
-        m[:, i] = col
-    return m
-
-
 def reduce_to_single_particle(circuit: Circuit) -> SingleParticleOperator:
     """Project a number-conserving circuit onto the one-excitation sector.
 
-    When every block of ``circuits.fuse_blocks`` conserves particle number,
-    each acts on an L x L matrix, with no dense state.  Otherwise each
-    one-hot state is evolved through the full 2**L simulation; leakage out
-    of the sector there, or a reduced matrix that is not unitary, flags the
-    circuit as not particle-number conserving.
+    Every block of ``circuits.fuse_blocks`` must conserve particle number;
+    each then acts on an L x L matrix, with no dense state.  A circuit with
+    a block that does not is rejected, even if the whole circuit conserves.
     """
-    blocks = _conserving_blocks(circuit)
-    if blocks is None:
-        return SingleParticleOperator(_reduce_dense(circuit))
     m = np.eye(circuit.num_qubits, dtype=complex)
-    for block in blocks:
+    for i, block in enumerate(fuse_blocks(circuit)):
+        if not block.conserves:
+            raise ValueError(
+                f"block {i} on qubits {block.qubits} does not conserve particle number"
+            )
         _apply_block(m, block)
     return SingleParticleOperator(m)
 

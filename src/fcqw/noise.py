@@ -59,6 +59,7 @@ from .statevec import (
     PAULI_MATRICES,
     StateVector,
     apply_matrix_inplace,
+    bitstring_to_index,
     derived_seed,
     index_to_bitstring,
     one_hot_state,
@@ -105,24 +106,30 @@ class NoiseSpec:
 
 @dataclass
 class ShotResult:
-    """Aggregated measurement outcomes: bitstring -> count."""
+    """Aggregated measurement outcomes on ``num_qubits`` sites: basis index
+    (bit i = site i) -> count."""
 
-    counts: dict[str, int]
+    counts: dict[int, int]
     shots: int
+    num_qubits: int
 
     def __post_init__(self):
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to the shot total")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"shots": self.shots, "counts": dict(sorted(self.counts.items()))}
-        )
+        """Counts keyed by bitstring (site 0 first), in bitstring order."""
+        counts = {index_to_bitstring(i, self.num_qubits): n for i, n in self.counts.items()}
+        return json.dumps({"shots": self.shots, "counts": dict(sorted(counts.items()))})
 
     @classmethod
     def from_json(cls, text: str) -> "ShotResult":
         data = json.loads(text)
-        return cls(counts=dict(data["counts"]), shots=int(data["shots"]))
+        widths = {len(bits) for bits in data["counts"]}
+        if len(widths) > 1:
+            raise ValueError(f"bitstrings of mixed lengths {sorted(widths)}")
+        counts = {bitstring_to_index(bits): n for bits, n in data["counts"].items()}
+        return cls(counts, int(data["shots"]), max(widths, default=0))
 
 
 def _basis_index(state: StateVector) -> int | None:
@@ -293,10 +300,7 @@ def run_noisy(
             states = _evolve_faulty(initial.amplitudes, blocks, L, [faults[s] for s in chunk])
             for s, cumulative in zip(chunk, np.cumsum(np.abs(states) ** 2, axis=1)):
                 indices[s] = sample_index(cumulative, u[s]) ^ int(flips[s])
-
-    # tally by index, then render each distinct outcome once (first-seen order)
-    counts = {index_to_bitstring(i, L): n for i, n in Counter(indices).items()}
-    return ShotResult(counts=counts, shots=shots)
+    return ShotResult(dict(Counter(indices)), shots, L)
 
 
 def amplitude_decay_sweep(

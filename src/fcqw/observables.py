@@ -39,20 +39,18 @@ def site_density_exact(state: StateVector) -> SiteDistribution:
 
 
 def _count_sites(result, L: int, weight: int | None) -> SiteDistribution:
-    """Per-site frequency over the bitstrings of the given Hamming weight
+    """Per-site frequency over the outcomes of the given Hamming weight
     (all of them for None), divided by the total shot count."""
-    p = np.zeros(L)
-    for bits, count in result.counts.items():
-        if len(bits) != L:
-            raise ValueError(
-                f"bitstring {bits!r} has length {len(bits)}, expected {L}"
-            )
-        if weight is not None and bits.count("1") != weight:
-            continue
-        for i, c in enumerate(bits):
-            if c == "1":
-                p[i] += count
-    return SiteDistribution(p / result.shots, normalized=False)
+    if result.num_qubits != L:
+        raise ValueError(f"outcome length {result.num_qubits}, expected {L}")
+    index = np.fromiter(result.counts, dtype=np.int64, count=len(result.counts))
+    if np.any(index >> L):
+        raise ValueError(f"basis index out of range for L={L}")
+    count = np.fromiter(result.counts.values(), dtype=np.int64, count=len(index))
+    bits = index[:, None] >> np.arange(L) & 1
+    if weight is not None:
+        count = count * (bits.sum(axis=1) == weight)
+    return SiteDistribution(count @ bits / result.shots, normalized=False)
 
 
 def site_density_counts(result, L: int) -> SiteDistribution:
@@ -61,7 +59,7 @@ def site_density_counts(result, L: int) -> SiteDistribution:
 
 
 def restricted_site_density_counts(result, L: int, weight: int = 1) -> SiteDistribution:
-    """Per-site frequency keeping only bitstrings of the given Hamming
+    """Per-site frequency keeping only outcomes of the given Hamming
     weight, still divided by the total shot count (discard, don't rescale).
     This is the unmitigated baseline the all-sector normalization is
     compared against."""

@@ -8,10 +8,11 @@ re-parse recovers the original instruction sequence exactly.
 """
 from __future__ import annotations
 
+import math
 import re
 
 from .circuits import Circuit
-from .statevec import GateInstruction, cnot, h, hy, rz, swap
+from .statevec import MAX_QUBITS, GateInstruction, cnot, h, hy, rz, swap
 
 _HY_BLOCK = [
     "// hy maps the z basis to the y basis (hy Z hy = Y, hy hy = I);",
@@ -94,40 +95,47 @@ def parse_qasm3(text: str) -> Circuit:
             if num_qubits is not None:
                 raise QasmParseError(line_no, "only one qubit register is supported")
             num_qubits = int(m.group(1))
+            if not 1 <= num_qubits <= MAX_QUBITS:
+                raise QasmParseError(line_no, f"register width must be in [1, {MAX_QUBITS}]")
             register = m.group(2)
             continue
         if num_qubits is None:
             raise QasmParseError(line_no, "instruction before qubit declaration")
-        m = _RE_1Q.match(line)
-        if m:
-            kind, reg, q = m.group(1), m.group(2), int(m.group(3))
-            _check_register(line_no, reg, register)
-            gates.append(h(q) if kind == "h" else hy(q))
-            continue
-        m = _RE_RZ.match(line)
-        if m:
+        if m := _RE_1Q.match(line):
+            _check_register(line_no, m.group(2), register)
+            gate = _make(line_no, h if m.group(1) == "h" else hy, int(m.group(3)))
+        elif m := _RE_RZ.match(line):
             try:
                 theta = float(m.group(1))
             except ValueError:
-                raise QasmParseError(line_no, f"bad rz angle {m.group(1)!r}") from None
+                theta = math.nan
+            if not math.isfinite(theta):
+                raise QasmParseError(line_no, f"bad rz angle {m.group(1)!r}")
             _check_register(line_no, m.group(2), register)
-            gates.append(rz(int(m.group(3)), theta))
-            continue
-        m = _RE_2Q.match(line)
-        if m:
-            kind = m.group(1)
+            gate = _make(line_no, rz, int(m.group(3)), theta)
+        elif m := _RE_2Q.match(line):
             _check_register(line_no, m.group(2), register)
             _check_register(line_no, m.group(4), register)
-            a, b = int(m.group(3)), int(m.group(5))
-            gates.append(cnot(a, b) if kind == "cx" else swap(a, b))
-            continue
-        raise QasmParseError(line_no, f"unsupported construct: {line!r}")
+            build = cnot if m.group(1) == "cx" else swap
+            gate = _make(line_no, build, int(m.group(3)), int(m.group(5)))
+        else:
+            raise QasmParseError(line_no, f"unsupported construct: {line!r}")
+        if max(gate.targets) >= num_qubits:
+            raise QasmParseError(line_no, f"qubit {max(gate.targets)} outside qubit[{num_qubits}]")
+        gates.append(gate)
 
     if not saw_header:
         raise QasmParseError(1, "empty program")
     if num_qubits is None:
         raise QasmParseError(1, "missing qubit declaration")
     return Circuit(num_qubits, tuple(gates), label="parsed")
+
+
+def _make(line_no: int, build, *args) -> GateInstruction:
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise QasmParseError(line_no, str(exc)) from None
 
 
 def _check_register(line_no: int, name: str, declared: str | None) -> None:

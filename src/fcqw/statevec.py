@@ -6,8 +6,13 @@ Conventions used throughout the package:
   1-based site labels appear only in report output
 * basis index ``b`` has bit ``i`` equal to ``(b >> i) & 1``, so qubit 0
   is the least significant bit
-* bitstrings are written site 0 first: ``"0100"`` means site 1 occupied
 * a set bit marks an occupied site
+* outcomes are basis indices; bitstrings, written site 0 first
+  (``"0100"`` means site 1 occupied), appear only in JSON and printouts
+
+One kernel, ``apply_matrix_inplace``, applies every gate, fused block and
+Pauli: a 2x2 or 4x4 matrix times the amplitudes with the target qubits'
+axes moved first, as one matrix product.
 
 Shot streams: shot ``s`` of a seeded run draws from
 ``shot_rng(seed, s)``, the generator of ``SeedSequence(seed, (s,))``.
@@ -191,58 +196,21 @@ def bitstring_to_index(bits: str) -> int:
 # in-place kernels; callers own the copy semantics
 
 
-def _view_1q(amps: np.ndarray, q: int) -> np.ndarray:
-    # axes: (more significant bits, bit q, less significant bits)
-    return amps.reshape(-1, 2, 1 << q)
-
-
-def _view_2q(amps: np.ndarray, qlo: int, qhi: int) -> np.ndarray:
-    # axes: (rest, bit qhi, bits between, bit qlo, bits below)
-    mid = 1 << (qhi - qlo - 1)
-    return amps.reshape(-1, 2, mid, 2, 1 << qlo)
-
-
 def apply_matrix_inplace(amps: np.ndarray, qubits: tuple[int, ...], m: np.ndarray) -> None:
     """Left-multiply the amplitudes by a 2x2 or 4x4 matrix on ``qubits``, in
     ``gate_matrix``'s basis bit(qubits[0]) + 2 * bit(qubits[1]), as one
     (d, d) @ (d, N) product over the qubit axes moved first; a C-contiguous
     batch of rows seen as one vector adds columns to it."""
     if len(qubits) == 1:
-        w = _view_1q(amps, qubits[0]).transpose(1, 0, 2)
+        # axes (bit q, more significant bits, less significant bits)
+        w = amps.reshape(-1, 2, 1 << qubits[0]).transpose(1, 0, 2)
     else:
         qlo, qhi = sorted(qubits)
         if qubits[0] > qubits[1]:
             m = m[np.ix_(SWAP_QUBITS, SWAP_QUBITS)]
         # axes (bit qhi, bit qlo, rest, bits between, bits below)
-        w = _view_2q(amps, qlo, qhi).transpose(1, 3, 0, 2, 4)
+        w = amps.reshape(-1, 2, 1 << (qhi - qlo - 1), 2, 1 << qlo).transpose(1, 3, 0, 2, 4)
     w[...] = (m @ w.reshape(len(m), -1)).reshape(w.shape)
-
-
-def _apply_rz(amps: np.ndarray, q: int, theta: float) -> None:
-    v = _view_1q(amps, q)
-    v[:, 0, :] *= np.exp(-0.5j * theta)
-    v[:, 1, :] *= np.exp(0.5j * theta)
-
-
-def _exchange(v: np.ndarray, sel_a, sel_b) -> None:
-    tmp = v[sel_a].copy()
-    v[sel_a] = v[sel_b]
-    v[sel_b] = tmp
-
-
-def _apply_swap(amps: np.ndarray, a: int, b: int) -> None:
-    qlo, qhi = sorted((a, b))
-    v = _view_2q(amps, qlo, qhi)
-    _exchange(v, np.s_[:, 0, :, 1, :], np.s_[:, 1, :, 0, :])
-
-
-def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    qlo, qhi = sorted((control, target))
-    v = _view_2q(amps, qlo, qhi)
-    if control == qhi:
-        _exchange(v, np.s_[:, 1, :, 0, :], np.s_[:, 1, :, 1, :])
-    else:
-        _exchange(v, np.s_[:, 0, :, 1, :], np.s_[:, 1, :, 1, :])
 
 
 def apply_gate_inplace(amps: np.ndarray, num_qubits: int, gate: GateInstruction) -> None:
@@ -250,14 +218,7 @@ def apply_gate_inplace(amps: np.ndarray, num_qubits: int, gate: GateInstruction)
         raise IndexError(
             f"gate {gate.kind} targets {gate.targets} out of range for L={num_qubits}"
         )
-    if gate.kind == "rz":
-        _apply_rz(amps, gate.targets[0], gate.theta)
-    elif gate.kind in ("h", "hy"):
-        apply_matrix_inplace(amps, gate.targets, H_MATRIX if gate.kind == "h" else HY_MATRIX)
-    elif gate.kind == "swap":
-        _apply_swap(amps, *gate.targets)
-    else:
-        _apply_cnot(amps, *gate.targets)
+    apply_matrix_inplace(amps, gate.targets, gate_matrix(gate))
 
 
 def apply_pauli_inplace(amps: np.ndarray, num_qubits: int, q: int, code: int) -> None:

@@ -12,6 +12,7 @@ from fcqw.circuits import (
     build_fcqw_walk,
     build_onsite_layer,
     build_xy_trotter,
+    fuse_blocks,
     lower_swaps,
     simulate,
 )
@@ -39,9 +40,21 @@ from fcqw.floquet import (
     xy_step_operator,
     xy_step_phases,
 )
-from fcqw.floquet import _conserving_blocks, _reduce_dense, _shift_gauge
+from fcqw.floquet import _shift_gauge
 from fcqw.observables import site_density_exact
 from fcqw.statevec import cnot, h, one_hot_state, rz
+
+
+def _reduce_dense(circuit: Circuit) -> np.ndarray:
+    """Reference sector matrix: column i is the one-excitation part of the
+    full 2**L simulation of one-hot site i, which must not leak."""
+    L = circuit.num_qubits
+    rows = [1 << i for i in range(L)]
+    m = np.empty((L, L), dtype=complex)
+    for i in range(L):
+        m[:, i] = simulate(circuit, one_hot_state(L, i)).amplitudes[rows]
+        assert abs(1.0 - np.sum(np.abs(m[:, i]) ** 2)) <= 1e-12
+    return m
 
 
 class TestReduction:
@@ -101,28 +114,28 @@ class TestReduction:
                 for p in (False, True)
             ]
             for circ in circuits:
-                assert _conserving_blocks(circ) is not None
+                assert all(b.conserves for b in fuse_blocks(circ))
                 reduced = reduce_to_single_particle(circ).matrix
                 assert np.max(np.abs(reduced - _reduce_dense(circ))) <= 1e-12
 
     def test_both_builders_split_into_conserving_blocks_at_L14(self):
         L = 14
         profile = PotentialProfile.random_symmetric(L, 2.0, np.random.default_rng(5))
-        step = _conserving_blocks(build_fcqw_step(L, profile))
+        step = fuse_blocks(build_fcqw_step(L, profile))
         assert len(step) == L + (L - 1)  # one per rz, one per swap
         n = 2
-        trotter = _conserving_blocks(build_xy_trotter(L, profile, TrotterConfig(1.0, 1.0, n)))
+        trotter = fuse_blocks(build_xy_trotter(L, profile, TrotterConfig(1.0, 1.0, n)))
         assert len(trotter) == n * ((L - 1) + L)  # one per XX+YY pair, one per rz
         assert {len(b.qubits) for b in trotter} == {1, 2}
+        assert all(b.conserves for b in step + trotter)
 
-    def test_conserving_circuit_without_block_split_uses_dense_fallback(self):
+    def test_conserving_circuit_without_block_split_is_rejected(self):
         # cnot(0, 1) alone leaks out of the sector and cannot grow past
-        # rz(2), yet the whole circuit conserves particle number
+        # rz(2); the whole circuit conserves particle number, but the
+        # reduction works block by block only
         circ = Circuit(3, (cnot(0, 1), rz(2, 0.3), cnot(0, 1)))
-        assert _conserving_blocks(circ) is None
-        op = reduce_to_single_particle(circ)
-        expected = np.diag(np.exp(1j * np.array([-0.15, -0.15, 0.15])))
-        assert np.max(np.abs(op.matrix - expected)) < 1e-14
+        with pytest.raises(ValueError, match="conserve"):
+            reduce_to_single_particle(circ)
 
     def test_power_matches_full_simulation_marginal(self):
         L, t = 6, 4

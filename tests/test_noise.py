@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -32,9 +34,9 @@ from fcqw.statevec import (
     apply_matrix_inplace,
     apply_pauli_inplace,
     basis_state,
+    bitstring_to_index,
     cnot,
     h,
-    index_to_bitstring,
     one_hot_state,
     rz,
     sample_bitstrings,
@@ -45,6 +47,11 @@ from fcqw.statevec import (
     swap,
     words_rng,
 )
+
+
+def _by_index(bit_counts: dict[str, int]) -> dict[int, int]:
+    """Counts keyed by bitstring (site 0 first) rekeyed by basis index."""
+    return {bitstring_to_index(bits): n for bits, n in bit_counts.items()}
 
 
 def walk_setup(L=8, t=8, W=0.0):
@@ -59,7 +66,7 @@ class TestNoiselessReduction:
     def test_clean_walk_returns_home_every_shot(self):
         circuit, init, _ = walk_setup(L=8, t=8)
         result = run_noisy(circuit, init, ZERO_NOISE, shots=1000)
-        assert result.counts == {index_to_bitstring(1, 8): 1000}
+        assert result.counts == {1: 1000}
 
     def test_counts_match_ideal_sampling_exactly(self):
         # superposition-producing circuit: the statevector path must consume
@@ -69,10 +76,7 @@ class TestNoiselessReduction:
         spec = NoiseSpec(0.0, 0.0, 0.0, seed=77)
         result = run_noisy(circ, init, spec, shots=400)
         final = simulate(circ, init)
-        expected: dict[str, int] = {}
-        for s in sample_bitstrings(final, 400, seed=77):
-            expected[s] = expected.get(s, 0) + 1
-        assert result.counts == expected
+        assert result.counts == _by_index(Counter(sample_bitstrings(final, 400, seed=77)))
 
     def test_total_variation_distance_small(self):
         circ = build_xy_trotter(3, PotentialProfile.uniform(3, 0.5), TrotterConfig(1.0, 0.8, 2))
@@ -80,8 +84,8 @@ class TestNoiselessReduction:
         result = run_noisy(circ, init, NoiseSpec(0, 0, 0, seed=5), shots=10_000)
         probs = np.abs(simulate(circ, init).amplitudes) ** 2
         empirical = np.zeros(8)
-        for bits, count in result.counts.items():
-            empirical[sum(1 << i for i, c in enumerate(bits) if c == "1")] = count / 10_000
+        for index, count in result.counts.items():
+            empirical[index] = count / 10_000
         tv = 0.5 * np.sum(np.abs(empirical - probs))
         assert tv < 0.02
 
@@ -134,7 +138,7 @@ class TestDeterminism:
         ids=["classical_walk_L6", "statevector_trotter_L4"],
     )
     def test_golden_counts(self, circuit, init, spec, shots, expected):
-        assert run_noisy(circuit, init, spec, shots).counts == expected
+        assert run_noisy(circuit, init, spec, shots).counts == _by_index(expected)
 
 
 def _replay_counts(circuit, start_index, spec, shots):
@@ -143,7 +147,7 @@ def _replay_counts(circuit, start_index, spec, shots):
     gates = lower_swaps(circuit).instructions
     L = circuit.num_qubits
     probs = np.array([spec.p_cnot if g.kind == "cnot" else spec.p_1q for g in gates])
-    counts: dict[str, int] = {}
+    indices = []
     for s in range(shots):
         rng = shot_rng(spec.seed, s)
         flagged = set(np.flatnonzero(rng.random(len(gates)) < probs).tolist())
@@ -166,9 +170,8 @@ def _replay_counts(circuit, start_index, spec, shots):
         for q, flip in enumerate(rng.random(L) < spec.p_readout):
             if flip:
                 index ^= 1 << q
-        bits = index_to_bitstring(index, L)
-        counts[bits] = counts.get(bits, 0) + 1
-    return counts
+        indices.append(index)
+    return dict(Counter(indices))
 
 
 HIGH_NOISE = dict(p_cnot=0.3, p_1q=0.1, p_readout=0.05)
@@ -254,11 +257,7 @@ def _per_shot_counts(circuit, initial, spec, shots):
         for g in gates[pos:]:
             apply_gate_inplace(amps, L, g)
         indices[s] = readout(rng, sample_index(np.cumsum(np.abs(amps) ** 2), rng.random()))
-    counts: dict[str, int] = {}
-    for i in indices:
-        bits = index_to_bitstring(i, L)
-        counts[bits] = counts.get(bits, 0) + 1
-    return counts
+    return dict(Counter(indices))
 
 
 def _trotter_case(L):
@@ -305,9 +304,7 @@ class TestTrajectoryBatch:
     def test_noiseless_matches_sample_bitstrings(self):
         circuit, init, _ = _trotter_case(6)
         spec = NoiseSpec(0.0, 0.0, 0.0, seed=41)
-        expected: dict[str, int] = {}
-        for bits in sample_bitstrings(simulate(circuit, init), 300, seed=41):
-            expected[bits] = expected.get(bits, 0) + 1
+        expected = _by_index(Counter(sample_bitstrings(simulate(circuit, init), 300, seed=41)))
         counts = run_noisy(circuit, init, spec, 300).counts
         assert list(counts.items()) == list(expected.items())
         assert counts == _per_shot_counts(circuit, init, spec, 300)
@@ -545,8 +542,8 @@ class TestExactExpectation:
             expected *= 1 - 2 * p * q
         counts = run_noisy(circuit, init, spec, shots).counts
         signs = np.zeros(L)
-        for bits, n in counts.items():
-            signs += n * np.array([1.0 if b == "0" else -1.0 for b in bits])
+        for index, n in counts.items():
+            signs += n * (1.0 - 2.0 * ((index >> np.arange(L)) & 1))
         sampled = signs / shots
         z = (sampled - expected) / np.sqrt((1 - expected**2) / shots)
         # the world line's bits are near 0 here, the others near +-0.25
@@ -617,13 +614,24 @@ class TestPostProcessingBenefit:
 
 class TestShotResult:
     def test_json_roundtrip(self):
-        result = ShotResult({"01": 3, "10": 7}, 10)
+        result = ShotResult(_by_index({"01": 3, "10": 7}), 10, 2)
         back = ShotResult.from_json(result.to_json())
-        assert back.counts == result.counts and back.shots == 10
+        assert back == result
+
+    def test_json_bytes_are_bitstrings_in_bitstring_order(self):
+        # index order (1, 6, 8) is the reverse of bitstring order here
+        result = ShotResult({6: 2, 1: 5, 8: 3}, 10, 4)
+        assert result.to_json() == '{"shots": 10, "counts": {"0001": 3, "0110": 2, "1000": 5}}'
+
+    @pytest.mark.parametrize("counts, match", [
+        ('{"0a": 2}', "not a bitstring"), ('{"01": 1, "011": 1}', "mixed lengths")])
+    def test_from_json_rejects_bad_keys(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            ShotResult.from_json(f'{{"shots": 2, "counts": {counts}}}')
 
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError):
-            ShotResult({"01": 3}, 10)
+            ShotResult({2: 3}, 10, 2)
 
 
 class TestDecaySweep:

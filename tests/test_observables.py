@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,27 @@ from fcqw.statevec import (
     bitstring_to_index,
     from_amplitudes,
     one_hot_state,
+    index_to_bitstring,
     sample_bitstrings,
 )
+
+
+def _shots(bit_counts: dict[str, int]) -> ShotResult:
+    """A ShotResult from counts keyed by bitstring (site 0 first)."""
+    shots = sum(bit_counts.values())
+    return ShotResult.from_json(json.dumps({"shots": shots, "counts": bit_counts}))
+
+
+def _per_character_density(bit_counts: dict[str, int], shots: int, weight) -> np.ndarray:
+    """Reference: per-site frequency from a loop over each bitstring's characters."""
+    p = np.zeros(len(next(iter(bit_counts))))
+    for bits, count in bit_counts.items():
+        if weight is not None and bits.count("1") != weight:
+            continue
+        for i, c in enumerate(bits):
+            if c == "1":
+                p[i] += count
+    return p / shots
 
 
 class TestExactDensity:
@@ -42,23 +63,41 @@ class TestExactDensity:
 
 class TestCountDensity:
     def test_all_shots_on_one_string(self):
-        d = site_density_counts(ShotResult({"10": 7000}, 7000), 2)
+        d = site_density_counts(_shots({"10": 7000}), 2)
         assert np.array_equal(d.p, [1.0, 0.0])
 
     def test_even_split(self):
-        d = site_density_counts(ShotResult({"10": 1, "01": 1}, 2), 2)
+        d = site_density_counts(_shots({"10": 1, "01": 1}), 2)
         assert np.array_equal(d.p, [0.5, 0.5])
 
     def test_double_occupation(self):
-        d = site_density_counts(ShotResult({"11": 100}, 100), 2)
+        d = site_density_counts(_shots({"11": 100}), 2)
         assert np.array_equal(d.p, [1.0, 1.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            site_density_counts(ShotResult({"101": 5}, 5), 2)
+            site_density_counts(_shots({"101": 5}), 2)
+
+    def test_index_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            site_density_counts(ShotResult({1: 3, 4: 2}, 5, 2), 2)
+
+    @pytest.mark.parametrize("L", [2, 8, 20])
+    def test_bit_operations_match_per_character_loop(self, L):
+        rng = np.random.default_rng(L)
+        for _ in range(5):
+            index = rng.integers(0, 1 << L, size=int(rng.integers(1, 300)))
+            bit_counts = {index_to_bitstring(int(i), L): int(rng.integers(1, 1000))
+                          for i in index}
+            result = _shots(bit_counts)
+            for weight in (None, 1, 2):
+                expected = _per_character_density(bit_counts, result.shots, weight)
+                got = (site_density_counts(result, L) if weight is None
+                       else restricted_site_density_counts(result, L, weight))
+                assert np.array_equal(got.p, expected)
 
     def test_restricted_keeps_only_requested_weight(self):
-        result = ShotResult({"100": 60, "110": 30, "000": 10}, 100)
+        result = _shots({"100": 60, "110": 30, "000": 10})
         d = restricted_site_density_counts(result, 3, weight=1)
         assert np.max(np.abs(d.p - [0.6, 0.0, 0.0])) < 1e-12
 
@@ -70,7 +109,7 @@ class TestCountDensity:
         counts: dict[str, int] = {}
         for s in draws:
             counts[s] = counts.get(s, 0) + 1
-        d_counts = site_density_counts(ShotResult(counts, 100_000), 3)
+        d_counts = site_density_counts(_shots(counts), 3)
         d_exact = site_density_exact(state)
         assert np.max(np.abs(d_counts.p - d_exact.p)) < 0.01
 
@@ -99,7 +138,7 @@ class TestPostProcess:
         # counts with number-violating strings: normalizing over all sectors
         # must give a larger peak than discarding them without rescaling
         counts = {"10000000": 500, "10100000": 300, "00000000": 200}
-        result = ShotResult(counts, 1000)
+        result = _shots(counts)
         pp = post_process(site_density_counts(result, 8))
         restricted = restricted_site_density_counts(result, 8)
         assert peak_amplitude(pp, 0) > peak_amplitude(restricted, 0)

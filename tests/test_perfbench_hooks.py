@@ -1,0 +1,44 @@
+"""The names the benchmark in ``perfbench/`` reaches into fcqw for.
+
+``perfbench/smoke.py`` runs the benchmark end to end but takes about a
+minute; these checks only resolve the hooks, so a renamed or deleted
+entry point fails here first.
+"""
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+from fcqw import statevec
+from fcqw.circuits import PotentialProfile, build_fcqw_walk
+from fcqw.noise import NoiseSpec, run_noisy
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module
+
+
+def test_every_span_entry_point_resolves(perfbench_module):
+    spans = perfbench_module("spans")
+    for module, name, _ in spans.ENTRY_POINTS:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_every_statevec_name_micro_calls_resolves(perfbench_module):
+    perfbench_module("micro")
+    called = set(re.findall(r"\bstatevec\.(\w+)\(", (PERFBENCH / "micro.py").read_text()))
+    assert {"StateVector", "rz", "h", "hy", "cnot", "swap", "apply_gate", "shot_rng"} <= called
+    for name in called:
+        assert hasattr(statevec, name), name
+
+
+def test_run_noisy_result_reports_shots():
+    L = 4
+    circuit = build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), 2)
+    result = run_noisy(circuit, statevec.one_hot_state(L, 0), NoiseSpec(seed=1), 10)
+    assert result.shots == 10

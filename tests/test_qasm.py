@@ -94,6 +94,19 @@ class TestParseErrors:
             parse_qasm3(text)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("line", [
+        "h q[5];", "cx q[1], q[1];", "rz(nan) q[0];", "rz(inf) q[0];", "swap q[0], q[2];"])
+    def test_bad_gate_reports_line(self, line):
+        with pytest.raises(QasmParseError) as err:
+            parse_qasm3(f"OPENQASM 3.0;\nqubit[2] q;\n{line}\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("width", [0, 25])
+    def test_register_width_reports_line(self, width):
+        with pytest.raises(QasmParseError) as err:
+            parse_qasm3(f"OPENQASM 3.0;\nqubit[{width}] q;\n")
+        assert err.value.line == 2
+
     def test_two_registers_rejected(self):
         text = "OPENQASM 3.0;\nqubit[2] q;\nqubit[2] r;\n"
         with pytest.raises(QasmParseError):
