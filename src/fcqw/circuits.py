@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import is_
 
 import numpy as np
 
@@ -50,7 +51,8 @@ class Circuit:
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}]")
         object.__setattr__(self, "instructions", tuple(self.instructions))
-        for g in self.instructions:
+        # a repeated instruction is one object, checked once
+        for g in dict(zip(map(id, self.instructions), self.instructions)).values():
             if max(g.targets) >= self.num_qubits:
                 raise IndexError(
                     f"instruction {g.kind}{g.targets} exceeds register width "
@@ -174,12 +176,13 @@ def build_xy_trotter(
 ) -> Circuit:
     """First-order trotterization of the XY chain with onsite sigma-z terms.
 
-    n copies of one repetition (the same gate objects): each neighbour pair
-    gets its sigma^x sigma^x block (H-conjugated CNOT-RZ-CNOT), directly
-    followed by its sigma^y sigma^y block (HY-conjugated), then each site
-    with a nonzero potential gets rz(2 W u_i t / n).  Grouping the two
-    blocks per pair keeps every prefix of a pair sequence particle-number
-    conserving, which a layer-by-layer ordering (all xx, then all yy) does not.
+    n copies of one repetition (the same gate objects, as are a pair's
+    repeated gates): each neighbour pair gets its sigma^x sigma^x block
+    (H-conjugated CNOT-RZ-CNOT), directly followed by its sigma^y sigma^y
+    block (HY-conjugated), then each site with a nonzero potential gets
+    rz(2 W u_i t / n).  Grouping the two blocks per pair keeps every prefix
+    of a pair sequence particle-number conserving, which a layer-by-layer
+    ordering (all xx, then all yy) does not.
     """
     if L < 2:
         raise ValueError(f"XY chain needs L >= 2, got {L}")
@@ -191,8 +194,9 @@ def build_xy_trotter(
         pairs.append((L - 1, 0))
     rep: list[GateInstruction] = []
     for a, b in pairs:
-        rep += [h(a), h(b), cnot(a, b), rz(b, theta_hop), cnot(a, b), h(a), h(b)]
-        rep += [hy(a), hy(b), cnot(a, b), rz(b, theta_hop), cnot(a, b), hy(a), hy(b)]
+        c, hop = cnot(a, b), rz(b, theta_hop)
+        for basis in ((h(a), h(b)), (hy(a), hy(b))):
+            rep += [*basis, c, hop, c, *basis]
     rep += [rz(i, 2.0 * profile.W * profile.u[i] * dt)
             for i in range(L) if profile.W * profile.u[i] != 0.0]
     return Circuit(L, tuple(rep) * cfg.n, label=f"xy_trotter_n{cfg.n}")
@@ -239,35 +243,17 @@ def _conserves(m: np.ndarray) -> bool:
 
 
 def _embed(u: np.ndarray, targets: tuple[int, ...], qubits: tuple[int, ...]) -> np.ndarray:
-    """A matrix on ``targets`` (``gate_matrix``'s basis) on a block's qubits."""
+    """A matrix on ``targets`` (``gate_matrix``'s basis) on a block's qubits;
+    a one-qubit matrix on the high (low) bit of two is kron(u, I)
+    (kron(I, u)), built directly because np.kron is slow."""
     if len(qubits) == len(targets):
         return u if targets == qubits else u[np.ix_(SWAP_QUBITS, SWAP_QUBITS)]
-    return _widen(u, high=targets[0] == qubits[1])
-
-
-def _widen(u: np.ndarray, high: bool) -> np.ndarray:
-    """A one-qubit matrix on the high (or low) bit of a two-qubit block:
-    kron(u, I) (or kron(I, u)), built directly because np.kron is slow."""
     out = np.zeros((4, 4), dtype=complex)
-    if high:
+    if targets[0] == qubits[1]:
         out[0::2, 0::2] = out[1::2, 1::2] = u
     else:
         out[:2, :2] = out[2:, 2:] = u
     return out
-
-
-def _absorb(block: Block | None, gate: GateInstruction) -> Block | None:
-    """A new block of ``gate`` when ``block`` is None, else ``block`` with
-    ``gate`` absorbed, or None when their qubits number more than two."""
-    if block is None:
-        u = gate_matrix(gate)
-        return Block(gate.targets, u, _conserves(u), gate)
-    qubits = block.qubits + tuple(q for q in gate.targets if q not in block.qubits)
-    if len(qubits) > 2:
-        return None
-    m = _embed(gate_matrix(gate), gate.targets, qubits)
-    m = m @ _embed(block.matrix, block.qubits, qubits)
-    return Block(qubits, m, _conserves(m), gate, block, block.size + 1)
 
 
 def fuse_blocks(circuit: Circuit) -> tuple[Block, ...]:
@@ -279,28 +265,61 @@ def fuse_blocks(circuit: Circuit) -> tuple[Block, ...]:
     otherwise it is closed and the gate opens the next block.  A walk step
     gives one block per rz and per swap, a Trotter repetition one per XX+YY
     pair and per rz.  Fused once per Circuit, shared by simulate, reduction
-    and sampler; within the fusion, (open block, gate) pairs are memoized,
-    so a repeated walk step or Trotter repetition is fused once.
+    and sampler.  Products are memoized in a block's local qubit order, so
+    every XX+YY pair of a Trotter repetition shares one chain of 14.  The
+    cut restarts after a conserving block, so a circuit of k copies of one
+    repetition (the same gate objects) whose last block conserves fuses it
+    once and returns its blocks k times; others take one pass over all gates.
     """
     return circuit._blocks
 
 
-def _fuse(gates) -> tuple[Block, ...]:
+def _fuse(gates: tuple[GateInstruction, ...]) -> tuple[Block, ...]:
+    if not gates:
+        return ()
+    p = _repetition(gates)
+    blocks = _fuse_pass(gates[:p])
+    if p < len(gates) and not blocks[-1].conserves:
+        return _fuse_pass(gates)
+    return blocks * (len(gates) // p)
+
+
+def _repetition(gates: tuple[GateInstruction, ...]) -> int:
+    """Length of the shortest prefix of which ``gates`` are copies, object
+    for object (``is``: no gate is hashed or compared)."""
+    n = len(gates)
+    return next((p for p in range(1, n // 2 + 1) if n % p == 0 and gates[p] is gates[0]
+                 and all(map(is_, gates[p:], gates[:-p]))), n)
+
+
+def _fuse_pass(gates) -> tuple[Block, ...]:
+    # product memo: (product before the gate, kind, local targets, theta),
+    # where a block's matrix object stands for its product; "0.0" and
+    # "-0.0" keep apart rz angles that compare equal but give unequal matrices
+    products: dict = {}
     blocks: list[Block] = []
-    grown: dict = {}
     block = None
     for g in gates:
-        if block is not None and block.conserves:
+        prev = None if block is None or block.conserves else block
+        qubits = g.targets
+        if prev is not None:
+            qubits = prev.qubits
+            for q in g.targets:
+                if q not in qubits:
+                    qubits += (q,)
+            if len(qubits) > 2:
+                prev, qubits = None, g.targets
+        if prev is None and block is not None:
             blocks.append(block)
-            block = None
-        for key in ((block, g), (None, g)):  # grow the open block, else open one
-            nxt = grown.get(key, key)  # one lookup; the key itself marks a miss
-            if nxt is key:
-                nxt = grown[key] = _absorb(*key)
-            if nxt is not None:
-                break
-            blocks.append(block)
-        block = nxt
+        base = None if prev is None else id(prev.matrix)
+        key = (base, g.kind, tuple(map(qubits.index, g.targets)), g.theta or str(g.theta))
+        product = products.get(key)
+        if product is None:  # the gate times the block before it, on qubits
+            u = gate_matrix(g)
+            if prev is not None:
+                u = _embed(u, g.targets, qubits) @ _embed(prev.matrix, prev.qubits, qubits)
+            product = products[key] = (u, _conserves(u))
+        block = Block(qubits, *product, g, prev, 1 if prev is None else prev.size + 1)
     if block is not None:
         blocks.append(block)
     return tuple(blocks)

@@ -39,8 +39,10 @@ the draws of a chunk of shots with whole-array operations, bit for bit as
 numpy's ``Generator`` makes them.  A uniform is ``(x >> 11) 2^-53``, so
 ``u < p`` is an integer compare; a Pauli code is a Lemire draw on the
 32-bit halves after the flags, low half first; the measurement starts on
-the next whole word.  A shot with a rejected Lemire draw (probability
-2^-32 each) is read again through a ``Generator``.
+the next whole word.  Room is drawn for far more flagged gates than the
+probabilities make likely (``_pauli_words``), not one per gate; a shot
+with more, or with a rejected Lemire draw (probability 2^-32 each), is
+read again through a ``Generator``.
 """
 from __future__ import annotations
 
@@ -171,6 +173,14 @@ def _rejected(m: np.ndarray) -> np.ndarray:
     return (m & 0xFFFFFFFF) == 0
 
 
+def _pauli_words(probs: np.ndarray) -> int:
+    """Words read per shot for its Pauli draws, two a word: room for the
+    mean number of flagged gates plus 6 sd plus 6, at most one per gate; a
+    Poisson count passes that with probability below 1e-9 at any mean."""
+    mean, var = probs.sum(), (probs * (1.0 - probs)).sum()
+    return (min(len(probs), math.ceil(mean + 6.0 * math.sqrt(var) + 6.0)) + 1) // 2
+
+
 def _read_streams(words: np.ndarray, probs: np.ndarray, cnots: np.ndarray,
                   p_readout: float, L: int):
     """Every shot's draws (see "Stream decoding" above): arrays (shot, gate,
@@ -179,7 +189,8 @@ def _read_streams(words: np.ndarray, probs: np.ndarray, cnots: np.ndarray,
     uniform and the readout flip mask."""
     n = len(probs) if np.any(probs > 0.0) else 0
     readout = L if p_readout > 0.0 else 0
-    width = n + (n + 1) // 2 + 1 + readout
+    pauli = _pauli_words(probs[:n])
+    width = n + pauli + 1 + readout
     below = np.ceil(probs[:n] * 2.0**53).astype(np.uint64)
     ro_below = math.ceil(p_readout * 2.0**53)
     choices = np.where(cnots, 15, 3).astype(np.uint64)
@@ -192,14 +203,16 @@ def _read_streams(words: np.ndarray, probs: np.ndarray, cnots: np.ndarray,
         shot, gate = divmod(np.flatnonzero((raw[:, :n] >> 11) < below), n)
         k = np.bincount(shot, minlength=len(raw))
         rank = np.arange(len(shot)) - (np.cumsum(k) - k)[shot]
-        half = raw[shot, n + rank // 2] >> (rank % 2 * 32).astype(np.uint64) & 0xFFFFFFFF
+        # an overflowing shot reads words in range here and is replayed below
+        at = np.minimum(rank // 2, pauli) + n
+        half = raw[shot, at] >> (rank % 2 * 32).astype(np.uint64) & 0xFFFFFFFF
         m = half * choices[gate]
         code = (m >> 32) + 1
-        at = n + (k + 1) // 2
+        at = np.minimum((k + 1) // 2, pauli) + n
         u = (raw[here, at] >> 11) * 2.0**-53
         flips = ((raw[here[:, None], at[:, None] + 1 + np.arange(readout)] >> 11)
                  < ro_below) @ weights
-        for s in np.unique(shot[_rejected(m)]):
+        for s in np.union1d(shot[_rejected(m)], np.flatnonzero((k + 1) // 2 > pauli)):
             rng = words_rng(words[c + s])
             rng.random(n)
             mine = shot == s

@@ -98,9 +98,8 @@ def swap(a: int, b: int) -> GateInstruction:
 
 
 def swap_as_cnots(i: int, j: int) -> list[GateInstruction]:
-    """Three CNOTs whose composition equals SWAP(i, j) exactly."""
-    if i == j:
-        raise ValueError(f"swap requires two distinct qubits, got {i} == {j}")
+    """Three CNOTs whose composition equals SWAP(i, j) exactly; ``cnot``
+    rejects i == j."""
     return [cnot(i, j), cnot(j, i), cnot(i, j)]
 
 
@@ -134,27 +133,10 @@ class StateVector:
     num_qubits: int
     amplitudes: np.ndarray
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
 
 def _check_num_qubits(L: int) -> None:
     if not 1 <= L <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {L}")
-
-
-def from_amplitudes(amplitudes) -> StateVector:
-    """Build a StateVector from raw amplitudes, validating shape and norm."""
-    amps = np.asarray(amplitudes, dtype=complex).ravel()
-    dim = len(amps)
-    L = dim.bit_length() - 1
-    if dim != 1 << L or L < 1:
-        raise ValueError(f"amplitude length {dim} is not a power of two >= 2")
-    _check_num_qubits(L)
-    nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"state not normalized: |psi| = {nrm}")
-    return StateVector(L, amps.copy())
 
 
 def one_hot_state(L: int, site: int) -> StateVector:
@@ -162,9 +144,7 @@ def one_hot_state(L: int, site: int) -> StateVector:
     _check_num_qubits(L)
     if not 0 <= site < L:
         raise IndexError(f"site {site} out of range for L={L}")
-    amps = np.zeros(1 << L, dtype=complex)
-    amps[1 << site] = 1.0
-    return StateVector(L, amps)
+    return basis_state(L, 1 << site)
 
 
 def basis_state(L: int, index: int) -> StateVector:
@@ -175,10 +155,6 @@ def basis_state(L: int, index: int) -> StateVector:
     amps = np.zeros(1 << L, dtype=complex)
     amps[index] = 1.0
     return StateVector(L, amps)
-
-
-def total_probability(state: StateVector) -> float:
-    return float(np.sum(np.abs(state.amplitudes) ** 2))
 
 
 def index_to_bitstring(index: int, L: int) -> str:
@@ -219,16 +195,6 @@ def apply_gate_inplace(amps: np.ndarray, num_qubits: int, gate: GateInstruction)
             f"gate {gate.kind} targets {gate.targets} out of range for L={num_qubits}"
         )
     apply_matrix_inplace(amps, gate.targets, gate_matrix(gate))
-
-
-def apply_pauli_inplace(amps: np.ndarray, num_qubits: int, q: int, code: int) -> None:
-    """Apply a Pauli to qubit q; code 1=X, 2=Y, 3=Z (0 is a no-op)."""
-    if not 0 <= q < num_qubits:
-        raise IndexError(f"qubit {q} out of range for L={num_qubits}")
-    if not 0 <= code <= 3:
-        raise ValueError(f"pauli code must be 0..3, got {code}")
-    if code:
-        apply_matrix_inplace(amps, (q,), PAULI_MATRICES[code])
 
 
 def apply_gate(state: StateVector, gate: GateInstruction) -> StateVector:

@@ -4,6 +4,8 @@ import scipy.linalg
 
 from fcqw import circuits
 from fcqw.circuits import (
+    CHIRALITIES,
+    Block,
     Circuit,
     PotentialProfile,
     TrotterConfig,
@@ -17,7 +19,7 @@ from fcqw.circuits import (
     simulate,
 )
 from fcqw.floquet import reduce_to_single_particle, xy_chain_hamiltonian
-from fcqw.noise import NoiseSpec, run_noisy
+from fcqw.noise import _PAULI_OPS, NoiseSpec, run_noisy
 from fcqw.observables import site_density_exact
 from fcqw.statevec import (
     StateVector,
@@ -25,6 +27,7 @@ from fcqw.statevec import (
     apply_matrix_inplace,
     basis_state,
     cnot,
+    gate_matrix,
     h,
     hy,
     one_hot_state,
@@ -324,17 +327,140 @@ class TestFuseBlocks:
         assert [b.conserves for b in fuse_blocks(Circuit(2, (h(0),)))] == [False]
 
 
+def _fuse_by_gate(gates):
+    """Reference fusion: every gate absorbed into the open block on its
+    global qubits, with no product shared between blocks or copies."""
+    def embed(u, targets, qubits):
+        if len(qubits) == len(targets):
+            return u if targets == qubits else u[np.ix_([0, 2, 1, 3], [0, 2, 1, 3])]
+        out = np.zeros((4, 4), dtype=complex)
+        if targets[0] == qubits[1]:
+            out[0::2, 0::2] = out[1::2, 1::2] = u
+        else:
+            out[:2, :2] = out[2:, 2:] = u
+        return out
+
+    def absorb(block, gate):
+        if block is None:
+            u = gate_matrix(gate)
+            return Block(gate.targets, u, circuits._conserves(u), gate)
+        qubits = block.qubits + tuple(q for q in gate.targets if q not in block.qubits)
+        if len(qubits) > 2:
+            return None
+        m = embed(gate_matrix(gate), gate.targets, qubits) @ embed(block.matrix, block.qubits, qubits)
+        return Block(qubits, m, circuits._conserves(m), gate, block, block.size + 1)
+
+    blocks, block = [], None
+    for g in gates:
+        if block is not None and block.conserves:
+            blocks.append(block)
+            block = None
+        grown = absorb(block, g)
+        if grown is None:
+            blocks.append(block)
+            grown = absorb(None, g)
+        block = grown
+    if block is not None:
+        blocks.append(block)
+    return blocks
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _chain(block):
+    """(qubits, matrix, gate) of the block and of every ``prev`` before it."""
+    out = []
+    while block is not None:
+        out.append((block.qubits, block.matrix, block.gate))
+        block = block.prev
+    return out
+
+
+def identity_cases():
+    """Walks (lowered or not), Trotter circuits on every profile kind, a
+    circuit without repetition, and a repetition whose last block does not
+    conserve, so that the fusion falls back to one pass."""
+    rng = np.random.default_rng(29)
+    cases = {}
+    for L, W in ((3, 0.0), (5, 1.3), (8, 0.0), (8, 2.1)):
+        profile = PotentialProfile.random_symmetric(L, W, rng)  # W = 0: rz(+-0.0)
+        for chirality in CHIRALITIES:
+            walk = build_fcqw_walk(L, profile, 3, chirality)
+            cases[f"walk_{chirality}_L{L}_W{W}"] = walk
+            cases[f"lowered_walk_{chirality}_L{L}_W{W}"] = lower_swaps(walk)
+    profiles = {"uniform": PotentialProfile.uniform, "box": PotentialProfile.box,
+                "random": lambda L, W: PotentialProfile.random_symmetric(L, W, rng)}
+    for kind, make in profiles.items():
+        for L in ((8, 9) if kind == "box" else (4, 6)):
+            for W in (0.0, 2.3):
+                for n in (1, 3, 8):
+                    for periodic in (False, True):
+                        circuit = build_xy_trotter(
+                            L, make(L, W), TrotterConfig(1.0, 0.9, n), periodic)
+                        cases[f"trotter_{kind}_L{L}_W{W}_n{n}_p{int(periodic)}"] = circuit
+    kinds = [lambda q, r: h(q), lambda q, r: hy(q), lambda q, r: rz(q, rng.normal()),
+             lambda q, r: cnot(q, r), lambda q, r: swap(q, r)]
+    gates = []
+    for _ in range(60):
+        q, r = (int(x) for x in rng.choice(4, size=2, replace=False))
+        gates.append(kinds[rng.integers(len(kinds))](q, r))
+    cases["no_repetition_L4"] = Circuit(4, tuple(gates))
+    cases["fallback_L3"] = Circuit(3, (cnot(0, 1), rz(2, 0.3), cnot(0, 1)) * 3)
+    return cases
+
+
+IDENTITY_CASES = identity_cases()
+
+
+class TestFusionBitIdentity:
+    @pytest.mark.parametrize("name", IDENTITY_CASES)
+    def test_blocks_equal_gate_by_gate_fusion(self, name):
+        circuit = IDENTITY_CASES[name]
+        got, expected = fuse_blocks(circuit), _fuse_by_gate(circuit.instructions)
+        assert len(got) == len(expected)
+        for ours, ref in zip(got, expected):
+            assert (ours.qubits, ours.conserves, ours.size) == (
+                ref.qubits, ref.conserves, ref.size)
+            assert _same_bits(ours.matrix, ref.matrix)
+            for (q, m, g), (q_ref, m_ref, g_ref) in zip(_chain(ours), _chain(ref), strict=True):
+                assert q == q_ref and g is g_ref and _same_bits(m, m_ref)
+
+    def test_fallback_fuses_across_copies(self):
+        # the last block of a copy is an open cnot: the next copy's cnot
+        # completes it to the identity, so the copies are not cut alike
+        blocks = fuse_blocks(IDENTITY_CASES["fallback_L3"])
+        assert [b.size for b in blocks] == [1, 1, 2, 1, 2, 1, 1]
+
+    def test_pushed_through_equals_gate_by_gate_fusion(self):
+        circuit = build_xy_trotter(4, PotentialProfile.uniform(4, 0.9),
+                                   TrotterConfig(1.0, 0.8, 2), periodic=True)
+        got, expected = fuse_blocks(circuit), _fuse_by_gate(circuit.instructions)
+        checked = 0
+        for ours, ref in zip(got, expected, strict=True):
+            gates = [g for _, _, g in _chain(ours)][::-1]
+            for pos, gate in enumerate(gates):
+                for paulis, op in _PAULI_OPS.items():
+                    if len(paulis) == len(gate.targets) and any(paulis):
+                        k = ours.pushed_through(pos, op)
+                        assert _same_bits(k, ref.pushed_through(pos, op))
+                        checked += 1
+        assert checked == sum(15 if g.kind == "cnot" else 3 for g in circuit.instructions)
+
+
 @pytest.fixture
-def absorbs(monkeypatch):
-    """Counts ``circuits._absorb`` calls, that is fusion work."""
+def products(monkeypatch):
+    """Counts the block products fusion computes: ``gate_matrix`` is called
+    in ``circuits`` once per product."""
     calls = []
-    absorb = circuits._absorb
+    gate_matrix = circuits.gate_matrix
 
-    def counting(block, gate):
+    def counting(gate):
         calls.append(gate)
-        return absorb(block, gate)
+        return gate_matrix(gate)
 
-    monkeypatch.setattr(circuits, "_absorb", counting)
+    monkeypatch.setattr(circuits, "gate_matrix", counting)
     return calls
 
 
@@ -344,30 +470,40 @@ def trotter_L6():
 
 
 class TestFusedOnce:
-    def test_second_fusion_is_free_and_shared(self, absorbs):
+    def test_second_fusion_is_free_and_shared(self, products):
         circ = trotter_L6()
         blocks = fuse_blocks(circ)
-        assert isinstance(blocks, tuple) and len(absorbs) > 0
-        absorbs.clear()
+        assert isinstance(blocks, tuple) and len(products) > 0
+        products.clear()
         assert fuse_blocks(circ) is blocks
-        assert absorbs == []
+        assert products == []
         simulate(circ, one_hot_state(6, 2))
         reduce_to_single_particle(circ)
-        assert absorbs == []
+        assert products == []
+
+    def test_trotter_pairs_share_one_product_chain(self, products):
+        # L = 14, n = 8, box: 1488 gates, 186 per repetition; the 13 XX+YY
+        # pairs share one chain of 14 products, the 4 box rz share one
+        circuit = build_xy_trotter(14, PotentialProfile.box(14, 6.0), TrotterConfig(1.0, 2.0, 8))
+        blocks = fuse_blocks(circuit)
+        assert len(products) <= 20
+        per_rep = len(blocks) // 8
+        assert blocks == blocks[:per_rep] * 8
+        assert len({id(b.matrix) for b in blocks}) <= 2
 
     def test_fusion_ignored_by_eq_and_hash(self):
         fused, fresh = trotter_L6(), trotter_L6()
         fuse_blocks(fused)
         assert fused == fresh and hash(fused) == hash(fresh)
 
-    def test_noisy_statevector_run_fuses_once(self, absorbs):
+    def test_noisy_statevector_run_fuses_once(self, products):
         fuse_blocks(trotter_L6())
-        one_fusion = len(absorbs)
-        absorbs.clear()
+        one_fusion = len(products)
+        products.clear()
         spec = NoiseSpec(p_cnot=0.05, p_1q=0.01, p_readout=0.01, seed=3)
         result = run_noisy(trotter_L6(), one_hot_state(6, 2), spec, shots=40)
         assert result.shots == 40
-        assert len(absorbs) == one_fusion
+        assert len(products) == one_fusion
 
     def test_lower_swaps_returns_swap_free_circuit_itself(self):
         circ = trotter_L6()

@@ -29,15 +29,16 @@ from fcqw.observables import (
     site_density_counts,
 )
 from fcqw.statevec import (
+    PAULI_MATRICES,
     apply_gate,
     apply_gate_inplace,
     apply_matrix_inplace,
-    apply_pauli_inplace,
     basis_state,
     bitstring_to_index,
     cnot,
     h,
     one_hot_state,
+    raw_words,
     rz,
     sample_bitstrings,
     sample_index,
@@ -52,6 +53,12 @@ from fcqw.statevec import (
 def _by_index(bit_counts: dict[str, int]) -> dict[int, int]:
     """Counts keyed by bitstring (site 0 first) rekeyed by basis index."""
     return {bitstring_to_index(bits): n for bits, n in bit_counts.items()}
+
+
+def apply_pauli(amps, q, code):
+    """Pauli code 1=X, 2=Y, 3=Z on qubit q; 0 is a no-op."""
+    if code:
+        apply_matrix_inplace(amps, (q,), PAULI_MATRICES[code])
 
 
 def walk_setup(L=8, t=8, W=0.0):
@@ -253,7 +260,7 @@ def _per_shot_counts(circuit, initial, spec, shots):
                 apply_gate_inplace(amps, L, g)
             pos = j + 1
             for q, code in zip(gates[j].targets, paulis(rng, gates[j])):
-                apply_pauli_inplace(amps, L, q, code)
+                apply_pauli(amps, q, code)
         for g in gates[pos:]:
             apply_gate_inplace(amps, L, g)
         indices[s] = readout(rng, sample_index(np.cumsum(np.abs(amps) ** 2), rng.random()))
@@ -373,7 +380,7 @@ class TestFaultCorrection:
                         apply_gate_inplace(expected, L, g)
                         if j == pos:
                             for q, c in zip(g.targets, paulis):
-                                apply_pauli_inplace(expected, L, q, c)
+                                apply_pauli(expected, q, c)
                     out = state.copy()
                     apply_matrix_inplace(out, block.qubits, block.matrix)
                     k = block.pushed_through(pos, _PAULI_OPS[paulis])
@@ -496,6 +503,50 @@ class TestRejectedDraw:
         expected = _replay_counts(circuit, 1, spec, 200)
         assert run_noisy(circuit, init, spec, shots=200).counts == expected
         assert replays
+
+
+class TestPauliRegion:
+    def test_shipped_noise_draws_fewer_words(self, monkeypatch):
+        import fcqw.noise as noise_mod
+
+        widths = []
+        monkeypatch.setattr(noise_mod, "raw_words",
+                            lambda w, width: widths.append(width) or raw_words(w, width))
+        circuit, init, _ = walk_setup(L=8, t=8)
+        run_noisy(circuit, init, NoiseSpec(seed=4), 500)
+        n = len(lower_swaps(circuit))  # 232 gates, about 1.2 flagged per shot
+        assert set(widths) == {n + 7 + 1 + 8}  # was n + 116 + 1 + 8
+
+    @pytest.mark.parametrize("pauli", [0, 1])
+    @pytest.mark.parametrize("case", DECODE_CASES)
+    def test_overflowing_shots_are_replayed(self, monkeypatch, case, pauli):
+        import fcqw.noise as noise_mod
+
+        replays = []
+        monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: pauli)
+        monkeypatch.setattr(noise_mod, "words_rng", lambda w: replays.append(w) or words_rng(w))
+        probs, cnots, p_readout = (np.array(x) for x in DECODE_CASES[case])
+        L, shots, seed = 5, 150, 9
+        expected = _generator_draws(
+            (shot_rng(seed, s) for s in range(shots)), probs, cnots, p_readout, L)
+        got = _read_streams(shot_words(seed, shots), probs, cnots, float(p_readout), L)
+        for name, ours, ref in zip(("shot", "gate", "code", "u", "flips"), got, expected):
+            assert np.array_equal(ours, np.array(ref, dtype=ours.dtype)), name
+        flagged = np.bincount(np.array(expected[0], dtype=int), minlength=shots)
+        assert len(replays) == np.count_nonzero((flagged + 1) // 2 > pauli)
+
+    @pytest.mark.parametrize("kind", ["classical", "statevector"])
+    def test_forced_overflow_keeps_counts(self, monkeypatch, kind):
+        import fcqw.noise as noise_mod
+
+        if kind == "classical":
+            circuit, init, _ = walk_setup(L=6, t=6, W=0.7)
+        else:
+            circuit, init, _ = _trotter_case(4)
+        spec = NoiseSpec(**HIGH_NOISE, seed=41)
+        expected = run_noisy(circuit, init, spec, shots=300).counts
+        monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: 0)
+        assert run_noisy(circuit, init, spec, shots=300).counts == expected
 
 
 class TestCallCount:

@@ -15,9 +15,9 @@ from fcqw.observables import (
     site_density_exact,
 )
 from fcqw.statevec import (
+    StateVector,
     basis_state,
     bitstring_to_index,
-    from_amplitudes,
     one_hot_state,
     index_to_bitstring,
     sample_bitstrings,
@@ -52,7 +52,7 @@ class TestExactDensity:
         amps = np.zeros(8, dtype=complex)
         amps[bitstring_to_index("100")] = 1 / np.sqrt(2)
         amps[bitstring_to_index("010")] = 1 / np.sqrt(2)
-        d = site_density_exact(from_amplitudes(amps))
+        d = site_density_exact(StateVector(3, amps))
         assert np.max(np.abs(d.p - [0.5, 0.5, 0.0])) < 1e-12
 
     def test_two_particle_state_sums_to_two(self):
@@ -104,7 +104,7 @@ class TestCountDensity:
     def test_matches_exact_density_at_many_shots(self):
         rng = np.random.default_rng(15)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = from_amplitudes(amps / np.linalg.norm(amps))
+        state = StateVector(3, amps / np.linalg.norm(amps))
         draws = sample_bitstrings(state, 100_000, seed=3)
         counts: dict[str, int] = {}
         for s in draws:

@@ -5,13 +5,13 @@ from fcqw.statevec import (
     GateInstruction,
     H_MATRIX,
     HY_MATRIX,
+    StateVector,
     apply_gate,
     apply_gate_inplace,
     apply_matrix_inplace,
     basis_state,
     bitstring_to_index,
     cnot,
-    from_amplitudes,
     gate_matrix,
     h,
     hy,
@@ -25,7 +25,6 @@ from fcqw.statevec import (
     shot_words,
     swap,
     swap_as_cnots,
-    total_probability,
     words_rng,
 )
 
@@ -65,7 +64,7 @@ def random_unitary(rng, d):
 
 def random_state(rng, L):
     amps = rng.normal(size=1 << L) + 1j * rng.normal(size=1 << L)
-    return from_amplitudes(amps / np.linalg.norm(amps))
+    return StateVector(L, amps / np.linalg.norm(amps))
 
 
 def all_gate_samples():
@@ -242,7 +241,7 @@ class TestOneHotState:
         state = one_hot_state(8, 0)
         probs = np.abs(state.amplitudes) ** 2
         assert probs[1 << 0] == 1.0
-        assert total_probability(state) == 1.0
+        assert np.sum(probs) == 1.0
 
     def test_ipr_of_one_hot_is_one(self):
         from fcqw.observables import ipr, post_process, site_density_exact
@@ -262,7 +261,7 @@ class TestSampling:
         assert draws == ["10"] * 100
 
     def test_uniform_qubit_fraction(self):
-        state = from_amplitudes(np.array([1.0, 1.0]) / np.sqrt(2))
+        state = StateVector(1, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2))
         draws = sample_bitstrings(state, 10000, seed=42)
         frac = sum(1 for d in draws if d == "1") / 10000
         assert abs(frac - 0.5) < 0.02  # 3 sigma of a fair binomial is 0.015
