@@ -204,8 +204,8 @@ def _read_streams(words: np.ndarray, probs: np.ndarray, cnots: np.ndarray,
         k = np.bincount(shot, minlength=len(raw))
         rank = np.arange(len(shot)) - (np.cumsum(k) - k)[shot]
         # an overflowing shot reads words in range here and is replayed below
-        at = np.minimum(rank // 2, pauli) + n
-        half = raw[shot, at] >> (rank % 2 * 32).astype(np.uint64) & 0xFFFFFFFF
+        word = np.minimum(rank // 2, pauli) + n
+        half = raw[shot, word] >> (rank % 2 * 32).astype(np.uint64) & 0xFFFFFFFF
         m = half * choices[gate]
         code = (m >> 32) + 1
         at = np.minimum((k + 1) // 2, pauli) + n
