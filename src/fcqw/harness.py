@@ -157,15 +157,6 @@ def _noise_spec(noise_data, seed) -> NoiseSpec:
     return NoiseSpec(**noise_data)
 
 
-def _builds_circuits(cfg: ExperimentConfig) -> bool:
-    """Whether the run builds L-qubit circuits, which cap L at MAX_QUBITS."""
-    if cfg.kind == "nonchiral_localization":
-        return _method(cfg) == "statevector"
-    if cfg.kind == "amplitude_scaling":
-        return cfg.axis == "steps_at_fixed_L"
-    return cfg.kind != "disorder_spectra"
-
-
 def validate_config(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict) or "kind" not in data:
         raise ConfigError("missing required field", ["kind"])
@@ -191,8 +182,8 @@ def validate_config(data: dict) -> ExperimentConfig:
     problems = []
     if not _int_in(cfg.L, 2):  # a walk, a chain and level spacings need two sites
         problems.append("L")
-    elif _builds_circuits(cfg) and cfg.L > MAX_QUBITS:
-        problems.append("L")
+    elif cfg.L > MAX_QUBITS and _method(cfg) == "statevector" and cfg.axis == "steps_at_fixed_L":
+        problems.append("L")  # an L-qubit circuit; the size axis sets its widths by `values`
     if not _int_in(cfg.realizations, 1):
         problems.append("realizations")
     for name in ("W", "J"):
@@ -221,8 +212,6 @@ def validate_config(data: dict) -> ExperimentConfig:
             problems.append("start_site")
     if cfg.chirality not in ("right", "left"):
         problems.append("chirality")
-    if "steps" in keys and not _nonempty_list(cfg.steps, lambda t: _int_in(t, 0)):
-        problems.append("steps")
     if not _int_in(cfg.sweep_seeds, 1):
         problems.append("sweep_seeds")
     if not _int_in(cfg.trotter_n, 1):
@@ -235,14 +224,21 @@ def validate_config(data: dict) -> ExperimentConfig:
         problems.append("shots")
     if not isinstance(cfg.output_dir, str):
         problems.append("output_dir")
-    for name in ("W_values", "times"):
+    points = (
+        ("steps", lambda t: _int_in(t, 0)),
+        ("times", lambda t: _is_finite_real(t) and t >= 0),
+        ("W_values", _is_finite_real),
+    )
+    for name, ok in points:
         if name not in keys:
             continue
         values = getattr(cfg, name)
-        if not _nonempty_list(values, _is_finite_real) or (name == "times" and min(values) < 0):
+        if not _nonempty_list(values, ok):
             problems.append(name)
         elif len({_point_key(v) for v in values}) < len(values):
             problems.append(name)  # two points would share a noise stream
+        elif name == "W_values" and len({_wtag(v) for v in values}) < len(values):
+            problems.append(name)  # two W values would write the same files
     if problems:
         raise ConfigError("invalid field values", problems)
     return cfg
@@ -286,6 +282,11 @@ def _point_key(value: float) -> int:
     return int(round(value * 1000))
 
 
+def _wtag(W: float) -> str:
+    """The tag of a W value in the names of its CSV and QASM files."""
+    return f"W{W:g}"
+
+
 def _rsquared(x: np.ndarray, y: np.ndarray) -> float:
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
@@ -304,10 +305,14 @@ def _check(name: str, passed, detail: str) -> dict:
 
 
 def _method(cfg: ExperimentConfig) -> str:
-    """The resolved ``method`` of a nonchiral_localization run."""
-    if cfg.method == "auto":
-        return "single_particle" if (cfg.noise is None and cfg.L > 12) else "statevector"
-    return cfg.method
+    """The resolved ``method``: ``statevector`` for a walk; ``auto`` takes
+    the exact L x L propagator for a noiseless XY chain past L = 12."""
+    if cfg.kind == "disorder_spectra":
+        return "single_particle"  # L x L operators, no circuit
+    if cfg.method != "auto":  # only nonchiral_localization takes the key
+        return cfg.method
+    exact = cfg.kind == "nonchiral_localization" and cfg.noise is None and cfg.L > 12
+    return "single_particle" if exact else "statevector"
 
 
 def _sweep(cfg: ExperimentConfig) -> tuple[list[float], list]:
@@ -318,9 +323,11 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[float], list]:
     return ([cfg.W] if cfg.kind == "chiral_propagation" else cfg.W_values), cfg.steps
 
 
-def _point_circuit(cfg: ExperimentConfig, profile: PotentialProfile, x) -> Circuit:
+def _point_circuit(cfg: ExperimentConfig, profile: PotentialProfile, x) -> Circuit | None:
     """The circuit of a measured point: the x-step walk, or the trotterized
-    XY chain evolved to time x."""
+    XY chain evolved to time x; None where the exact propagator replaces it."""
+    if _method(cfg) == "single_particle":
+        return None
     if cfg.kind == "nonchiral_localization":
         return build_xy_trotter(cfg.L, profile, TrotterConfig(cfg.J, float(x), cfg.trotter_n))
     return build_fcqw_walk(cfg.L, profile, x, cfg.chirality)
@@ -328,12 +335,11 @@ def _point_circuit(cfg: ExperimentConfig, profile: PotentialProfile, x) -> Circu
 
 def _qasm_name(cfg: ExperimentConfig, W: float, x) -> str | None:
     """QASM file name of the point (W, x), or None if it has no file: every
-    walk point has one, a Trotter sweep one for its last time."""
-    if cfg.kind in ("chiral_propagation", "chiral_robustness"):
-        return f"circuit_W{W:g}_t{x}.qasm"
-    if cfg.kind == "nonchiral_localization" and _method(cfg) == "statevector":
-        return f"circuit_W{W:g}.qasm" if x == cfg.times[-1] else None
-    return None
+    walk point has one, a Trotter sweep one for its latest time."""
+    if cfg.kind != "nonchiral_localization":
+        return f"circuit_{_wtag(W)}_t{x}.qasm"
+    latest = _method(cfg) == "statevector" and x == max(cfg.times)
+    return f"circuit_{_wtag(W)}.qasm" if latest else None
 
 
 def _write_qasm(outdir: Path, name: str, circuit: Circuit) -> Path:
@@ -342,13 +348,17 @@ def _write_qasm(outdir: Path, name: str, circuit: Circuit) -> Path:
     return path
 
 
-def _measure(cfg: ExperimentConfig, circuit: Circuit, W: float, x):
-    """Raw site density of the one-hot start after ``circuit``, the point
-    (W, x), and its shot counts (None when noiseless).  A noiseless density
-    is a column of the sector matrix; a noisy point draws ``cfg.shots``
-    shots from a stream keyed by the point (a walk step keys as itself)."""
+def _measure(cfg: ExperimentConfig, profile: PotentialProfile, circuit: Circuit | None, W, x):
+    """Raw site density of the one-hot start at the point (W, x), and its
+    shot counts (None when noiseless).  A noiseless density is a column of
+    the sector matrix, reduced from ``circuit`` or, without one, the exact
+    XY propagator; a noisy point draws ``cfg.shots`` shots from a stream
+    keyed by the point (a walk step keys as itself)."""
     if cfg.noise is None:
-        op = reduce_to_single_particle(circuit)
+        if circuit is None:
+            op = xy_step_operator(cfg.L, profile, cfg.J, float(x))
+        else:
+            op = reduce_to_single_particle(circuit)
         return SiteDistribution(np.abs(op.matrix[:, cfg.start_site]) ** 2), None
     step_key = _point_key(x) if cfg.kind == "nonchiral_localization" else x
     seed = derived_seed(cfg.noise.seed, step_key, _point_key(W))
@@ -357,34 +367,66 @@ def _measure(cfg: ExperimentConfig, circuit: Circuit, W: float, x):
     return site_density_counts(result, cfg.L), result
 
 
-def _site_rows(step, dist: SiteDistribution):
-    return [(step, site + 1, float(p)) for site, p in enumerate(dist.p)]
+def _beyond_barrier(profile: PotentialProfile) -> list[int]:
+    """Sites outside a box barrier: neither a wall nor in the well, which
+    lies strictly between the first two wall segments.  No walls, no barrier."""
+    walls = [i for i, v in enumerate(profile.u) if v != 0.0]
+    if not walls:
+        return []
+    gaps = [(a, b) for a, b in zip(walls, walls[1:]) if b > a + 1]
+    well = range(gaps[0][0] + 1, gaps[0][1]) if gaps else range(0)
+    return [i for i in range(profile.num_sites) if i not in walls and i not in well]
 
 
-def _run_chiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
-    checks, summaries = [], []
-    W_values, steps = _sweep(cfg)
+def _run_points(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
+    """The walk and XY-chain kinds: for each W and each step or time,
+    measure the point, post-process it, and write its site rows, its
+    summary row and its QASM file if it has one."""
+    walk = cfg.kind != "nonchiral_localization"
+    W_values, points = _sweep(cfg)
+    summaries, mitigations = [], []
     for W in W_values:
         profile = _profile_for(cfg, W)
-        wtag = f"W{W:g}"
+        beyond = _beyond_barrier(profile)
         site_rows, summary_rows, mitigation_rows = [], [], []
-        for t in steps:
-            circuit = _point_circuit(cfg, profile, t)
-            raw, result = _measure(cfg, circuit, W, t)
+        for x in points:
+            circuit = _point_circuit(cfg, profile, x)
+            raw, result = _measure(cfg, profile, circuit, W, x)
             density = post_process(raw)
-            target = (cfg.start_site + t) % cfg.L
-            site_rows += _site_rows(t, density)
-            summary_rows.append((t, ipr(density), peak_amplitude(density, target)))
-            if result is not None:
+            peak_site = (cfg.start_site + x) % cfg.L if walk else cfg.start_site
+            site_rows += [(x, site + 1, float(p)) for site, p in enumerate(density.p)]
+            row = (x, ipr(density), peak_amplitude(density, peak_site))
+            summary_rows.append(row if walk else (*row, float(np.sum(density.p[beyond]))))
+            if walk and result is not None:
                 restricted = restricted_site_density_counts(result, cfg.L)
-                peaks = [peak_amplitude(d, target) for d in (density, raw, restricted)]
-                mitigation_rows.append((t, *peaks))
-            _write_qasm(outdir, _qasm_name(cfg, W, t), circuit)
+                peaks = [peak_amplitude(d, peak_site) for d in (density, raw, restricted)]
+                mitigation_rows.append((x, *peaks))
+            name = _qasm_name(cfg, W, x)
+            if name is not None:
+                _write_qasm(outdir, name, circuit)
+        wtag = _wtag(W)
+        header = ["step", "ipr", "peak_amplitude"] + ([] if walk else ["prob_beyond_barrier"])
         write_csv(outdir / f"site_density_{wtag}.csv", ["step", "site", "probability"], site_rows)
-        write_csv(outdir / f"summary_{wtag}.csv", ["step", "ipr", "peak_amplitude"], summary_rows)
+        write_csv(outdir / f"summary_{wtag}.csv", header, summary_rows)
+        if mitigation_rows:
+            write_csv(
+                outdir / f"mitigation_{wtag}.csv",
+                ["step", "peak_post_processed", "peak_raw", "peak_sector_restricted"],
+                mitigation_rows,
+            )
+        summaries.append(summary_rows)
+        mitigations.append(mitigation_rows)
+    return (_walk_checks if walk else _chain_checks)(cfg, summaries, mitigations)
+
+
+def _walk_checks(cfg: ExperimentConfig, summaries: list, mitigations: list) -> list[dict]:
+    W_values, steps = _sweep(cfg)
+    checks = []
+    for W, rows, mitigation_rows in zip(W_values, summaries, mitigations):
+        wtag = _wtag(W)
         if cfg.noise is None:
-            worst = max(abs(peak - 1.0) for _, _, peak in summary_rows)
-            worst_ipr = max(abs(v - 1.0) for _, v, _ in summary_rows)
+            worst = max(abs(peak - 1.0) for _, _, peak in rows)
+            worst_ipr = max(abs(v - 1.0) for _, v, _ in rows)
             checks += [
                 _check(
                     f"ballistic_peak_exact_{wtag}",
@@ -394,11 +436,6 @@ def _run_chiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
                 _check(f"ipr_unity_{wtag}", worst_ipr < 1e-12, f"max |ipr - 1| = {worst_ipr:.3e}"),
             ]
         else:
-            write_csv(
-                outdir / f"mitigation_{wtag}.csv",
-                ["step", "peak_post_processed", "peak_raw", "peak_sector_restricted"],
-                mitigation_rows,
-            )
             checks.append(
                 _check(
                     f"post_processing_benefit_{wtag}",
@@ -406,7 +443,6 @@ def _run_chiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
                     "post-processed peak vs weight-1-restricted peak per step",
                 )
             )
-        summaries.append(summary_rows)
     if cfg.kind == "chiral_robustness" and cfg.noise is not None and len(W_values) >= 2:
         last = steps.index(max(steps))
         _, ipr0, peak0 = summaries[0][last]
@@ -424,83 +460,39 @@ def _run_chiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
     return checks
 
 
-def _beyond_barrier(profile: PotentialProfile) -> list[int]:
-    """Sites outside a box barrier: neither a wall nor in the well, which
-    lies strictly between the first two wall segments.  No walls, no barrier."""
-    walls = [i for i, v in enumerate(profile.u) if v != 0.0]
-    if not walls:
+def _chain_checks(cfg: ExperimentConfig, summaries: list, _mitigations) -> list[dict]:
+    if cfg.noise is not None or len(cfg.W_values) < 2:
         return []
-    gaps = [(a, b) for a, b in zip(walls, walls[1:]) if b > a + 1]
-    well = range(gaps[0][0] + 1, gaps[0][1]) if gaps else range(0)
-    return [i for i in range(profile.num_sites) if i not in walls and i not in well]
-
-
-def _run_nonchiral(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
-    method = _method(cfg)
-    W_values, times = _sweep(cfg)
-    summary_by_W: dict[float, list[tuple]] = {}
-    for W in W_values:
-        profile = _profile_for(cfg, W)
-        beyond = _beyond_barrier(profile)
-        wtag = f"W{W:g}"
-        site_rows, summary_rows = [], []
-        for time in times:
-            if method == "single_particle":
-                op = xy_step_operator(cfg.L, profile, cfg.J, float(time))
-                raw = SiteDistribution(np.abs(op.matrix[:, cfg.start_site]) ** 2)
-            else:
-                circuit = _point_circuit(cfg, profile, time)
-                raw, _ = _measure(cfg, circuit, W, time)
-                name = _qasm_name(cfg, W, time)
-                if name is not None:
-                    _write_qasm(outdir, name, circuit)
-            density = post_process(raw)
-            p_beyond = float(np.sum(density.p[beyond])) if beyond else 0.0
-            site_rows += _site_rows(time, density)
-            summary_rows.append(
-                (time, ipr(density), float(density.p[cfg.start_site]), p_beyond)
-            )
-        summary_by_W[W] = summary_rows
-        write_csv(outdir / f"site_density_{wtag}.csv", ["step", "site", "probability"], site_rows)
-        write_csv(
-            outdir / f"summary_{wtag}.csv",
-            ["step", "ipr", "peak_amplitude", "prob_beyond_barrier"],
-            summary_rows,
-        )
-
-    checks = []
-    quantitative = cfg.noise is None and len(W_values) >= 2
-    if quantitative and method == "statevector":
+    if _method(cfg) == "statevector":
         # a coarse step is a different Floquet system (the potential phase
         # aliases), so the continuum-confinement bars only apply when the
         # trotterization resolves the dynamics
-        quantitative = max(times) / cfg.trotter_n <= 0.25
-    if quantitative:
-        if method == "single_particle":
-            # bars frozen from the dense-exponential oracle: the stated
-            # factor 2 holds at L=20; on the L=8 ring the free packet
-            # partially refocuses, lowering the contrast to ~1.56
-            ratio_bar = 2.0 if cfg.L >= 12 else 1.5
-        else:
-            ratio_bar = 1.3  # trotterized circuit adds splitting error
-        w_lo, w_hi = min(W_values), max(W_values)
-        ipr_lo = summary_by_W[w_lo][-1][1]
-        ipr_hi = summary_by_W[w_hi][-1][1]
-        worst_beyond = max(row[3] for row in summary_by_W[w_hi])
-        checks += [
-            _check(
-                "localization_ipr_ratio",
-                ipr_hi >= ratio_bar * ipr_lo,
-                f"ipr(t_max, W={w_hi}) = {ipr_hi:.4f} vs "
-                f"ipr(t_max, W={w_lo}) = {ipr_lo:.4f} (bar {ratio_bar}x)",
-            ),
-            _check(
-                "confinement_beyond_barrier",
-                worst_beyond < 0.2,
-                f"max probability beyond barrier at W={w_hi}: {worst_beyond:.4f}",
-            ),
-        ]
-    return checks
+        if max(cfg.times) / cfg.trotter_n > 0.25:
+            return []
+        ratio_bar = 1.3  # trotterized circuit adds splitting error
+    else:
+        # bars frozen from the dense-exponential oracle: the stated
+        # factor 2 holds at L=20; on the L=8 ring the free packet
+        # partially refocuses, lowering the contrast to ~1.56
+        ratio_bar = 2.0 if cfg.L >= 12 else 1.5
+    latest = cfg.times.index(max(cfg.times))
+    rows = dict(zip(cfg.W_values, summaries))
+    w_lo, w_hi = min(rows), max(rows)
+    ipr_lo, ipr_hi = rows[w_lo][latest][1], rows[w_hi][latest][1]
+    worst_beyond = max(row[3] for row in rows[w_hi])
+    return [
+        _check(
+            "localization_ipr_ratio",
+            ipr_hi >= ratio_bar * ipr_lo,
+            f"ipr(t_max, W={w_hi}) = {ipr_hi:.4f} vs "
+            f"ipr(t_max, W={w_lo}) = {ipr_lo:.4f} (bar {ratio_bar}x)",
+        ),
+        _check(
+            "confinement_beyond_barrier",
+            worst_beyond < 0.2,
+            f"max probability beyond barrier at W={w_hi}: {worst_beyond:.4f}",
+        ),
+    ]
 
 
 def _run_disorder_spectra(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
@@ -591,9 +583,9 @@ def _run_amplitude_scaling(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
 
 
 _RUNNERS = {
-    "chiral_propagation": _run_chiral,
-    "chiral_robustness": _run_chiral,
-    "nonchiral_localization": _run_nonchiral,
+    "chiral_propagation": _run_points,
+    "chiral_robustness": _run_points,
+    "nonchiral_localization": _run_points,
     "disorder_spectra": _run_disorder_spectra,
     "amplitude_scaling": _run_amplitude_scaling,
 }
@@ -642,16 +634,14 @@ def emit_experiment_qasm(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
     """Write only the QASM files ``run_experiment`` writes, from the same
     circuits; the kinds without circuit points write none."""
     outdir = Path(output_dir or cfg.output_dir or f"results/{cfg.kind}")
+    W_values, points = _sweep(cfg)
     with _output_dir(outdir):
-        paths = []
-        W_values, points = _sweep(cfg)
-        for W in W_values:
-            profile = _profile_for(cfg, W)
-            for x in points:
-                name = _qasm_name(cfg, W, x)
-                if name is not None:
-                    paths.append(_write_qasm(outdir, name, _point_circuit(cfg, profile, x)))
-    return paths
+        return [
+            _write_qasm(outdir, name, _point_circuit(cfg, _profile_for(cfg, W), x))
+            for W in W_values
+            for x in points
+            if (name := _qasm_name(cfg, W, x)) is not None
+        ]
 
 
 def check_result_dir(path) -> tuple[bool, list[str]]:
@@ -662,17 +652,21 @@ def check_result_dir(path) -> tuple[bool, list[str]]:
     try:
         manifest = json.loads((outdir / "manifest.json").read_text())
         report = json.loads((outdir / "checks.json").read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return False, [f"unreadable result dir: {exc}"]
+    checks = report.get("checks", []) if isinstance(report, dict) else None
+    if not (isinstance(manifest, dict) and isinstance(checks, list)
+            and all(isinstance(check, dict) for check in checks)):
+        return False, ["unreadable result dir: manifest.json or checks.json has the wrong shape"]
     expected = content_hash(manifest.get("config", {}))
     if manifest.get("content_hash") != expected:
         ok = False
         messages.append("manifest content hash does not match the stored config")
-    for check in report.get("checks", []):
+    for check in checks:
         status = "PASS" if check.get("passed") else "FAIL"
         messages.append(f"{status} {check.get('name')}: {check.get('detail', '')}")
         if not check.get("passed"):
             ok = False
-    if not report.get("checks"):
+    if not checks:
         messages.append("no checks recorded")
     return ok, messages

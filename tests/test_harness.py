@@ -111,12 +111,14 @@ class TestValidation:
             ("noisy", "shots", 2.5, "shots"),
             ("localization", "trotter_n", 2.5, "trotter_n"),
             ("chiral", "steps", [-1], "steps"),
+            ("chiral", "steps", [2, 2], "steps"),
             ("noisy", "steps", [], "steps"),
             ("scaling", "values", ["a"], "values"),
             ("scaling", "values", [1.5], "values"),
             ("localization", "times", [], "times"),
             ("localization", "W_values", [], "W_values"),
             ("robustness", "W_values", [], "W_values"),
+            ("robustness", "W_values", [1234567.0, 1234568.0], "W_values"),
             ("localization", "method", "single_particle", "method"),
             ("noisy", "seed", -1, "seed"),
             ("chiral", "start_site", 1.5, "start_site"),
@@ -130,8 +132,9 @@ class TestValidation:
         ],
         ids=[
             "L_string", "L_30", "L_1", "shots_2.5", "trotter_n_2.5", "steps_negative",
-            "steps_empty", "values_string", "values_1.5", "times_empty",
+            "steps_duplicate", "steps_empty", "values_string", "values_1.5", "times_empty",
             "W_values_empty_localization", "W_values_empty_robustness",
+            "W_values_sharing_a_file_tag",
             "method_single_particle_with_noise", "seed_negative", "start_site_1.5",
             "box_profile_at_L4", "custom_u_string", "sweep_seeds_0", "output_dir_number",
             "noise_not_an_object", "noise_probability_string", "scaling_without_noise",
@@ -320,6 +323,25 @@ class TestNonchiralLocalization:
         report = json.loads((outdir / "checks.json").read_text())
         assert report["checks"] == []
 
+    @pytest.mark.parametrize(
+        "method, L", [("single_particle", 20), ("statevector", 8)], ids=["exact", "trotter"]
+    )
+    def test_checks_and_qasm_independent_of_time_order(self, tmp_path, method, L):
+        # the ipr ratio and the QASM file are taken at the latest time,
+        # wherever it is listed
+        outputs = []
+        for times in ([0.1, 2.0], [2.0, 0.1]):
+            outdir = run_experiment(validate_config({
+                "kind": "nonchiral_localization", "L": L, "times": times,
+                "W_values": [0.0, 6.0], "profile": "box", "start_site": 3, "method": method,
+                "trotter_n": 8, "output_dir": str(tmp_path / str(times)),
+            }))
+            names = ["checks.json"] + sorted(p.name for p in outdir.glob("*.qasm"))
+            outputs.append({name: (outdir / name).read_bytes() for name in names})
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]["checks.json"])["all_passed"]
+        assert len(outputs[0]) == (1 if method == "single_particle" else 3)
+
     def test_statevector_method_writes_qasm(self, tmp_path):
         cfg = validate_config(
             {
@@ -432,6 +454,19 @@ class TestCheckResultDir:
     def test_missing_dir(self, tmp_path):
         ok, messages = check_result_dir(tmp_path / "nope")
         assert not ok
+
+    @pytest.mark.parametrize(
+        "name, document",
+        [("manifest.json", []), ("checks.json", {"checks": ["passed"]}), ("checks.json", [])],
+        ids=["manifest_list", "check_string", "report_list"],
+    )
+    def test_wrong_shaped_json_is_unreadable(self, tmp_path, capsys, name, document):
+        outdir = run_experiment(validate_config(chiral_config(tmp_path)))
+        (outdir / name).write_text(json.dumps(document))
+        ok, messages = check_result_dir(outdir)
+        assert not ok
+        assert messages[0].startswith("unreadable result dir")
+        assert main(["check", str(outdir)]) == 1
 
 
 def _crash(*args, **kwargs):

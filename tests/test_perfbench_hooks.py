@@ -42,3 +42,12 @@ def test_run_noisy_result_reports_shots():
     circuit = build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), 2)
     result = run_noisy(circuit, statevec.one_hot_state(L, 0), NoiseSpec(seed=1), 10)
     assert result.shots == 10
+
+
+@pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
+def test_every_workload_config_validates(perfbench_module, tiny):
+    # building a workload validates its configs and runs nothing, so a
+    # tightened validation cannot reject a benchmark config unnoticed
+    workloads = perfbench_module("workloads")
+    for name in workloads.WORKLOADS:
+        assert workloads.build(name, 1, PERFBENCH.parent, tiny)
