@@ -56,18 +56,15 @@ class QuasiEnergySpectrum:
 
 @dataclass
 class LevelSpacingStats:
-    mean_spacing: float
-    spacing_variance: float
-    min_spacing: float
+    mean_spacing: np.ndarray
+    spacing_variance: np.ndarray
+    min_spacing: np.ndarray
 
 
 @dataclass(frozen=True)
 class DisorderEnsemble:
-    """Seeded ensemble of disorder realizations at strength W.
-
-    ``uniform_symmetric`` draws u_i uniform on [-1, 1] per site;
-    ``box_profile`` repeats the fixed square-box pattern.
-    """
+    """Seeded ensemble of disorder realizations at strength W, each u_i
+    uniform on [-1, 1] (``uniform_symmetric``, the one distribution)."""
 
     realizations: int
     W: float
@@ -77,7 +74,7 @@ class DisorderEnsemble:
     def __post_init__(self):
         if self.realizations < 1:
             raise ValueError("ensemble needs at least one realization")
-        if self.distribution not in ("uniform_symmetric", "box_profile"):
+        if self.distribution != "uniform_symmetric":
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
@@ -86,17 +83,10 @@ def unitarity_deviation(m: np.ndarray) -> float:
 
 
 def sample_disorder_profiles(ensemble: DisorderEnsemble, L: int) -> list[PotentialProfile]:
-    """One profile per realization, each from its own seeded substream."""
-    profiles = []
-    for r in range(ensemble.realizations):
-        if ensemble.distribution == "box_profile":
-            profiles.append(PotentialProfile.box(L, ensemble.W))
-        else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(ensemble.seed, spawn_key=(r,))
-            )
-            profiles.append(PotentialProfile.random_symmetric(L, ensemble.W, rng))
-    return profiles
+    """One profile per realization r, from the substream spawn_key=(r,) of the seed."""
+    seqs = np.random.SeedSequence(ensemble.seed).spawn(ensemble.realizations)
+    return [PotentialProfile.random_symmetric(L, ensemble.W, np.random.default_rng(q))
+            for q in seqs]
 
 
 # ---------------------------------------------------------------------------
@@ -110,25 +100,33 @@ def shift_matrix(L: int, chirality: str = "right") -> np.ndarray:
     return s
 
 
-def onsite_phases(profile: PotentialProfile) -> np.ndarray:
-    """Phases the onsite rz layer applies to each one-hot state.
+def onsite_phases(u: np.ndarray, W: float) -> np.ndarray:
+    """Phases the onsite rz layer applies to each one-hot state, along u's last axis.
 
     Site j's own gate contributes e^{+i W u_j} and every other site's gate
     contributes its empty-branch factor e^{-i W u_k}, so the one-excitation
     diagonal is exp(i W (2 u_j - sum(u))).
     """
-    u = profile.u
-    return profile.W * (2.0 * u - np.sum(u))
+    return W * (2.0 * u - np.sum(u, axis=-1, keepdims=True))
+
+
+def chiral_step_matrices(u: np.ndarray, W: float, chirality: str = "right") -> np.ndarray:
+    """Walk-step matrices shift x diag(e^{i onsite phases}), one L x L matrix
+    per pattern along the last axis of ``u``: (..., L) -> (..., L, L)."""
+    d = np.exp(1j * onsite_phases(u, W))
+    return shift_matrix(u.shape[-1], chirality) * d[..., np.newaxis, :]
 
 
 def fcqw_step_operator(
     L: int, profile: PotentialProfile, chirality: str = "right"
 ) -> SingleParticleOperator:
-    """One-excitation matrix of one walk step: shift times diagonal phases."""
+    """One-excitation matrix of one walk step: shift times diagonal phases.
+    A permutation times unit phases is unitary, so the check is skipped."""
     if profile.num_sites != L:
         raise ValueError(f"profile has {profile.num_sites} sites, expected {L}")
-    d = np.exp(1j * onsite_phases(profile))
-    return SingleParticleOperator(shift_matrix(L, chirality) * d[np.newaxis, :])
+    op = object.__new__(SingleParticleOperator)
+    op.matrix = chiral_step_matrices(profile.u, profile.W, chirality)
+    return op
 
 
 def xy_chain_hamiltonian(
@@ -147,7 +145,7 @@ def xy_chain_hamiltonian(
     hmat[i, i + 1] = hmat[i + 1, i] = -2.0 * J
     if periodic and L > 2:
         hmat[0, L - 1] = hmat[L - 1, 0] = -2.0 * J
-    np.fill_diagonal(hmat, profile.W * (np.sum(profile.u) - 2.0 * profile.u))
+    np.fill_diagonal(hmat, -onsite_phases(profile.u, profile.W))
     return hmat
 
 
@@ -165,12 +163,12 @@ def xy_step_operator(
     return SingleParticleOperator(u)
 
 
-def xy_step_phases(L: int, profile: PotentialProfile, J: float = 1.0) -> np.ndarray:
-    """Phases of the open chain's one-step :func:`xy_step_operator`, [0, 2pi) ascending,
-    as e^{-i E} of the tridiagonal H's energies E: zgeev's to rounding, no unitary built."""
-    hmat = xy_chain_hamiltonian(L, profile, J)
-    energies = scipy.linalg.eigvalsh_tridiagonal(np.diag(hmat).real, np.diag(hmat, 1).real)
-    return np.sort(_phases_0_2pi(np.exp(-1j * energies)))
+def xy_step_phases(u: np.ndarray, W: float, J: float = 1.0) -> np.ndarray:
+    """Phases of the open chain's one-step :func:`xy_step_operator` along u's last axis, [0, 2pi)
+    ascending, as e^{-i E} of each tridiagonal H's energies E: zgeev's to rounding, no unitary."""
+    diag, off = -onsite_phases(u, W), np.full(u.shape[-1] - 1, -2.0 * J)
+    energies = [scipy.linalg.eigvalsh_tridiagonal(d, off) for d in diag.reshape(-1, u.shape[-1])]
+    return np.sort(_phases_0_2pi(np.exp(-1j * np.reshape(energies, u.shape))), axis=-1)
 
 
 def _apply_block(u: np.ndarray, block: Block) -> None:
@@ -272,7 +270,7 @@ def winding_number(samples) -> int:
 
 
 def _phases_0_2pi(eigenvalues: np.ndarray) -> np.ndarray:
-    """Angles of unit-modulus eigenvalues, wrapped into [0, 2pi)."""
+    """Angles of unit-modulus eigenvalues, wrapped into [0, 2pi), elementwise."""
     phases = np.angle(eigenvalues)
     phases = np.where(phases < 0.0, phases + 2.0 * np.pi, phases)
     phases[phases >= 2.0 * np.pi] -= 2.0 * np.pi
@@ -309,39 +307,40 @@ def quasi_energy_spectrum(op: SingleParticleOperator) -> QuasiEnergySpectrum:
     return QuasiEnergySpectrum(phases[order], q[:, order])
 
 
-def quasi_energy_phases(op: SingleParticleOperator) -> np.ndarray:
-    """Eigenphases in [0, 2pi), ascending, with no eigenvectors formed.
+def quasi_energy_phases(matrices: np.ndarray) -> np.ndarray:
+    """Eigenphases in [0, 2pi), ascending, with no eigenvectors formed, of
+    an L x L unitary or of each one in a stack: (..., L, L) -> (..., L).
 
-    One eigenvalue-only LAPACK solve (zgeev without vectors).  A unitary
-    has unit-norm rows and columns, so zgeev's balancing changes nothing,
-    and it then runs the same Hessenberg reduction and QR iterations on
-    the eigenvalues as the Schur decomposition in
-    :func:`quasi_energy_spectrum`, whose Schur vectors never feed back
-    into them: the phases equal that function's ``eigenphases`` bit for
-    bit, at about half the cost.  See :func:`xy_step_phases` for the XY chain.
+    One ``np.linalg.eigvals`` call runs an eigenvalue-only zgeev per matrix,
+    alone or in a stack.  A unitary has unit-norm rows and columns, so
+    zgeev's balancing changes nothing, and it then runs the same Hessenberg
+    reduction and QR iterations on the eigenvalues as the Schur decomposition
+    in :func:`quasi_energy_spectrum`, whose Schur vectors never feed back into
+    them: the phases equal its ``eigenphases`` bit for bit, at about half the
+    cost.  See :func:`xy_step_phases` for the XY chain.
     """
-    return np.sort(_phases_0_2pi(np.linalg.eigvals(op.matrix)))
+    return np.sort(_phases_0_2pi(np.linalg.eigvals(matrices)), axis=-1)
 
 
 def level_spacing_stats(eigenphases: np.ndarray) -> LevelSpacingStats:
-    """Circular nearest-neighbour spacing statistics of the eigenphases."""
-    phases = np.sort(eigenphases)
-    if len(phases) < 2:
+    """Circular nearest-neighbour spacing statistics along the last axis."""
+    phases = np.sort(eigenphases, axis=-1)
+    if phases.shape[-1] < 2:
         raise ValueError("need at least two eigenphases for spacings")
-    spacings = np.diff(phases, append=phases[0] + 2.0 * np.pi)
+    spacings = np.diff(phases, axis=-1, append=phases[..., :1] + 2.0 * np.pi)
     return LevelSpacingStats(
-        mean_spacing=float(np.mean(spacings)),
-        spacing_variance=float(np.var(spacings)),
-        min_spacing=float(np.min(spacings)),
+        mean_spacing=np.mean(spacings, axis=-1),
+        spacing_variance=np.var(spacings, axis=-1),
+        min_spacing=np.min(spacings, axis=-1),
     )
 
 
-def predicted_chiral_eigenphases(L: int, profile: PotentialProfile) -> np.ndarray:
-    """Analytic spectrum of shift x diagonal: the characteristic equation is
-    lambda^L = e^{i sum(phases)}, so eigenphases are (sum + 2 pi n) / L."""
-    total = float(np.sum(onsite_phases(profile)))
-    phases = (total + 2.0 * np.pi * np.arange(L)) / L
-    return np.sort(np.mod(phases, 2.0 * np.pi))
+def predicted_chiral_eigenphases(u: np.ndarray, W: float) -> np.ndarray:
+    """Analytic spectrum of :func:`chiral_step_matrices`, along u's last axis: shift x
+    diagonal has lambda^L = e^{i sum(phases)}, so eigenphases are (sum + 2 pi n) / L."""
+    L = u.shape[-1]
+    total = np.sum(onsite_phases(u, W), axis=-1, keepdims=True)
+    return np.sort(np.mod((total + 2.0 * np.pi * np.arange(L)) / L, 2.0 * np.pi), axis=-1)
 
 
 def _shift_gauge(m: np.ndarray) -> tuple[float, np.ndarray] | None:
@@ -395,25 +394,24 @@ def effective_hamiltonian(op: SingleParticleOperator) -> np.ndarray:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """One header row, then the rows; floats (numpy floats too) as their
-    shortest round-tripping repr, LF line endings."""
+    """One header row, then the rows, LF line endings; csv writes a Python float
+    (pass ``ndarray.tolist()``, not numpy scalars) as its shortest round-tripping repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        writer.writerows(rows)
 
 
 def save_spectrum_csv(spectrum: QuasiEnergySpectrum, path) -> None:
     dim = len(spectrum.eigenphases)
     header = ["n", "eigenphase"] + [f"v{j}_{part}" for j in range(dim) for part in ("re", "im")]
     # row n of the float view interleaves re, im of eigenvector n
-    vectors = np.ascontiguousarray(spectrum.eigenvectors.T, dtype=complex).view(float)
-    rows = [[n, phase, *vec] for n, (phase, vec) in enumerate(zip(spectrum.eigenphases, vectors))]
+    vectors = np.ascontiguousarray(spectrum.eigenvectors.T, dtype=complex).view(float).tolist()
+    rows = [[n, p, *vec] for n, (p, vec) in enumerate(zip(spectrum.eigenphases.tolist(), vectors))]
     write_csv(path, header, rows)
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     m = np.ascontiguousarray(matrix, dtype=complex)
     header = [f"c{j}_{part}" for j in range(m.shape[1]) for part in ("re", "im")]
-    write_csv(path, header, m.view(float))
+    write_csv(path, header, m.view(float).tolist())

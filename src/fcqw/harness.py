@@ -33,7 +33,7 @@ from .circuits import (
 from .floquet import (
     DisorderEnsemble,
     chiral_momentum_family,
-    fcqw_step_operator,
+    chiral_step_matrices,
     level_spacing_stats,
     predicted_chiral_eigenphases,
     quasi_energy_phases,
@@ -66,6 +66,9 @@ KINDS = (
 
 #: six uniformly spaced measurement times between the stated endpoints
 NONCHIRAL_TIMES = [0.1, 0.48, 0.86, 1.24, 1.62, 2.0]
+
+#: largest |W| or time: :func:`_point_key` keys one at 1e-3 resolution as an integer
+_POINT_LIMIT = 1e300
 
 
 class ConfigError(ValueError):
@@ -124,11 +127,12 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_finite_real(value) -> bool:
+def _is_finite_real(value, limit: float = math.inf) -> bool:
     return (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
         and math.isfinite(value)
+        and abs(value) <= limit
     )
 
 
@@ -186,8 +190,8 @@ def validate_config(data: dict) -> ExperimentConfig:
         problems.append("L")  # an L-qubit circuit; the size axis sets its widths by `values`
     if not _int_in(cfg.realizations, 1):
         problems.append("realizations")
-    for name in ("W", "J"):
-        if not _is_finite_real(getattr(cfg, name)):
+    for name, limit in (("W", _POINT_LIMIT), ("J", math.inf)):
+        if not _is_finite_real(getattr(cfg, name), limit):
             problems.append(name)
     if cfg.profile not in ("uniform", "box", "custom"):
         problems.append("profile")
@@ -226,8 +230,8 @@ def validate_config(data: dict) -> ExperimentConfig:
         problems.append("output_dir")
     points = (
         ("steps", lambda t: _int_in(t, 0)),
-        ("times", lambda t: _is_finite_real(t) and t >= 0),
-        ("W_values", _is_finite_real),
+        ("times", lambda t: _is_finite_real(t, _POINT_LIMIT) and t >= 0),
+        ("W_values", lambda w: _is_finite_real(w, _POINT_LIMIT)),
     )
     for name, ok in points:
         if name not in keys:
@@ -498,41 +502,40 @@ def _chain_checks(cfg: ExperimentConfig, summaries: list, _mitigations) -> list[
 def _run_disorder_spectra(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
     ensemble = DisorderEnsemble(cfg.realizations, cfg.W, "uniform_symmetric", cfg.seed)
     profiles = sample_disorder_profiles(ensemble, cfg.L)
-    spectra_rows, stats_rows, shift_err = [], [], []
-    variances = {"chiral": [], "nonchiral": []}
-    for r, profile in enumerate(profiles):
-        chiral = quasi_energy_phases(fcqw_step_operator(cfg.L, profile))
-        predicted = predicted_chiral_eigenphases(cfg.L, profile)
-        shift_err.append(_circular_set_distance(chiral, predicted))
-        nonchiral = xy_step_phases(cfg.L, profile, cfg.J)
-        for model, phases in (("chiral", chiral), ("nonchiral", nonchiral)):
-            s = level_spacing_stats(phases)
-            variances[model].append(s.spacing_variance)
-            spectra_rows += [(model, r, n, float(phase)) for n, phase in enumerate(phases)]
-            stats_rows.append((model, r, s.mean_spacing, s.spacing_variance, s.min_spacing))
-    write_csv(outdir / "spectra.csv", ["model", "realization", "n", "eigenphase"], spectra_rows)
+    u = np.array([p.u for p in profiles])
+    chiral = quasi_energy_phases(chiral_step_matrices(u, cfg.W))
+    shift_err = _circular_set_distance(chiral, predicted_chiral_eigenphases(u, cfg.W))
+    # (R, 2, L): each realization's chiral, then XY phases, the row order of both CSVs
+    phases = np.stack([chiral, xy_step_phases(u, cfg.W, cfg.J)], axis=1)
+    s = level_spacing_stats(phases)
+    stats = np.stack([s.mean_spacing, s.spacing_variance, s.min_spacing], axis=-1)
+    models = ("chiral", "nonchiral")
+    rows = ((m, r, n, phase) for r, pair in enumerate(phases.tolist())
+            for m, row in zip(models, pair) for n, phase in enumerate(row))
+    write_csv(outdir / "spectra.csv", ["model", "realization", "n", "eigenphase"], rows)
+    rows = ((m, r, *row) for r, pair in enumerate(stats.tolist()) for m, row in zip(models, pair))
     write_csv(
         outdir / "level_stats.csv",
         ["model", "realization", "mean_spacing", "spacing_variance", "min_spacing"],
-        stats_rows,
+        rows,
     )
     w = winding_number(chiral_momentum_family(256))
-    chiral_var, nonchiral_var = variances["chiral"], variances["nonchiral"]
+    chiral_var, nonchiral_var = s.spacing_variance.T
     return [
         _check(
             "chiral_spectral_rigidity",
-            max(chiral_var) < 1e-18,
-            f"max spacing variance over realizations: {max(chiral_var):.3e}",
+            chiral_var.max() < 1e-18,
+            f"max spacing variance over realizations: {chiral_var.max():.3e}",
         ),
         _check(
             "chiral_shift_matches_analytic",
-            max(shift_err) < 1e-9,
-            f"max eigenphase deviation from analytic shift: {max(shift_err):.3e}",
+            shift_err.max() < 1e-9,
+            f"max eigenphase deviation from analytic shift: {shift_err.max():.3e}",
         ),
         _check(
             "nonchiral_spacings_disordered",
-            min(nonchiral_var) > 1e-6,
-            f"min nonchiral spacing variance: {min(nonchiral_var):.3e}",
+            nonchiral_var.min() > 1e-6,
+            f"min nonchiral spacing variance: {nonchiral_var.min():.3e}",
         ),
         _check(
             "chiral_winding_is_one",
@@ -542,13 +545,12 @@ def _run_disorder_spectra(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
     ]
 
 
-def _circular_set_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max over entries of the wrap-aware distance between two phase sets."""
-    if len(a) != len(b):
-        return float("inf")
-    diff = np.abs(np.subtract.outer(np.sort(a), np.sort(b)))
-    diff = np.minimum(diff, 2.0 * np.pi - diff)
-    return float(np.max(np.min(diff, axis=1)))
+def _circular_set_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max over entries of the wrap-aware distance between two phase sets,
+    per set along the last axis."""
+    diff = np.abs(np.sort(a, axis=-1)[..., :, np.newaxis] - np.sort(b, axis=-1)[..., np.newaxis, :])
+    np.minimum(diff, 2.0 * np.pi - diff, out=diff)
+    return np.max(np.min(diff, axis=-1), axis=-1)
 
 
 def _run_amplitude_scaling(cfg: ExperimentConfig, outdir: Path) -> list[dict]:

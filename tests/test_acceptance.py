@@ -105,7 +105,7 @@ def test_criterion_03_chiral_spectral_rigidity():
         spectrum = quasi_energy_spectrum(fcqw_step_operator(L, profile))
         stats = level_spacing_stats(spectrum.eigenphases)
         worst_variance = max(worst_variance, stats.spacing_variance)
-        predicted = predicted_chiral_eigenphases(L, profile)
+        predicted = predicted_chiral_eigenphases(profile.u, profile.W)
         worst_shift = max(worst_shift, circular_max_distance(spectrum.eigenphases, predicted))
     elapsed = time.monotonic() - t0
     assert worst_variance < 1e-18

@@ -22,6 +22,7 @@ from fcqw.floquet import (
     GridResolutionError,
     SingleParticleOperator,
     chiral_momentum_family,
+    chiral_step_matrices,
     effective_hamiltonian,
     fcqw_step_operator,
     level_spacing_stats,
@@ -40,7 +41,9 @@ from fcqw.floquet import (
     xy_step_operator,
     xy_step_phases,
 )
+from fcqw import floquet
 from fcqw.floquet import _shift_gauge
+from fcqw.harness import _circular_set_distance
 from fcqw.observables import site_density_exact
 from fcqw.statevec import cnot, h, one_hot_state, rz
 
@@ -227,7 +230,7 @@ class TestSpectrum:
         for _ in range(5):
             profile = PotentialProfile.random_symmetric(10, 4.0, rng)
             spec = quasi_energy_spectrum(fcqw_step_operator(10, profile))
-            predicted = predicted_chiral_eigenphases(10, profile)
+            predicted = predicted_chiral_eigenphases(profile.u, profile.W)
             assert np.max(np.abs(np.sort(spec.eigenphases) - predicted)) < 1e-9
 
     def test_spectrum_depends_only_on_total_phase(self):
@@ -319,7 +322,7 @@ class TestPhasesOnly:
         for profile in sample_disorder_profiles(ensemble, L):
             for op in (fcqw_step_operator(L, profile), xy_step_operator(L, profile)):
                 assert np.array_equal(
-                    quasi_energy_phases(op), quasi_energy_spectrum(op).eigenphases
+                    quasi_energy_phases(op.matrix), quasi_energy_spectrum(op).eigenphases
                 )
 
     @pytest.mark.parametrize(
@@ -327,7 +330,7 @@ class TestPhasesOnly:
     )
     def test_matches_schur_phases_exact_cases(self, matrix):
         op = SingleParticleOperator(matrix)
-        assert np.array_equal(quasi_energy_phases(op), quasi_energy_spectrum(op).eigenphases)
+        assert np.array_equal(quasi_energy_phases(op.matrix), quasi_energy_spectrum(op).eigenphases)
 
     @pytest.mark.parametrize("L", [2, 3, 5, 8, 20, 40])
     @pytest.mark.parametrize("W", [0.0, 1.5, 4.0])
@@ -336,16 +339,76 @@ class TestPhasesOnly:
         # not bit for bit, and a phase near 0 may wrap to near 2 pi
         ensemble = DisorderEnsemble(realizations=5, W=W, seed=L)
         for profile in sample_disorder_profiles(ensemble, L):
-            phases = xy_step_phases(L, profile)
+            phases = xy_step_phases(profile.u, profile.W)
             assert np.all((phases >= 0.0) & (phases < 2.0 * np.pi))
             assert np.all(np.diff(phases) >= 0.0)
-            ref = quasi_energy_phases(xy_step_operator(L, profile))
+            ref = quasi_energy_phases(xy_step_operator(L, profile).matrix)
             assert _paired_phase_gap(phases, ref) <= 1e-12
 
     def test_xy_tridiagonal_phases_pass_J(self):
         profile = PotentialProfile.box(8, 2.0)
-        ref = quasi_energy_phases(xy_step_operator(8, profile, J=1.5))
-        assert _paired_phase_gap(xy_step_phases(8, profile, J=1.5), ref) <= 1e-12
+        ref = quasi_energy_phases(xy_step_operator(8, profile, J=1.5).matrix)
+        assert _paired_phase_gap(xy_step_phases(profile.u, profile.W, J=1.5), ref) <= 1e-12
+
+
+def _loop_spacing_stats(phases: np.ndarray) -> tuple[float, float, float]:
+    """Spacing statistics of one spectrum, as the per-realization loop took them."""
+    phases = np.sort(phases)
+    spacings = np.diff(phases, append=phases[0] + 2.0 * np.pi)
+    return float(np.mean(spacings)), float(np.var(spacings)), float(np.min(spacings))
+
+
+def _loop_set_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Wrap-aware distance between two phase sets, one pair at a time."""
+    diff = np.abs(np.subtract.outer(np.sort(a), np.sort(b)))
+    diff = np.minimum(diff, 2.0 * np.pi - diff)
+    return float(np.max(np.min(diff, axis=1)))
+
+
+class TestStackedRealizations:
+    """An (R, L) stack of disorder realizations gives, row by row, the bits of
+    each realization solved on its own."""
+
+    @pytest.mark.parametrize("L", [5, 20, 40])
+    def test_stack_equals_each_realization(self, L):
+        profiles = sample_disorder_profiles(DisorderEnsemble(16, W=4.0, seed=L), L)
+        u = np.array([p.u for p in profiles])
+        steps = chiral_step_matrices(u, 4.0)
+        chiral = quasi_energy_phases(steps)
+        predicted = predicted_chiral_eigenphases(u, 4.0)
+        xy = xy_step_phases(u, 4.0)
+        stats = level_spacing_stats(np.stack([chiral, xy], axis=1))
+        shift_err = _circular_set_distance(chiral, predicted)
+        for r, profile in enumerate(profiles):
+            op = fcqw_step_operator(L, profile)
+            assert steps[r].tobytes() == op.matrix.tobytes()
+            one = quasi_energy_phases(op.matrix)
+            assert chiral[r].tobytes() == one.tobytes()
+            assert one.tobytes() == quasi_energy_spectrum(op).eigenphases.tobytes()
+            one_predicted = predicted_chiral_eigenphases(profile.u, profile.W)
+            assert predicted[r].tobytes() == one_predicted.tobytes()
+            one_xy = xy_step_phases(profile.u, profile.W)
+            assert xy[r].tobytes() == one_xy.tobytes()
+            for m, phases in enumerate((one, one_xy)):
+                stacked = (stats.mean_spacing[r, m], stats.spacing_variance[r, m],
+                           stats.min_spacing[r, m])
+                assert np.array(stacked).tobytes() == np.array(_loop_spacing_stats(phases)).tobytes()
+            assert shift_err[r].tobytes() == np.float64(_loop_set_distance(one, one_predicted)).tobytes()
+
+    def test_step_operator_is_not_checked_but_an_outside_matrix_is(self, monkeypatch):
+        def unitarity_deviation(m):
+            raise AssertionError("unitarity checked")
+
+        monkeypatch.setattr(floquet, "unitarity_deviation", unitarity_deviation)
+        op = fcqw_step_operator(6, PotentialProfile.uniform(6, 1.3))
+        assert op.dim == 6 and op.matrix.dtype == complex
+        with pytest.raises(AssertionError, match="unitarity checked"):
+            SingleParticleOperator(op.matrix)
+
+    def test_only_the_uniform_distribution(self):
+        assert len(sample_disorder_profiles(DisorderEnsemble(3, 1.0, "uniform_symmetric"), 4)) == 3
+        with pytest.raises(ValueError, match="unknown distribution"):
+            DisorderEnsemble(3, 1.0, "box_profile")
 
 
 class TestLevelStats:

@@ -119,6 +119,9 @@ class TestValidation:
             ("localization", "W_values", [], "W_values"),
             ("robustness", "W_values", [], "W_values"),
             ("robustness", "W_values", [1234567.0, 1234568.0], "W_values"),
+            ("robustness", "W_values", [1e306], "W_values"),
+            ("localization", "times", [1e306], "times"),
+            ("noisy", "W", 1e306, "W"),
             ("localization", "method", "single_particle", "method"),
             ("noisy", "seed", -1, "seed"),
             ("chiral", "start_site", 1.5, "start_site"),
@@ -134,7 +137,8 @@ class TestValidation:
             "L_string", "L_30", "L_1", "shots_2.5", "trotter_n_2.5", "steps_negative",
             "steps_duplicate", "steps_empty", "values_string", "values_1.5", "times_empty",
             "W_values_empty_localization", "W_values_empty_robustness",
-            "W_values_sharing_a_file_tag",
+            "W_values_sharing_a_file_tag", "W_values_past_the_key_range",
+            "times_past_the_key_range", "W_past_the_key_range",
             "method_single_particle_with_noise", "seed_negative", "start_site_1.5",
             "box_profile_at_L4", "custom_u_string", "sweep_seeds_0", "output_dir_number",
             "noise_not_an_object", "noise_probability_string", "scaling_without_noise",
@@ -563,6 +567,9 @@ GOLDEN_CASES = {
     "disorder_spectra": {
         "kind": "disorder_spectra", "L": 5, "W": 4.0, "realizations": 3, "seed": 2,
     },
+    "disorder_spectra_shipped": {  # the size of configs/disorder_spectra.json
+        "kind": "disorder_spectra", "L": 20, "W": 4.0, "realizations": 100, "seed": 2024,
+    },
     "amplitude_scaling": {
         "kind": "amplitude_scaling", "L": 5, "axis": "steps_at_fixed_L", "values": [1, 2, 3],
         "noise": GOLDEN_NOISE, "shots": 200, "sweep_seeds": 2, "seed": 4,
@@ -637,6 +644,12 @@ GOLDEN_DIGESTS = {
         "level_stats.csv": "552f2edac1c9f7d3",
         "manifest.json": "c64ca5be8447d86d",
         "spectra.csv": "e1045ea9b8ed225c",
+    },
+    "disorder_spectra_shipped": {
+        "checks.json": "40b56bcd4fa631a5",
+        "level_stats.csv": "1f8526069cdb700c",
+        "manifest.json": "590529cc0ac6f29d",
+        "spectra.csv": "7f4e0c7b0a6775c1",
     },
     "amplitude_scaling": {
         "checks.json": "88d5ba484c214588",
