@@ -33,7 +33,6 @@ from .floquet import (
     effective_hamiltonian,
     fcqw_step_operator,
     level_spacing_stats,
-    momentum_operator,
     predicted_chiral_eigenphases,
     quasi_energy_phases,
     quasi_energy_spectrum,
@@ -56,7 +55,7 @@ from .observables import (
     site_density_counts,
     site_density_exact,
 )
-from .qasm import QasmParseError, emit_qasm3, parse_qasm3
+from .qasm import emit_qasm3
 from .statevec import (
     GateInstruction,
     StateVector,
@@ -67,7 +66,6 @@ from .statevec import (
     hy,
     one_hot_state,
     rz,
-    sample_bitstrings,
     swap,
     swap_as_cnots,
 )

@@ -205,10 +205,13 @@ def build_xy_trotter(
 def lower_swaps(circuit: Circuit) -> Circuit:
     """Replace each SWAP with its three-CNOT realization; a circuit without
     SWAPs is returned as is, keeping its fused blocks."""
-    if all(g.kind != "swap" for g in circuit.instructions):
+    swaps = {g.targets for g in circuit.instructions if g.kind == "swap"}
+    if not swaps:
         return circuit
+    # a walk repeats its SWAPs every step; each distinct triple is built once
+    triples = {t: swap_as_cnots(*t) for t in swaps}
     gates = [c for g in circuit.instructions
-             for c in (swap_as_cnots(*g.targets) if g.kind == "swap" else (g,))]
+             for c in (triples[g.targets] if g.kind == "swap" else (g,))]
     return Circuit(circuit.num_qubits, tuple(gates), label=circuit.label)
 
 

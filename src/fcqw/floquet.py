@@ -12,6 +12,8 @@ import scipy.linalg
 
 from .circuits import UNITARITY_TOL, Block, Circuit, PotentialProfile, fuse_blocks
 
+_STEVD = scipy.linalg.get_lapack_funcs("stevd", dtype=np.float64)
+
 #: numerical-noise window: eigenphases this close below -pi are treated as +pi
 _CUT_SNAP = 1e-12
 #: genuine proximity to the log branch cut is rejected within this window
@@ -165,10 +167,18 @@ def xy_step_operator(
 
 def xy_step_phases(u: np.ndarray, W: float, J: float = 1.0) -> np.ndarray:
     """Phases of the open chain's one-step :func:`xy_step_operator` along u's last axis, [0, 2pi)
-    ascending, as e^{-i E} of each tridiagonal H's energies E: zgeev's to rounding, no unitary."""
-    diag, off = -onsite_phases(u, W), np.full(u.shape[-1] - 1, -2.0 * J)
-    energies = [scipy.linalg.eigvalsh_tridiagonal(d, off) for d in diag.reshape(-1, u.shape[-1])]
-    return np.sort(_phases_0_2pi(np.exp(-1j * np.reshape(energies, u.shape))), axis=-1)
+    ascending, as e^{-i E} of each tridiagonal H's energies E: zgeev's to rounding, no unitary.
+    E comes from LAPACK ?stevd, the driver ``eigvalsh_tridiagonal`` picks, called directly."""
+    diag = -onsite_phases(u, W).reshape(-1, u.shape[-1])
+    off = np.full(max(u.shape[-1] - 1, 1), -2.0 * J)  # stevd wants len(e) >= 1
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("xy_step_phases: potentials and J must be finite")
+    energies = np.empty_like(diag)
+    for r, d in enumerate(diag):
+        energies[r], _, info = _STEVD(d, off, compute_v=0)
+        if info:
+            raise np.linalg.LinAlgError(f"?stevd failed on realization {r} (info={info})")
+    return np.sort(_phases_0_2pi(np.exp(-1j * energies.reshape(u.shape))), axis=-1)
 
 
 def _apply_block(u: np.ndarray, block: Block) -> None:
@@ -202,15 +212,6 @@ def reduce_to_single_particle(circuit: Circuit) -> SingleParticleOperator:
 
 # ---------------------------------------------------------------------------
 # momentum space
-
-
-def momentum_operator(k: float, W: float = 0.0) -> complex:
-    """Bloch factor of the chiral walk with a uniform potential.
-
-    The single band disperses as epsilon(k) = k + W (mod 2pi), W being the
-    phase an occupied site gains per step.
-    """
-    return complex(np.exp(1j * (k + W)))
 
 
 def chiral_momentum_family(n_k: int = 256, W: float = 0.0) -> np.ndarray:

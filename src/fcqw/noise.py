@@ -28,15 +28,18 @@ Determinism: shot s draws from its own substream SeedSequence(seed, (s,))
 in a fixed order (error flags, Pauli codes of the flagged gates, the
 measurement uniform, readout flips), so its outcome depends only on the
 seed, s and the circuit.  With all probabilities zero, each shot consumes
-a single uniform for the measurement, exactly matching
-``statevec.sample_bitstrings``.  The streams of a run are seeded in one
+a single uniform for the measurement, exactly matching the noiseless
+reference sampler ``sample_bitstrings`` in the tests.  The streams of a
+run are seeded in one
 batch (``statevec.shot_words``), which gives every shot the same stream
 as ``statevec.shot_rng(seed, s)``.
 
-Stream decoding: both paths read a shot's stream as raw PCG64 words (one
-bit generator and one C call per shot, ``statevec.raw_words``) and decode
-the draws of a chunk of shots with whole-array operations, bit for bit as
-numpy's ``Generator`` makes them.  A uniform is ``(x >> 11) 2^-53``, so
+Stream decoding: both paths read a chunk of shots' streams as raw PCG64
+words from one generator (``statevec.raw_words``), re-seated per shot with
+its ``init + inc`` and ``inc`` (the first word drawn is dropped) once a
+cached check finds numpy's state layout as expected, else one generator per
+shot; they decode a chunk's draws with whole-array operations, bit for bit
+as numpy's ``Generator`` makes them.  A uniform is ``(x >> 11) 2^-53``, so
 ``u < p`` is an integer compare; a Pauli code is a Lemire draw on the
 32-bit halves after the flags, low half first; the measurement starts on
 the next whole word.  Room is drawn for far more flagged gates than the

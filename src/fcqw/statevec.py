@@ -19,10 +19,13 @@ Shot streams: shot ``s`` of a seeded run draws from
 ``shot_words`` computes the seed words of every shot of a run in one
 vectorized pass of the same hash, so ``words_rng`` on its row ``s`` gives a
 generator whose draws equal ``shot_rng(seed, s)``'s, and ``raw_words``
-gives the raw 64-bit words those draws are made of.
+gives the raw 64-bit words those draws are made of, re-seating one PCG64
+per chunk of rows rather than seeding a new bit generator per row.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -302,15 +305,52 @@ def words_rng(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_Words(words)))
 
 
+def _start_words(words: np.ndarray) -> np.ndarray:
+    """Per row, ``[lo, hi]`` of the 128-bit ``init + inc`` and of ``inc``
+    that numpy's PCG64 seeding derives from the row (see ``raw_words``)."""
+    w0, w1, w2, w3 = np.asarray(words, dtype=np.uint64).reshape(-1, 4).T
+    inc_lo, inc_hi = w3 << np.uint64(1) | np.uint64(1), w2 << np.uint64(1) | w3 >> np.uint64(63)
+    lo = w1 + inc_lo
+    return np.stack([lo, w0 + inc_hi + (lo < inc_lo), inc_lo, inc_hi], axis=1)
+
+
+def _pcg64_state(bit_generator: np.random.PCG64):
+    """The live ``pcg64_random_t {state, inc}`` behind ``state_address``, as four uint64s."""
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return (ctypes.c_uint64 * 4).from_address(address)
+
+
+@functools.cache
+def _pcg64_layout_ok() -> bool:
+    """Whether a PCG64 seeded the public way holds ``[state_lo, state_hi,
+    inc_lo, inc_hi]``, the state one LCG step past ``init + inc``; numpy's
+    emulated 128-bit math (``{high, low}``, e.g. under MSVC) does not."""
+    probe = np.array([1, 2**64 - 2, 3, 2**63 + 1], dtype=np.uint64)
+    lo, hi, inc_lo, inc_hi = map(int, _start_words(probe)[0])
+    state = ((hi << 64 | lo) * 0x2360ED051FC65DA44385DF649FCCF645 + (inc_hi << 64 | inc_lo)) % 2**128
+    seeded = np.random.PCG64(_Words(probe))  # alive while its words are read
+    return list(_pcg64_state(seeded)) == [state % 2**64, state >> 64, inc_lo, inc_hi]
+
+
 def raw_words(words: np.ndarray, width: int) -> np.ndarray:
     """The first ``width`` raw 64-bit outputs of each row's stream, as one
-    ``(len(words), width)`` uint64 array: row ``s`` is ``np.random.PCG64(
-    _Words(words[s])).random_raw(width)``, one bit generator and one C call
-    per row and no ``Generator``.  A ``Generator`` on the same row draws its
-    doubles, bounded integers and bits from exactly these words."""
+    ``(len(words), width)`` uint64 array: row ``s`` equals ``np.random.PCG64(
+    _Words(words[s])).random_raw(width)``, from which a ``Generator`` draws
+    its doubles, bounded integers and bits.  numpy seeds ``inc = (w2:w3) << 1
+    | 1`` and the state ``step(init + inc)``, ``init = w0:w1``; so one PCG64
+    serves every row, its state words set to ``_start_words`` of the row, and
+    ``random_raw(width + 1)`` drops the extra step's word.  Where
+    ``_pcg64_layout_ok`` fails, each row seeds a generator of its own."""
     out = np.empty((len(words), width), dtype=np.uint64)
-    for s, row in enumerate(words):
-        out[s] = np.random.PCG64(_Words(row)).random_raw(width)
+    if not _pcg64_layout_ok():
+        for s, row in enumerate(words):
+            out[s] = np.random.PCG64(_Words(row)).random_raw(width)
+        return out
+    bit_generator = np.random.PCG64(0)
+    state = _pcg64_state(bit_generator)
+    for s, row in enumerate(_start_words(words).tolist()):
+        state[:] = row
+        out[s] = bit_generator.random_raw(width + 1)[1:]
     return out
 
 
@@ -324,20 +364,3 @@ def sample_index(cumulative: np.ndarray, u: float) -> int:
     """Inverse-CDF draw from a cumulative probability array."""
     idx = int(np.searchsorted(cumulative, u, side="right"))
     return min(idx, len(cumulative) - 1)
-
-
-def sample_bitstrings(state: StateVector, shots: int, seed: int) -> list[str]:
-    """Draw i.i.d. measurement bitstrings from |amplitudes|^2.
-
-    Each shot consumes exactly one uniform from its own seeded substream,
-    so noiseless trajectory runs reproduce these draws shot for shot.
-    """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    cumulative = np.cumsum(np.abs(state.amplitudes) ** 2)
-    L = state.num_qubits
-    out = []
-    for words in shot_words(seed, shots):
-        u = words_rng(words).random()
-        out.append(index_to_bitstring(sample_index(cumulative, u), L))
-    return out

@@ -26,7 +26,6 @@ from fcqw.floquet import (
     effective_hamiltonian,
     fcqw_step_operator,
     level_spacing_stats,
-    momentum_operator,
     predicted_chiral_eigenphases,
     quasi_energy_phases,
     quasi_energy_spectrum,
@@ -46,6 +45,13 @@ from fcqw.floquet import _shift_gauge
 from fcqw.harness import _circular_set_distance
 from fcqw.observables import site_density_exact
 from fcqw.statevec import cnot, h, one_hot_state, rz
+
+
+def momentum_operator(k: float, W: float = 0.0) -> complex:
+    """Reference Bloch factor of the chiral walk with a uniform potential:
+    the single band disperses as epsilon(k) = k + W (mod 2pi), W being the
+    phase an occupied site gains per step."""
+    return complex(np.exp(1j * (k + W)))
 
 
 def _reduce_dense(circuit: Circuit) -> np.ndarray:

@@ -18,7 +18,7 @@ from fcqw.harness import (
     run_experiment,
     validate_config,
 )
-from fcqw.qasm import parse_qasm3
+from test_qasm import parse_qasm3
 
 
 def write_config(tmp_path, data, name="config.json"):

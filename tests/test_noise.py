@@ -40,7 +40,6 @@ from fcqw.statevec import (
     one_hot_state,
     raw_words,
     rz,
-    sample_bitstrings,
     sample_index,
     _Words,
     shot_rng,
@@ -48,6 +47,7 @@ from fcqw.statevec import (
     swap,
     words_rng,
 )
+from test_statevec import sample_bitstrings
 
 
 def _by_index(bit_counts: dict[str, int]) -> dict[int, int]:

@@ -20,8 +20,8 @@ from fcqw.statevec import (
     bitstring_to_index,
     one_hot_state,
     index_to_bitstring,
-    sample_bitstrings,
 )
+from test_statevec import sample_bitstrings
 
 
 def _shots(bit_counts: dict[str, int]) -> ShotResult:

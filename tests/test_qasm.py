@@ -1,9 +1,112 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from fcqw.circuits import Circuit, PotentialProfile, TrotterConfig, build_fcqw_step, build_xy_trotter
-from fcqw.qasm import QasmParseError, emit_qasm3, parse_qasm3
-from fcqw.statevec import cnot, hy, rz, swap
+from fcqw.qasm import emit_qasm3
+from fcqw.statevec import MAX_QUBITS, GateInstruction, cnot, h, hy, rz, swap
+
+
+class QasmParseError(ValueError):
+    """Unsupported or malformed construct, with the 1-based line number."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+_RE_QUBIT = re.compile(r"^qubit\[(\d+)\]\s+(\w+);$")
+_RE_1Q = re.compile(r"^(h|hy)\s+(\w+)\[(\d+)\];$")
+_RE_RZ = re.compile(r"^rz\(([^)]+)\)\s+(\w+)\[(\d+)\];$")
+_RE_2Q = re.compile(r"^(cx|swap)\s+(\w+)\[(\d+)\]\s*,\s*(\w+)\[(\d+)\];$")
+
+
+def parse_qasm3(text: str) -> Circuit:
+    """Reference reader: parse text produced by :func:`emit_qasm3` back into
+    a Circuit, the oracle of the round-trip tests.
+
+    Only the emitter's subset is accepted; anything else raises
+    :class:`QasmParseError` with the offending line number.
+    """
+    num_qubits = None
+    register = None
+    gates: list[GateInstruction] = []
+    saw_header = False
+    in_gate_def = False
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("//"):
+            continue
+        if in_gate_def:
+            if line == "}":
+                in_gate_def = False
+            continue
+        if not saw_header:
+            if line != "OPENQASM 3.0;":
+                raise QasmParseError(line_no, f"expected OPENQASM 3.0 header, got {line!r}")
+            saw_header = True
+            continue
+        if line == 'include "stdgates.inc";':
+            continue
+        if line.startswith("gate hy"):
+            if not line.endswith("{"):
+                raise QasmParseError(line_no, "gate definition must open a block")
+            in_gate_def = True
+            continue
+        m = _RE_QUBIT.match(line)
+        if m:
+            if num_qubits is not None:
+                raise QasmParseError(line_no, "only one qubit register is supported")
+            num_qubits = int(m.group(1))
+            if not 1 <= num_qubits <= MAX_QUBITS:
+                raise QasmParseError(line_no, f"register width must be in [1, {MAX_QUBITS}]")
+            register = m.group(2)
+            continue
+        if num_qubits is None:
+            raise QasmParseError(line_no, "instruction before qubit declaration")
+        if m := _RE_1Q.match(line):
+            _check_register(line_no, m.group(2), register)
+            gate = _make(line_no, h if m.group(1) == "h" else hy, int(m.group(3)))
+        elif m := _RE_RZ.match(line):
+            try:
+                theta = float(m.group(1))
+            except ValueError:
+                theta = math.nan
+            if not math.isfinite(theta):
+                raise QasmParseError(line_no, f"bad rz angle {m.group(1)!r}")
+            _check_register(line_no, m.group(2), register)
+            gate = _make(line_no, rz, int(m.group(3)), theta)
+        elif m := _RE_2Q.match(line):
+            _check_register(line_no, m.group(2), register)
+            _check_register(line_no, m.group(4), register)
+            build = cnot if m.group(1) == "cx" else swap
+            gate = _make(line_no, build, int(m.group(3)), int(m.group(5)))
+        else:
+            raise QasmParseError(line_no, f"unsupported construct: {line!r}")
+        if max(gate.targets) >= num_qubits:
+            raise QasmParseError(line_no, f"qubit {max(gate.targets)} outside qubit[{num_qubits}]")
+        gates.append(gate)
+
+    if not saw_header:
+        raise QasmParseError(1, "empty program")
+    if num_qubits is None:
+        raise QasmParseError(1, "missing qubit declaration")
+    return Circuit(num_qubits, tuple(gates), label="parsed")
+
+
+def _make(line_no: int, build, *args) -> GateInstruction:
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise QasmParseError(line_no, str(exc)) from None
+
+
+def _check_register(line_no: int, name: str, declared: str | None) -> None:
+    if name != declared:
+        raise QasmParseError(line_no, f"unknown register {name!r}")
 
 
 class TestEmit:

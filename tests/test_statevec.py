@@ -19,7 +19,6 @@ from fcqw.statevec import (
     one_hot_state,
     raw_words,
     rz,
-    sample_bitstrings,
     sample_index,
     shot_rng,
     shot_words,
@@ -27,6 +26,23 @@ from fcqw.statevec import (
     swap_as_cnots,
     words_rng,
 )
+from fcqw import statevec
+from fcqw.statevec import _Words
+
+
+def sample_bitstrings(state: StateVector, shots: int, seed: int) -> list[str]:
+    """Reference noiseless sampler: i.i.d. bitstrings from |amplitudes|^2,
+    each shot consuming exactly one uniform from its own seeded substream,
+    so noiseless trajectory runs reproduce these draws shot for shot."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    cumulative = np.cumsum(np.abs(state.amplitudes) ** 2)
+    L = state.num_qubits
+    out = []
+    for words in shot_words(seed, shots):
+        u = words_rng(words).random()
+        out.append(index_to_bitstring(sample_index(cumulative, u), L))
+    return out
 
 
 def embed_gate(gate: GateInstruction, L: int) -> np.ndarray:
@@ -327,17 +343,60 @@ class TestShotWords:
             shot_words(0, shots)
 
 
+def _raw_words_per_row(words: np.ndarray, width: int) -> np.ndarray:
+    """Reference: one bit generator seeded the public way per row."""
+    out = np.empty((len(words), width), dtype=np.uint64)
+    for s, row in enumerate(words):
+        out[s] = np.random.PCG64(_Words(row)).random_raw(width)
+    return out
+
+
+#: hand-made rows (w0, w1, w2, w3): w1 + inc_lo carries into the high
+#: word; the top bit of w3 carries into inc_hi; every word all ones; zeros
+_CARRY_WORDS = np.array([
+    [5, 2**64 - 1, 7, 2**63 + 11],
+    [2**64 - 1, 2**64 - 2, 2**64 - 1, 2**63],
+    [2**64 - 1] * 4,
+    [0] * 4,
+], dtype=np.uint64)
+
+
 class TestRawWords:
+    @pytest.fixture(params=["fast", "fallback"])
+    def path(self, request, monkeypatch):
+        if request.param == "fallback":
+            monkeypatch.setattr(statevec, "_pcg64_layout_ok", lambda: False)
+        return request.param
+
+    def test_layout_guard_passes_on_this_build(self):
+        # a numpy whose PCG64 struct differs fails here instead of silently
+        # taking the per-row fallback
+        assert statevec._pcg64_layout_ok()
+
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
-    def test_rows_are_the_generators_words(self, seed):
+    def test_rows_are_the_generators_words(self, seed, path):
         words = shot_words(seed, 30)
         raw = raw_words(words, 50)
         assert raw.shape == (30, 50) and raw.dtype == np.uint64
+        assert np.array_equal(raw, _raw_words_per_row(words, 50))
         for s in (0, 17, 29):
             # a double is the top 53 bits of one word
             assert np.array_equal((raw[s] >> 11) * 2.0**-53, shot_rng(seed, s).random(50))
 
-    def test_no_rows(self):
+    @pytest.mark.parametrize("width", [1, 3, 171])
+    def test_carries_in_the_128_bit_words(self, width, path):
+        words = _CARRY_WORDS
+        # row 0 forces both carries of the 128-bit sums
+        w1, w3 = int(words[0, 1]), int(words[0, 3])
+        assert w1 + ((w3 << 1 | 1) & (2**64 - 1)) >= 2**64 and w3 >> 63
+        assert np.array_equal(raw_words(words, width), _raw_words_per_row(words, width))
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
+    def test_width_one(self, seed, path):
+        words = shot_words(seed, 20)
+        assert np.array_equal(raw_words(words, 1), _raw_words_per_row(words, 1))
+
+    def test_no_rows(self, path):
         assert raw_words(shot_words(1, 0), 5).shape == (0, 5)
 
 
