@@ -35,6 +35,7 @@ from .floquet import (
     chiral_momentum_family,
     chiral_step_matrices,
     level_spacing_stats,
+    onsite_phases,
     predicted_chiral_eigenphases,
     quasi_energy_phases,
     reduce_to_single_particle,
@@ -44,7 +45,7 @@ from .floquet import (
     xy_step_operator,
     xy_step_phases,
 )
-from .noise import NoiseSpec, amplitude_decay_sweep, run_noisy
+from .noise import SWEEP_AXES, NoiseSpec, amplitude_decay_sweep, run_noisy
 from .observables import (
     SiteDistribution,
     ipr,
@@ -204,11 +205,13 @@ def validate_config(data: dict) -> ExperimentConfig:
     if cfg.kind == "amplitude_scaling":
         if cfg.noise is None:
             problems.append("noise")  # the sweep measures decay under noise
-        if cfg.axis not in ("steps_at_fixed_L", "size_with_t_equals_L"):
+        if cfg.axis not in SWEEP_AXES:
             problems.append("axis")
         lo, hi = (2, MAX_QUBITS) if cfg.axis == "size_with_t_equals_L" else (0, math.inf)
         if not _nonempty_list(cfg.values, lambda v: _int_in(v, lo, hi)):
             problems.append("values")
+        elif len(set(cfg.values)) < len(cfg.values):
+            problems.append("values")  # two points would share a noise stream
     if "L" not in problems and "values" not in problems:
         # the start site must lie on every lattice the run builds
         sites = min(cfg.values) if cfg.axis == "size_with_t_equals_L" else cfg.L
@@ -245,7 +248,34 @@ def validate_config(data: dict) -> ExperimentConfig:
             problems.append(name)  # two W values would write the same files
     if problems:
         raise ConfigError("invalid field values", problems)
+    overflowing = _overflowing(cfg)
+    if overflowing:
+        raise ConfigError("an rz angle, onsite phase or hopping term overflows", overflowing)
     return cfg
+
+
+def _overflowing(cfg: ExperimentConfig) -> list[str]:
+    """The fields of a valid config whose values make an rz angle, an onsite
+    phase or an XY hopping term of the run non-finite.  The kinds without
+    W values have no profile to check: disorder draws |u| <= 1."""
+    if not math.isfinite(2.0 * cfg.J):
+        return ["J"]
+    W_values, xs = _sweep(cfg)
+    custom = ["custom_u"] if cfg.profile == "custom" else []
+    exact = _method(cfg) == "single_particle"  # the exact XY H's diagonal: onsite phases
+    trotter = cfg.kind == "nonchiral_localization" and not exact
+    dts = np.array(xs, dtype=float) / cfg.trotter_n  # build_xy_trotter's t / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for W in W_values:
+            u = _profile_for(cfg, W).u
+            terms = onsite_phases(u, W) if exact else 2.0 * W * u  # phases or rz angles
+            if not np.isfinite(terms).all():
+                return custom  # |W| <= 1e300 and |u| <= 1 for the other profiles
+            if trotter and not np.isfinite(np.outer(terms, dts)).all():
+                return ["W_values", *custom, "times"]
+        if trotter and not np.isfinite(-2.0 * cfg.J * dts).all():
+            return ["J", "times"]
+    return []
 
 
 def load_config(path) -> ExperimentConfig:

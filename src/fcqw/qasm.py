@@ -10,6 +10,7 @@ original instruction sequence exactly.
 from __future__ import annotations
 
 from .circuits import Circuit
+from .statevec import GATES
 
 _HY_BLOCK = [
     "// hy maps the z basis to the y basis (hy Z hy = Y, hy hy = I);",
@@ -28,14 +29,6 @@ def emit_qasm3(circuit: Circuit) -> str:
         lines += _HY_BLOCK
     lines.append(f"qubit[{circuit.num_qubits}] q;")
     for g in circuit.instructions:
-        if g.kind == "h":
-            lines.append(f"h q[{g.targets[0]}];")
-        elif g.kind == "hy":
-            lines.append(f"hy q[{g.targets[0]}];")
-        elif g.kind == "rz":
-            lines.append(f"rz({g.theta!r}) q[{g.targets[0]}];")
-        elif g.kind == "cnot":
-            lines.append(f"cx q[{g.targets[0]}], q[{g.targets[1]}];")
-        else:
-            lines.append(f"swap q[{g.targets[0]}], q[{g.targets[1]}];")
+        angle = "" if g.theta is None else f"({g.theta!r})"
+        lines.append(f"{GATES[g.kind][0]}{angle} q[{'], q['.join(map(str, g.targets))}];")
     return "\n".join(lines) + "\n"

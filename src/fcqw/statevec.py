@@ -10,17 +10,19 @@ Conventions used throughout the package:
 * outcomes are basis indices; bitstrings, written site 0 first
   (``"0100"`` means site 1 occupied), appear only in JSON and printouts
 
+``GATES`` gives each gate kind's OpenQASM name, target count and matrix.
 One kernel, ``apply_matrix_inplace``, applies every gate, fused block and
 Pauli: a 2x2 or 4x4 matrix times the amplitudes with the target qubits'
 axes moved first, as one matrix product.
 
 Shot streams: shot ``s`` of a seeded run draws from
 ``shot_rng(seed, s)``, the generator of ``SeedSequence(seed, (s,))``.
-``shot_words`` computes the seed words of every shot of a run in one
-vectorized pass of the same hash, so ``words_rng`` on its row ``s`` gives a
-generator whose draws equal ``shot_rng(seed, s)``'s, and ``raw_words``
-gives the raw 64-bit words those draws are made of, re-seating one PCG64
-per chunk of rows rather than seeding a new bit generator per row.
+``shot_words`` starts from numpy's own ``SeedSequence(seed).pool`` and
+mixes in every shot's spawn key in one vectorized pass of the same hash,
+so ``words_rng`` on its row ``s`` gives a generator whose draws equal
+``shot_rng(seed, s)``'s, and ``raw_words`` gives the raw 64-bit words
+those draws are made of, re-seating one PCG64 per chunk of rows rather
+than seeding a new bit generator per row.
 """
 from __future__ import annotations
 
@@ -34,8 +36,6 @@ from numpy.random.bit_generator import ISeedSequence
 
 #: Hard cap on register width; a dense register needs 16 * 2**L bytes.
 MAX_QUBITS = 24
-
-GATE_KINDS = ("h", "hy", "rz", "cnot", "swap")
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -51,6 +51,17 @@ SWAP_QUBITS = np.array([0, 2, 1, 3])
 #: Pauli matrices by code: 0=I, 1=X, 2=Y, 3=Z
 PAULI_MATRICES = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
 
+#: kind -> (OpenQASM name, target count, matrix); rz's matrix depends on
+#: its angle.  A 4x4 matrix acts on ``b = bit(targets[0]) + 2 *
+#: bit(targets[1])``, so a CNOT's control is the low bit.
+GATES = {
+    "h": ("h", 1, H_MATRIX),
+    "hy": ("hy", 1, HY_MATRIX),
+    "rz": ("rz", 1, None),
+    "cnot": ("cx", 2, np.eye(4, dtype=complex)[[0, 3, 2, 1]]),
+    "swap": ("swap", 2, np.eye(4, dtype=complex)[SWAP_QUBITS]),
+}
+
 
 @dataclass(frozen=True)
 class GateInstruction:
@@ -61,9 +72,9 @@ class GateInstruction:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in GATES:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        expected = 2 if self.kind in ("cnot", "swap") else 1
+        expected = GATES[self.kind][1]
         if len(self.targets) != expected:
             raise ValueError(
                 f"{self.kind} takes {expected} target(s), got {self.targets}"
@@ -107,26 +118,11 @@ def swap_as_cnots(i: int, j: int) -> list[GateInstruction]:
 
 
 def gate_matrix(gate: GateInstruction) -> np.ndarray:
-    """Dense unitary of a gate.
-
-    For two-qubit gates the 4x4 matrix acts on the index
-    ``b = bit(targets[0]) + 2 * bit(targets[1])``.
-    """
-    if gate.kind == "h":
-        return H_MATRIX.copy()
-    if gate.kind == "hy":
-        return HY_MATRIX.copy()
+    """Dense unitary of a gate, in ``GATES``' basis; a copy the caller owns."""
     if gate.kind == "rz":
         half = gate.theta / 2.0
         return np.diag([np.exp(-1j * half), np.exp(1j * half)])
-    if gate.kind == "swap":
-        m = np.eye(4, dtype=complex)
-        m[[1, 2]] = m[[2, 1]]
-        return m
-    # cnot: control is the low bit of the 2-qubit index
-    m = np.eye(4, dtype=complex)
-    m[[1, 3]] = m[[3, 1]]
-    return m
+    return GATES[gate.kind][2].copy()
 
 
 @dataclass
@@ -172,7 +168,7 @@ def bitstring_to_index(bits: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# in-place kernels; callers own the copy semantics
+# applying gates
 
 
 def apply_matrix_inplace(amps: np.ndarray, qubits: tuple[int, ...], m: np.ndarray) -> None:
@@ -192,18 +188,14 @@ def apply_matrix_inplace(amps: np.ndarray, qubits: tuple[int, ...], m: np.ndarra
     w[...] = (m @ w.reshape(len(m), -1)).reshape(w.shape)
 
 
-def apply_gate_inplace(amps: np.ndarray, num_qubits: int, gate: GateInstruction) -> None:
-    if max(gate.targets) >= num_qubits:
-        raise IndexError(
-            f"gate {gate.kind} targets {gate.targets} out of range for L={num_qubits}"
-        )
-    apply_matrix_inplace(amps, gate.targets, gate_matrix(gate))
-
-
 def apply_gate(state: StateVector, gate: GateInstruction) -> StateVector:
     """Return the state with one gate applied; the input is left untouched."""
+    if max(gate.targets) >= state.num_qubits:
+        raise IndexError(
+            f"gate {gate.kind} targets {gate.targets} out of range for L={state.num_qubits}"
+        )
     out = state.amplitudes.copy()
-    apply_gate_inplace(out, state.num_qubits, gate)
+    apply_matrix_inplace(out, gate.targets, gate_matrix(gate))
     return StateVector(state.num_qubits, out)
 
 
@@ -222,7 +214,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_XSHIFT = 16
+_XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
 
@@ -230,8 +222,11 @@ def shot_words(seed: int, shots: int) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(s,)).generate_state(4, np.uint64)``
     for every ``s < shots``, as one ``(shots, 4)`` uint64 array.
 
-    The hash constants advance independently of the data, so every step of
-    the hash is one whole-array uint32 operation over the spawn keys.
+    numpy pads a short seed with hashes of 0 whether or not a spawn key
+    follows, so ``SeedSequence(seed).pool`` is the pool each spawn key is
+    mixed into, after ``4 * max(4, seed words)`` steps of the hash constant.
+    The constants advance independently of the data, so the spawn-key mix
+    and ``generate_state`` are whole-array uint32 operations over the keys.
     """
     try:
         seed = operator.index(seed)
@@ -241,50 +236,27 @@ def shot_words(seed: int, shots: int) -> np.ndarray:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if not 0 <= shots <= 1 << 32:  # a spawn key >= 2**32 is two words
         raise ValueError(f"shots must be in [0, 2**32], got {shots}")
-    # the entropy: the seed's little-endian 32-bit words, padded to the
-    # pool size because there is a spawn key, then the spawn key itself
-    run = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        run.append(seed & _MASK32)
-    run += [0] * (_POOL_SIZE - len(run))
-    entropy = [np.uint32(w) for w in run] + [np.arange(shots, dtype=np.uint32)]
+    pool = list(np.random.SeedSequence(seed).pool)
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    hash_const = _INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, seed_words), 1 << 32) & _MASK32
 
-    hash_const = _INIT_A
-
-    def hashmix(value):
+    def hashmix(value, mult):
         nonlocal hash_const
         value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
+        hash_const = hash_const * mult & _MASK32
         value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(_XSHIFT))
+        return value ^ (value >> _XSHIFT)
 
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(_XSHIFT))
-
+    key = np.arange(shots, dtype=np.uint32)
     with np.errstate(over="ignore"):
-        pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
-        for i_src in range(_POOL_SIZE):
-            for i_dst in range(_POOL_SIZE):
-                if i_src != i_dst:
-                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-        for w in entropy[_POOL_SIZE:]:
-            for i_dst in range(_POOL_SIZE):
-                pool[i_dst] = mix(pool[i_dst], hashmix(w))
+        for i in range(_POOL_SIZE):
+            mixed = np.uint32(_MIX_MULT_L) * pool[i] - np.uint32(_MIX_MULT_R) * hashmix(key, _MULT_A)
+            pool[i] = mixed ^ (mixed >> _XSHIFT)
         # generate_state: 8 uint32 words cycling over the pool, paired
-        # little-endian into 4 uint64 words
+        # little-endian into 4 uint64 words, as numpy pairs them
         hash_const = _INIT_B
-        state = []
-        for i in range(8):
-            value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-            hash_const = hash_const * _MULT_B & _MASK32
-            value = value * np.uint32(hash_const)
-            state.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
-    words = np.empty((shots, 4), dtype=np.uint64)
-    for k in range(4):
-        words[:, k] = state[2 * k] | (state[2 * k + 1] << np.uint64(32))
-    return words
+        state = np.stack([hashmix(pool[i % _POOL_SIZE], _MULT_B) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 class _Words(ISeedSequence):

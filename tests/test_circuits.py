@@ -23,7 +23,6 @@ from fcqw.noise import _PAULI_OPS, NoiseSpec, run_noisy
 from fcqw.observables import site_density_exact
 from fcqw.statevec import (
     StateVector,
-    apply_gate_inplace,
     apply_matrix_inplace,
     basis_state,
     cnot,
@@ -311,7 +310,7 @@ class TestFuseBlocks:
 
         def by_gate(amps):
             for g in circuit.instructions:
-                apply_gate_inplace(amps, L, g)
+                apply_matrix_inplace(amps, g.targets, gate_matrix(g))
 
         def by_block(amps):
             for b in blocks:

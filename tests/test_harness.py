@@ -132,6 +132,11 @@ class TestValidation:
             ("chiral", "noise", 5, "noise"),
             ("chiral", "noise", {"p_cnot": "x"}, "p_cnot"),
             ("scaling", "noise", None, "noise"),
+            ("scaling", "values", [1, 1, 2, 3], "values"),
+            ("custom", "custom_u", [1e308, 0, 0, 0], "custom_u"),
+            ("exact", "J", 1e308, "J"),
+            ("trotter", "J", 1e308, "J"),
+            ("spectra", "J", 1e308, "J"),
         ],
         ids=[
             "L_string", "L_30", "L_1", "shots_2.5", "trotter_n_2.5", "steps_negative",
@@ -142,6 +147,8 @@ class TestValidation:
             "method_single_particle_with_noise", "seed_negative", "start_site_1.5",
             "box_profile_at_L4", "custom_u_string", "sweep_seeds_0", "output_dir_number",
             "noise_not_an_object", "noise_probability_string", "scaling_without_noise",
+            "values_duplicate", "rz_angle_overflows", "hopping_overflows_exact",
+            "hopping_overflows_trotter", "hopping_overflows_spectra",
         ],
     )
     def test_field_rejected(self, tmp_path, capsys, base, key, value, field):
@@ -149,12 +156,17 @@ class TestValidation:
         data = {
             "chiral": {"kind": "chiral_propagation", "L": 4, "steps": [1]},
             "noisy": {"kind": "chiral_propagation", "L": 4, "steps": [1], "noise": noise},
-            "custom": {"kind": "chiral_propagation", "L": 4, "steps": [1], "profile": "custom",
-                       "custom_u": [0.0, 1.0, 0.0, 0.0]},
+            "custom": {"kind": "chiral_propagation", "L": 4, "steps": [1], "W": 10.0,
+                       "profile": "custom", "custom_u": [0.0, 1.0, 0.0, 0.0]},
             "robustness": {"kind": "chiral_robustness", "L": 4, "steps": [1], "W_values": [0.0],
                            "noise": noise},
             "localization": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
                              "W_values": [0.0], "noise": noise},
+            "exact": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
+                      "W_values": [0.0], "method": "single_particle"},
+            "trotter": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
+                        "W_values": [0.0], "method": "statevector"},
+            "spectra": {"kind": "disorder_spectra", "L": 4, "W": 1.0, "realizations": 3},
             "scaling": {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "L": 4,
                         "values": [1], "noise": noise},
         }[base]
@@ -166,6 +178,36 @@ class TestValidation:
         assert main(["run", str(write_config(tmp_path, data))]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "extra, fields",
+        [
+            ({"method": "statevector", "W_values": [1e300], "times": [1e300]},
+             ["W_values", "times"]),
+            ({"method": "statevector", "profile": "custom", "custom_u": [1e300, 0, 0, 0],
+              "times": [1e300], "W_values": [1.0]}, ["W_values", "custom_u", "times"]),
+            ({"method": "statevector", "J": 1e300, "times": [1e300]}, ["J", "times"]),
+            ({"method": "single_particle", "profile": "custom",
+              "custom_u": [1e308, 1e308, 0, 0]}, ["custom_u"]),
+        ],
+        ids=["trotter_onsite_angle", "trotter_custom_angle", "trotter_hop_angle",
+             "exact_onsite_phase"],
+    )
+    def test_overflowing_products_name_their_fields(self, extra, fields):
+        data = {"kind": "nonchiral_localization", "L": 4, "times": [0.1], "W_values": [0.0]}
+        with pytest.raises(ConfigError) as err:
+            validate_config({**data, **extra})
+        assert err.value.fields == fields
+
+    def test_huge_finite_phases_still_run(self, tmp_path, capsys):
+        data = {"kind": "chiral_propagation", "L": 4, "steps": [1], "W": 1e300,
+                "output_dir": str(tmp_path / "out")}
+        assert main(["run", str(write_config(tmp_path, data))]) == 0
+        capsys.readouterr()
+        exact = {"kind": "nonchiral_localization", "L": 4, "times": [0.1], "W_values": [0.0],
+                 "method": "single_particle", "J": 8e307}
+        validate_config(exact)
+        validate_config(dict(exact, method="statevector", times=[1e300], J=1.0))
 
     def test_circuit_width_cap_applies_only_to_circuit_runs(self):
         exact = {"kind": "nonchiral_localization", "L": 30, "times": [0.1], "W_values": [0.0]}

@@ -31,11 +31,11 @@ from fcqw.observables import (
 from fcqw.statevec import (
     PAULI_MATRICES,
     apply_gate,
-    apply_gate_inplace,
     apply_matrix_inplace,
     basis_state,
     bitstring_to_index,
     cnot,
+    gate_matrix,
     h,
     one_hot_state,
     raw_words,
@@ -250,19 +250,19 @@ def _per_shot_counts(circuit, initial, spec, shots):
     done = 0
     for first, s in sorted(faulty):
         for g in gates[done:first]:
-            apply_gate_inplace(prefix, L, g)
+            apply_matrix_inplace(prefix, g.targets, gate_matrix(g))
         done = first
         rng = shot_rng(spec.seed, s)
         amps = prefix.copy()
         pos = first
         for j in flagged(rng):
             for g in gates[pos:j + 1]:
-                apply_gate_inplace(amps, L, g)
+                apply_matrix_inplace(amps, g.targets, gate_matrix(g))
             pos = j + 1
             for q, code in zip(gates[j].targets, paulis(rng, gates[j])):
                 apply_pauli(amps, q, code)
         for g in gates[pos:]:
-            apply_gate_inplace(amps, L, g)
+            apply_matrix_inplace(amps, g.targets, gate_matrix(g))
         indices[s] = readout(rng, sample_index(np.cumsum(np.abs(amps) ** 2), rng.random()))
     return dict(Counter(indices))
 
@@ -377,7 +377,7 @@ class TestFaultCorrection:
                     paulis = (code & 3, code >> 2) if len(gate.targets) == 2 else (code,)
                     expected = state.copy()
                     for j, g in enumerate(_block_gates(block)):
-                        apply_gate_inplace(expected, L, g)
+                        apply_matrix_inplace(expected, g.targets, gate_matrix(g))
                         if j == pos:
                             for q, c in zip(g.targets, paulis):
                                 apply_pauli(expected, q, c)

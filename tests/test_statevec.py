@@ -7,7 +7,6 @@ from fcqw.statevec import (
     HY_MATRIX,
     StateVector,
     apply_gate,
-    apply_gate_inplace,
     apply_matrix_inplace,
     basis_state,
     bitstring_to_index,
@@ -111,6 +110,21 @@ class TestGateMatrices:
         assert np.max(np.abs(HY_MATRIX @ HY_MATRIX - np.eye(2))) < 1e-15
         assert np.max(np.abs(HY_MATRIX - HY_MATRIX.conj().T)) == 0.0
 
+    def test_matrices_pinned_entry_for_entry(self):
+        s = 1.0 / np.sqrt(2.0)
+        pinned = {
+            h(0): [[s, s], [s, -s]],
+            hy(0): [[s, -1j * s], [1j * s, -s]],
+            # control is the low bit of the 4x4 index
+            cnot(0, 1): [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
+            swap(0, 1): [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+            rz(0, 0.7): [[np.exp(-0.35j), 0], [0, np.exp(0.35j)]],
+        }
+        for gate, expected in pinned.items():
+            got = gate_matrix(gate)
+            assert got.dtype == complex, gate
+            assert np.array_equal(got, np.array(expected, dtype=complex)), gate
+
     def test_hy_equals_rz_h_rz(self):
         rz_plus = gate_matrix(rz(0, np.pi / 2))
         rz_minus = gate_matrix(rz(0, -np.pi / 2))
@@ -206,7 +220,7 @@ class TestApplyGate:
                 gate = GateInstruction(kind, (int(qubits[0]), int(qubits[1])))
             else:
                 gate = GateInstruction(kind, (int(qubits[0]),))
-            apply_gate_inplace(amps, L, gate)
+            apply_matrix_inplace(amps, gate.targets, gate_matrix(gate))
             drift = max(drift, abs(np.sum(np.abs(amps) ** 2) - 1.0))
         assert drift < 1e-10
 
@@ -309,8 +323,8 @@ class TestShotWords:
     ROWS = np.r_[0:1000, 1000:70000:37, 65535, 65536, 69999]
 
     @pytest.mark.parametrize(
-        "seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**131 + 12345],
-        ids=["0", "2^32-1", "2^32", "2^64+1", "above_2^128"],
+        "seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**131 + 12345, 2**200 + 11],
+        ids=["0", "2^32-1", "2^32", "2^64+1", "above_2^128", "7_words"],
     )
     def test_rows_equal_seed_sequence_state(self, seed):
         words = shot_words(seed, 70_000)
