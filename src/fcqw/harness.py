@@ -129,12 +129,12 @@ def _is_integer(value) -> bool:
 
 
 def _is_finite_real(value, limit: float = math.inf) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and abs(value) <= limit
-    )
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value) and abs(value) <= limit
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def _int_in(value, lo: int, hi: float = math.inf) -> bool:
@@ -227,7 +227,9 @@ def validate_config(data: dict) -> ExperimentConfig:
         problems.append("method")
     elif cfg.method == "single_particle" and cfg.noise is not None:
         problems.append("method")  # the exact propagator takes no noise
-    if not _int_in(cfg.shots, 1, 1 << 32):  # a spawn key per shot, one word each
+    # a bound kept from seeding each shot with one spawn-key word; rows of
+    # one PCG64 stream need none, but a run keeps arrays sized by it
+    if not _int_in(cfg.shots, 1, 1 << 32):
         problems.append("shots")
     if not isinstance(cfg.output_dir, str):
         problems.append("output_dir")
@@ -250,14 +252,15 @@ def validate_config(data: dict) -> ExperimentConfig:
         raise ConfigError("invalid field values", problems)
     overflowing = _overflowing(cfg)
     if overflowing:
-        raise ConfigError("an rz angle, onsite phase or hopping term overflows", overflowing)
+        raise ConfigError("an rz angle, onsite phase, hopping term or E t overflows", overflowing)
     return cfg
 
 
 def _overflowing(cfg: ExperimentConfig) -> list[str]:
     """The fields of a valid config whose values make an rz angle, an onsite
-    phase or an XY hopping term of the run non-finite.  The kinds without
-    W values have no profile to check: disorder draws |u| <= 1."""
+    phase, an XY hopping term or an exact XY point's ``E t`` non-finite.
+    The kinds without W values have no profile to check: disorder draws
+    |u| <= 1."""
     if not math.isfinite(2.0 * cfg.J):
         return ["J"]
     W_values, xs = _sweep(cfg)
@@ -265,6 +268,7 @@ def _overflowing(cfg: ExperimentConfig) -> list[str]:
     exact = _method(cfg) == "single_particle"  # the exact XY H's diagonal: onsite phases
     trotter = cfg.kind == "nonchiral_localization" and not exact
     dts = np.array(xs, dtype=float) / cfg.trotter_n  # build_xy_trotter's t / n
+    top = 0.0  # the largest |onsite phase| or |rz angle|
     with np.errstate(over="ignore", invalid="ignore"):
         for W in W_values:
             u = _profile_for(cfg, W).u
@@ -273,8 +277,14 @@ def _overflowing(cfg: ExperimentConfig) -> list[str]:
                 return custom  # |W| <= 1e300 and |u| <= 1 for the other profiles
             if trotter and not np.isfinite(np.outer(terms, dts)).all():
                 return ["W_values", *custom, "times"]
+            top = max(top, float(np.abs(terms).max()))
         if trotter and not np.isfinite(-2.0 * cfg.J * dts).all():
             return ["J", "times"]
+    # an exact point's energies: |E| <= 4|J| + top (hops of -2J to two
+    # neighbours, Gershgorin), and e^{-i E t} needs a finite E t
+    if exact and cfg.kind == "nonchiral_localization" and not math.isfinite(
+            (4.0 * abs(cfg.J) + top) * max(xs)):
+        return ["J", "times"]
     return []
 
 

@@ -24,33 +24,33 @@ product through gate j.  A batch holds about 2^20 amplitudes at most
 (16 MiB); a larger run is evolved in chunks of 2^20 >> L faulty rows, at
 least one, so past L = 20 a batch is the clean row and one faulty row.
 
-Determinism: shot s draws from its own substream SeedSequence(seed, (s,))
-in a fixed order (error flags, Pauli codes of the flagged gates, the
-measurement uniform, readout flips), so its outcome depends only on the
-seed, s and the circuit.  With all probabilities zero, each shot consumes
-a single uniform for the measurement, exactly matching the noiseless
-reference sampler ``sample_bitstrings`` in the tests.  The streams of a
-run are seeded in one
-batch (``statevec.shot_words``), which gives every shot the same stream
-as ``statevec.shot_rng(seed, s)``.
+Determinism: shot s of a point reads row s of one stream, words
+[s * width, (s + 1) * width) of ``np.random.PCG64(seed)``, in a fixed
+order (error flags, Pauli codes of the flagged gates, the measurement
+uniform, readout flips), ``width`` words being room for all of them (see
+below).  So an outcome depends only on the seed, s, the circuit and the
+noise, and a shorter run's shots are a prefix of a longer run's.  With
+all probabilities zero a row is one word: shot s's uniform is
+``np.random.default_rng(seed).random(shots)[s]``, exactly what the
+noiseless reference sampler ``sample_bitstrings`` in the tests draws.
 
-Stream decoding: both paths read a chunk of shots' streams as raw PCG64
-words from one generator (``statevec.raw_words``), re-seated per shot with
-its ``init + inc`` and ``inc`` (the first word drawn is dropped) once a
-cached check finds numpy's state layout as expected, else one generator per
-shot; they decode a chunk's draws with whole-array operations, bit for bit
-as numpy's ``Generator`` makes them.  A uniform is ``(x >> 11) 2^-53``, so
-``u < p`` is an integer compare; a Pauli code is a Lemire draw on the
-32-bit halves after the flags, low half first; the measurement starts on
-the next whole word.  Room is drawn for far more flagged gates than the
-probabilities make likely (``_pauli_words``), not one per gate; a shot
-with more, or with a rejected Lemire draw (probability 2^-32 each), is
-read again through a ``Generator``.
+Stream decoding: both paths draw a chunk of rows with one ``random_raw``
+call and decode its draws with whole-array operations, bit for bit as a
+``Generator`` reading the row makes them.  A uniform is ``(x >> 11)
+2^-53``, so ``u < p`` is an integer compare; a Pauli code is a Lemire draw
+on the 32-bit halves after the flags, low half first; the measurement
+starts on the next whole word.  A row holds room for far more flagged
+gates than the probabilities make likely (``_pauli_words``), not one per
+gate.  A shot with more, or with a rejected Lemire draw (probability
+2^-32 each), is read again through a ``Generator`` on the stream advanced
+to its row, which reads on past the row's end: such a shot, about 1e-9 of
+shots, shares words with shot s + 1.
 """
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -68,10 +68,7 @@ from .statevec import (
     derived_seed,
     index_to_bitstring,
     one_hot_state,
-    raw_words,
     sample_index,
-    shot_words,
-    words_rng,
 )
 
 SWEEP_AXES = ("steps_at_fixed_L", "size_with_t_equals_L")
@@ -104,6 +101,9 @@ class NoiseSpec:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
+        # PCG64(None) would seed from the OS, PCG64(2.5) raise a TypeError
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def replace_seed(self, seed: int) -> "NoiseSpec":
         return NoiseSpec(self.p_cnot, self.p_1q, self.p_readout, seed)
@@ -184,12 +184,12 @@ def _pauli_words(probs: np.ndarray) -> int:
     return (min(len(probs), math.ceil(mean + 6.0 * math.sqrt(var) + 6.0)) + 1) // 2
 
 
-def _read_streams(words: np.ndarray, probs: np.ndarray, cnots: np.ndarray,
+def _read_streams(seed: int, shots: int, probs: np.ndarray, cnots: np.ndarray,
                   p_readout: float, L: int):
-    """Every shot's draws (see "Stream decoding" above): arrays (shot, gate,
-    code) of the flagged gates in shot then gate order with their Pauli
-    codes (1-15 after a CNOT, 1-3 otherwise), and per shot the measurement
-    uniform and the readout flip mask."""
+    """The draws of shots ``0 .. shots - 1`` (see "Stream decoding" above):
+    arrays (shot, gate, code) of the flagged gates in shot then gate order
+    with their Pauli codes (1-15 after a CNOT, 1-3 otherwise), and per shot
+    the measurement uniform and the readout flip mask."""
     n = len(probs) if np.any(probs > 0.0) else 0
     readout = L if p_readout > 0.0 else 0
     pauli = _pauli_words(probs[:n])
@@ -199,9 +199,10 @@ def _read_streams(words: np.ndarray, probs: np.ndarray, cnots: np.ndarray,
     choices = np.where(cnots, 15, 3).astype(np.uint64)
     weights = 1 << np.arange(readout)
     rows = max(1, _CHUNK_WORDS // width)
+    stream = np.random.PCG64(seed)
     parts = []
-    for c in range(0, len(words), rows):
-        raw = raw_words(words[c:c + rows], width)
+    for c in range(0, shots, rows):
+        raw = stream.random_raw(min(rows, shots - c) * width).reshape(-1, width)
         here = np.arange(len(raw))
         shot, gate = divmod(np.flatnonzero((raw[:, :n] >> 11) < below), n)
         k = np.bincount(shot, minlength=len(raw))
@@ -216,7 +217,7 @@ def _read_streams(words: np.ndarray, probs: np.ndarray, cnots: np.ndarray,
         flips = ((raw[here[:, None], at[:, None] + 1 + np.arange(readout)] >> 11)
                  < ro_below) @ weights
         for s in np.union1d(shot[_rejected(m)], np.flatnonzero((k + 1) // 2 > pauli)):
-            rng = words_rng(words[c + s])
+            rng = np.random.Generator(np.random.PCG64(seed).advance(int(c + s) * width))
             rng.random(n)
             mine = shot == s
             code[mine] = [rng.integers(1, 1 + int(choices[j])) for j in gate[mine]]
@@ -288,7 +289,7 @@ def run_noisy(
     cnots = np.array([g.kind == "cnot" for g in gates], dtype=bool)
     gate_probs = np.where(cnots, spec.p_cnot, spec.p_1q)
     shot, gate, code, u, flips = _read_streams(
-        shot_words(spec.seed, shots), gate_probs, cnots, spec.p_readout, L)
+        spec.seed, shots, gate_probs, cnots, spec.p_readout, L)
     start_index = _basis_index(initial)
     if start_index is not None and all(g.kind in ("rz", "cnot") for g in gates):
         masks, clean = _fault_table(gates, L, start_index)

@@ -16,7 +16,7 @@ STDOUT_DIGESTS = {
     "01_chiral_walk.py": "fa856404a746bfc6",
     "02_winding_and_spectra.py": "8527430b12e48670",
     "03_effective_hamiltonian.py": "ed362c7abcc3dae8",
-    "04_noisy_shots_and_mitigation.py": "b360518078aaa5c7",
+    "04_noisy_shots_and_mitigation.py": "ef60f0faadae4d59",
     "05_anderson_localization.py": "76a1069258a335ed",
 }
 

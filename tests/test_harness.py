@@ -137,6 +137,16 @@ class TestValidation:
             ("exact", "J", 1e308, "J"),
             ("trotter", "J", 1e308, "J"),
             ("spectra", "J", 1e308, "J"),
+            ("spectra", "J", 10**400, "J"),
+            ("noisy", "W", 10**400, "W"),
+            ("localization", "times", [10**400], "times"),
+            ("custom", "custom_u", [10**400, 0, 0, 0], "custom_u"),
+            ("chiral", "noise", {"p_cnot": 10**400}, "p_cnot"),
+            ("noisy", "shots", 0, "shots"),
+            ("noisy", "shots", -1, "shots"),
+            ("noisy", "shots", 2**32 + 1, "shots"),
+            ("noisy", "seed", 2.5, "seed"),
+            ("chiral", "noise", {"p_cnot": 0.01, "seed": -1}, "seed"),
         ],
         ids=[
             "L_string", "L_30", "L_1", "shots_2.5", "trotter_n_2.5", "steps_negative",
@@ -149,6 +159,9 @@ class TestValidation:
             "noise_not_an_object", "noise_probability_string", "scaling_without_noise",
             "values_duplicate", "rz_angle_overflows", "hopping_overflows_exact",
             "hopping_overflows_trotter", "hopping_overflows_spectra",
+            "J_past_the_float_range", "W_past_the_float_range", "times_past_the_float_range",
+            "custom_u_past_the_float_range", "noise_probability_past_the_float_range",
+            "shots_0", "shots_negative", "shots_past_2^32", "seed_2.5", "noise_seed_negative",
         ],
     )
     def test_field_rejected(self, tmp_path, capsys, base, key, value, field):
@@ -189,9 +202,12 @@ class TestValidation:
             ({"method": "statevector", "J": 1e300, "times": [1e300]}, ["J", "times"]),
             ({"method": "single_particle", "profile": "custom",
               "custom_u": [1e308, 1e308, 0, 0]}, ["custom_u"]),
+            ({"method": "single_particle", "J": 8e307}, ["J", "times"]),
+            ({"method": "single_particle", "W_values": [1e300], "times": [1e300]},
+             ["J", "times"]),
         ],
         ids=["trotter_onsite_angle", "trotter_custom_angle", "trotter_hop_angle",
-             "exact_onsite_phase"],
+             "exact_onsite_phase", "exact_energy_bound", "exact_phase_times_t"],
     )
     def test_overflowing_products_name_their_fields(self, extra, fields):
         data = {"kind": "nonchiral_localization", "L": 4, "times": [0.1], "W_values": [0.0]}
@@ -204,10 +220,22 @@ class TestValidation:
                 "output_dir": str(tmp_path / "out")}
         assert main(["run", str(write_config(tmp_path, data))]) == 0
         capsys.readouterr()
+        # 4|J| + max|onsite phase| bounds the energies: finite up to |J| < 4.49e307
         exact = {"kind": "nonchiral_localization", "L": 4, "times": [0.1], "W_values": [0.0],
-                 "method": "single_particle", "J": 8e307}
+                 "method": "single_particle", "J": 4e307}
         validate_config(exact)
         validate_config(dict(exact, method="statevector", times=[1e300], J=1.0))
+
+    def test_overflowing_exact_propagator_rejected(self, tmp_path, capsys):
+        # every density of this run was nan, and it recorded no check
+        data = {"kind": "nonchiral_localization", "L": 8, "J": 1e200, "method": "single_particle",
+                "W_values": [0.0], "times": [1e200], "output_dir": str(tmp_path / "out")}
+        with pytest.raises(ConfigError) as err:
+            validate_config(data)
+        assert err.value.fields == ["J", "times"]
+        assert main(["run", str(write_config(tmp_path, data))]) == 2
+        assert "J, times" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_circuit_width_cap_applies_only_to_circuit_runs(self):
         exact = {"kind": "nonchiral_localization", "L": 30, "times": [0.1], "W_values": [0.0]}
@@ -282,6 +310,21 @@ class TestChiralPropagation:
         assert (outdir / "mitigation_W2.csv").exists()
         report = json.loads((outdir / "checks.json").read_text())
         assert report["all_passed"]
+
+
+    def test_point_counts_independent_of_the_other_points(self, tmp_path):
+        # each point's stream is keyed by the point, not by its place in the sweep
+        rows = []
+        for steps in ([2, 5], [5]):
+            outdir = run_experiment(validate_config(chiral_config(
+                tmp_path, steps=steps, noise={"p_cnot": 0.05, "p_readout": 0.02}, shots=400,
+                output_dir=str(tmp_path / str(steps)))))
+            rows.append([
+                [r for r in csv.reader((outdir / name).read_text().splitlines()) if r[0] == "5"]
+                for name in ("site_density_W2.csv", "mitigation_W2.csv")
+            ])
+        assert rows[0] == rows[1]
+        assert len(rows[0][0]) == 8 and len(rows[0][1]) == 1
 
 
 class TestChiralRobustness:
@@ -635,23 +678,23 @@ GOLDEN_DIGESTS = {
         "circuit_W1.5_t2.qasm": "97e49c90b4094af2",
         "circuit_W1.5_t5.qasm": "8a015fd6fa1d0d50",
         "manifest.json": "a6dfbe37299b430a",
-        "mitigation_W1.5.csv": "a44c5c556590ac32",
-        "site_density_W1.5.csv": "9abb02c56a25b027",
-        "summary_W1.5.csv": "0ed989ae33259ebb",
+        "mitigation_W1.5.csv": "766e8212babc82f5",
+        "site_density_W1.5.csv": "497163ef3d1bbf1a",
+        "summary_W1.5.csv": "bb5d34b497578197",
     },
     "chiral_robustness": {
-        "checks.json": "f8d872071f7bae20",
+        "checks.json": "6310bac94e237262",
         "circuit_W0_t2.qasm": "09a910432b7842d7",
         "circuit_W0_t3.qasm": "8f6bffa86a200d08",
         "circuit_W2.5_t2.qasm": "9eca5c84fb6baf30",
         "circuit_W2.5_t3.qasm": "84dd6fe5398882fa",
         "manifest.json": "de46ffa570a4766b",
-        "mitigation_W0.csv": "6751bd3dc3802d49",
-        "mitigation_W2.5.csv": "77d455a8ac3b22cc",
-        "site_density_W0.csv": "d2e5a3a76348f231",
-        "site_density_W2.5.csv": "ac835a950e603fc3",
-        "summary_W0.csv": "4424c84dd8559e73",
-        "summary_W2.5.csv": "93e7a348542f350b",
+        "mitigation_W0.csv": "d6cfaaf42f02a66a",
+        "mitigation_W2.5.csv": "8b1c89067ef58b32",
+        "site_density_W0.csv": "28382b5250f206c4",
+        "site_density_W2.5.csv": "92284020aa22f68a",
+        "summary_W0.csv": "1dff77b8b9dcf7db",
+        "summary_W2.5.csv": "6ce97641de7c0b9c",
     },
     "nonchiral_statevector": {
         "checks.json": "757600c6219bd936",
@@ -668,10 +711,10 @@ GOLDEN_DIGESTS = {
         "circuit_W0.qasm": "3212ea8a469c3d69",
         "circuit_W2.qasm": "1fea7f3743ecfca0",
         "manifest.json": "14049aff1533e3ae",
-        "site_density_W0.csv": "1492f5e7840660e5",
-        "site_density_W2.csv": "bb026c957988023a",
-        "summary_W0.csv": "7f085b4a994ab3d7",
-        "summary_W2.csv": "d9abf4dc773872a5",
+        "site_density_W0.csv": "35902e234a9b6559",
+        "site_density_W2.csv": "f19ddd097fae57c6",
+        "summary_W0.csv": "83e0b10da824bcaa",
+        "summary_W2.csv": "b21d6cd2d1c0faff",
     },
     "nonchiral_single_particle": {
         "checks.json": "2ccba98b6b0fac43",
@@ -694,8 +737,8 @@ GOLDEN_DIGESTS = {
         "spectra.csv": "7f4e0c7b0a6775c1",
     },
     "amplitude_scaling": {
-        "checks.json": "88d5ba484c214588",
-        "decay.csv": "a462db1d92411f80",
+        "checks.json": "c6c89f27f00f4bf5",
+        "decay.csv": "a6971d4ed34d6dc9",
         "manifest.json": "9fa6749869c54388",
     },
 }

@@ -13,6 +13,7 @@ from fcqw.circuits import (
     lower_swaps,
     simulate,
 )
+import fcqw.noise as noise_mod
 from fcqw.noise import (
     _PAULI_OPS,
     NoiseSpec,
@@ -38,16 +39,11 @@ from fcqw.statevec import (
     gate_matrix,
     h,
     one_hot_state,
-    raw_words,
     rz,
     sample_index,
-    _Words,
-    shot_rng,
-    shot_words,
     swap,
-    words_rng,
 )
-from test_statevec import sample_bitstrings
+from test_statevec import row_rng, sample_bitstrings
 
 
 def _by_index(bit_counts: dict[str, int]) -> dict[int, int]:
@@ -69,6 +65,27 @@ def walk_setup(L=8, t=8, W=0.0):
 ZERO_NOISE = NoiseSpec(0.0, 0.0, 0.0, seed=0)
 
 
+def stream_width(probs, p_readout, L):
+    """Words in a shot's row, as ``_read_streams`` sizes them: the flags
+    (none when every probability is zero), the Pauli room, the measurement
+    word and the readout words (none when p_readout is zero)."""
+    n = len(probs) if np.any(probs > 0) else 0
+    return n + noise_mod._pauli_words(probs[:n]) + 1 + (L if p_readout > 0 else 0)
+
+
+def count_pcg64(monkeypatch):
+    """Record every ``np.random.PCG64`` built from here on, by its seed."""
+    built = []
+
+    class CountingPCG64(np.random.PCG64):
+        def __init__(self, seed=None):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+    return built
+
+
 class TestNoiselessReduction:
     def test_clean_walk_returns_home_every_shot(self):
         circuit, init, _ = walk_setup(L=8, t=8)
@@ -77,7 +94,7 @@ class TestNoiselessReduction:
 
     def test_counts_match_ideal_sampling_exactly(self):
         # superposition-producing circuit: the statevector path must consume
-        # the per-shot streams exactly like sample_bitstrings
+        # each shot's row exactly like sample_bitstrings
         circ = build_xy_trotter(4, PotentialProfile.uniform(4, 1.0), TrotterConfig(1.0, 0.6, 2))
         init = one_hot_state(4, 1)
         spec = NoiseSpec(0.0, 0.0, 0.0, seed=77)
@@ -109,8 +126,6 @@ class TestDeterminism:
         # same circuit, same stream: disabling basis-state detection forces
         # the dense kernels (faulty shots taken in order of first fault),
         # which must reproduce the fault-table path
-        import fcqw.noise as noise_mod
-
         circuit, init, _ = walk_setup(t=4)
         spec = NoiseSpec(p_cnot=2e-2, p_1q=1e-3, p_readout=1e-2, seed=31)
         fast = run_noisy(circuit, init, spec, shots=400)
@@ -118,7 +133,7 @@ class TestDeterminism:
         dense = run_noisy(circuit, init, spec, shots=400)
         assert fast.counts == dense.counts
 
-    # exact counts pin the per-shot stream layout on both sampler paths
+    # exact counts pin the stream layout on both sampler paths
     @pytest.mark.parametrize(
         "circuit, init, spec, shots, expected",
         [
@@ -127,19 +142,19 @@ class TestDeterminism:
                 one_hot_state(6, 0),
                 NoiseSpec(p_cnot=3e-3, p_1q=1e-3, p_readout=1e-2, seed=2024),
                 300,
-                {"000000": 11, "000001": 2, "000010": 2, "000100": 1, "001000": 3,
-                 "010000": 1, "100000": 218, "100001": 13, "100010": 8, "100011": 3,
-                 "100100": 9, "100101": 2, "100110": 1, "101000": 12, "101010": 1,
-                 "101100": 3, "110000": 8, "110010": 1, "111001": 1},
+                {"000000": 10, "000010": 2, "000100": 2, "001000": 1, "001010": 1,
+                 "010000": 1, "010100": 1, "100000": 230, "100001": 6, "100010": 7,
+                 "100011": 1, "100100": 10, "100101": 1, "100110": 1, "101000": 9,
+                 "101001": 3, "110000": 10, "110001": 1, "110010": 2, "111000": 1},
             ),
             (
                 build_xy_trotter(4, PotentialProfile.uniform(4, 1.0), TrotterConfig(1.0, 0.6, 2)),
                 one_hot_state(4, 1),
                 NoiseSpec(p_cnot=1e-2, p_1q=2e-3, p_readout=1e-2, seed=2025),
                 200,
-                {"0000": 8, "0001": 41, "0010": 11, "0011": 1, "0100": 5, "0101": 3,
-                 "0110": 3, "1000": 102, "1001": 8, "1010": 7, "1011": 4, "1100": 6,
-                 "1110": 1},
+                {"0000": 10, "0001": 32, "0010": 9, "0011": 1, "0100": 4, "0101": 2,
+                 "0110": 1, "0111": 1, "1000": 115, "1001": 9, "1010": 4, "1100": 8,
+                 "1101": 1, "1110": 3},
             ),
         ],
         ids=["classical_walk_L6", "statevector_trotter_L4"],
@@ -150,13 +165,14 @@ class TestDeterminism:
 
 def _replay_counts(circuit, start_index, spec, shots):
     """Reference sampler: track the basis index gate by gate through the
-    lowered circuit, flipping bits at each fault, on the per-shot streams."""
+    lowered circuit, flipping bits at each fault, on each shot's row."""
     gates = lower_swaps(circuit).instructions
     L = circuit.num_qubits
     probs = np.array([spec.p_cnot if g.kind == "cnot" else spec.p_1q for g in gates])
+    width = stream_width(probs, spec.p_readout, L)
     indices = []
     for s in range(shots):
-        rng = shot_rng(spec.seed, s)
+        rng = row_rng(spec.seed, s, width)
         flagged = set(np.flatnonzero(rng.random(len(gates)) < probs).tolist())
         index = start_index
         for j, g in enumerate(gates):
@@ -221,6 +237,7 @@ def _per_shot_counts(circuit, initial, spec, shots):
     probs = np.array([spec.p_cnot if g.kind == "cnot" else spec.p_1q for g in gates])
     draw_flags = bool(np.any(probs > 0.0))
     weights = 1 << np.arange(L, dtype=np.int64)
+    width = stream_width(probs, spec.p_readout, L)
 
     def flagged(rng):
         return (rng.random(len(gates)) < probs).nonzero()[0] if draw_flags else ()
@@ -240,7 +257,7 @@ def _per_shot_counts(circuit, initial, spec, shots):
     indices = [0] * shots
     faulty = []
     for s in range(shots):
-        rng = shot_rng(spec.seed, s)
+        rng = row_rng(spec.seed, s, width)
         first = flagged(rng)
         if len(first):
             faulty.append((int(first[0]), s))
@@ -252,7 +269,7 @@ def _per_shot_counts(circuit, initial, spec, shots):
         for g in gates[done:first]:
             apply_matrix_inplace(prefix, g.targets, gate_matrix(g))
         done = first
-        rng = shot_rng(spec.seed, s)
+        rng = row_rng(spec.seed, s, width)
         amps = prefix.copy()
         pos = first
         for j in flagged(rng):
@@ -298,8 +315,6 @@ class TestTrajectoryBatch:
     @pytest.mark.parametrize("rows", [None, 2, 3])
     @pytest.mark.parametrize("make, L", BATCH_CASES)
     def test_matches_per_shot_replay(self, monkeypatch, make, L, rows):
-        import fcqw.noise as noise_mod
-
         circuit, init, spec = make(L)
         if rows is not None:  # chunks of 2 or 3 faulty rows
             monkeypatch.setattr(noise_mod, "_BATCH_AMPLITUDES", rows << L)
@@ -321,8 +336,6 @@ class TestTrajectoryBatch:
         # and one correction per fault: a per-gate or per-shot replay would
         # make about one call per remaining gate
         import fcqw.circuits as circuits_mod
-        import fcqw.noise as noise_mod
-
         L, shots = 8, 50  # the noisy point of the dense benchmark
         circuit = build_xy_trotter(L, PotentialProfile.box(L, 6.0), TrotterConfig(1.0, 2.0, 8))
         init = one_hot_state(L, 3)
@@ -429,17 +442,15 @@ class TestReadStreams:
     @pytest.mark.parametrize("case", DECODE_CASES)
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1], ids=["0", "2^32", "2^64+1"])
     def test_equals_generator_draws(self, monkeypatch, seed, case):
-        import fcqw.noise as noise_mod
-
         probs, cnots, p_readout = (np.array(x) for x in DECODE_CASES[case])
         L, shots = 5, 150
-        rngs = (shot_rng(seed, s) for s in range(shots))
+        width = stream_width(probs, p_readout, L)
+        rngs = (row_rng(seed, s, width) for s in range(shots))
         expected = _generator_draws(rngs, probs, cnots, p_readout, L)
         for chunk in (None, 1, 7):  # one chunk, one shot per chunk, several
             if chunk is not None:
-                width = len(probs) + (len(probs) + 1) // 2 + 1 + L
                 monkeypatch.setattr(noise_mod, "_CHUNK_WORDS", chunk * width)
-            got = _read_streams(shot_words(seed, shots), probs, cnots, float(p_readout), L)
+            got = _read_streams(seed, shots, probs, cnots, float(p_readout), L)
             for name, ours, ref in zip(("shot", "gate", "code", "u", "flips"), got, expected):
                 assert np.array_equal(ours, np.array(ref, dtype=ours.dtype)), (name, chunk)
 
@@ -449,31 +460,33 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = (1 << 128) - 1
 
 
-def _words_with_output(out_index, lo, initseq=12345):
-    """Seed words (as in ``shot_words``) whose PCG64 stream's output number
-    ``out_index`` is ``lo``: the post-step state is (hi, lo) = (0, lo), and
-    XSL-RR of a state with hi = 0 outputs lo.  Inverts the LCG steps and
-    the seeding."""
-    inc = (initseq << 1 | 1) & _MASK128
+def _state_with_output(out_index, lo, inc=12345 << 1 | 1):
+    """A PCG64 ``state`` whose output number ``out_index`` is ``lo``: the
+    state after that output's step is (hi, lo) = (0, lo), and XSL-RR of a
+    state with hi = 0 outputs lo.  Inverts the LCG steps."""
     back = pow(_PCG_MULT, -1, 1 << 128)
     state = lo
     for _ in range(out_index + 1):  # the state before the first output
         state = (state - inc) * back & _MASK128
-    # seeding: state = ((inc + initstate) * mult + inc)
-    initstate = ((state - inc) * back - inc) & _MASK128
-    words = [initstate >> 64, initstate & (2**64 - 1), initseq >> 64, initseq & (2**64 - 1)]
-    return np.array(words, dtype=np.uint64)
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 class TestRejectedDraw:
     def test_zero_low_half_is_replayed(self, monkeypatch):
-        import fcqw.noise as noise_mod
-
         # one CNOT flagged for sure: word 0 is its flag, word 1 its Pauli draw
         high = 0xDEADBEEF
-        words = _words_with_output(1, high << 32)
-        assert np.random.PCG64(_Words(words)).random_raw(2)[1] == high << 32
-        rng = words_rng(words)
+        crafted = _state_with_output(1, high << 32)
+
+        class CraftedPCG64(np.random.PCG64):
+            """Every stream, whatever its seed, starts at the crafted state."""
+
+            def __init__(self, seed=None):
+                super().__init__(seed)
+                self.state = {**crafted, "bit_generator": type(self).__name__}
+
+        assert CraftedPCG64(0).random_raw(2)[1] == high << 32
+        rng = np.random.Generator(CraftedPCG64(0))
         rng.random(1)
         code = rng.integers(1, 16)
         state = rng.bit_generator.state
@@ -482,71 +495,161 @@ class TestRejectedDraw:
         assert code == (high * 15 >> 32) + 1
         assert state["state"]["state"] == high << 32 and state["has_uint32"] == 0
 
-        replays = []
-        monkeypatch.setattr(noise_mod, "words_rng", lambda w: replays.append(w) or words_rng(w))
         probs, cnots, L = np.array([1.0]), np.array([True]), 3
-        got = _read_streams(words[None], probs, cnots, 0.4, L)
-        assert len(replays) == 1
-        expected = _generator_draws([words_rng(words)], probs, cnots, 0.4, L)
+        expected = _generator_draws(
+            [np.random.Generator(CraftedPCG64(0))], probs, cnots, 0.4, L)
+        monkeypatch.setattr(np.random, "PCG64", CraftedPCG64)
+        built = count_pcg64(monkeypatch)
+        got = _read_streams(0, 1, probs, cnots, 0.4, L)
+        assert len(built) == 2  # the stream and one replay
         for ours, ref in zip(got, expected):
             assert np.array_equal(ours, np.array(ref, dtype=ours.dtype))
 
     @pytest.mark.parametrize("trial", range(3))
     def test_forced_rejections_keep_counts(self, monkeypatch, trial):
-        import fcqw.noise as noise_mod
-
-        replays = []
         monkeypatch.setattr(noise_mod, "_rejected", lambda m: np.arange(len(m)) % 3 == trial)
-        monkeypatch.setattr(noise_mod, "words_rng", lambda w: replays.append(w) or words_rng(w))
         circuit, init, _ = walk_setup(L=6, t=6, W=0.7)
         spec = NoiseSpec(**HIGH_NOISE, seed=700 + trial)
         expected = _replay_counts(circuit, 1, spec, 200)
+        built = count_pcg64(monkeypatch)
         assert run_noisy(circuit, init, spec, shots=200).counts == expected
-        assert replays
+        assert len(built) > 1  # replays beside the stream
 
 
 class TestPauliRegion:
     def test_shipped_noise_draws_fewer_words(self, monkeypatch):
-        import fcqw.noise as noise_mod
-
         widths = []
-        monkeypatch.setattr(noise_mod, "raw_words",
-                            lambda w, width: widths.append(width) or raw_words(w, width))
+
+        class SizedPCG64(np.random.PCG64):
+            def random_raw(self, size=None, output=True):
+                widths.append(size)
+                return super().random_raw(size, output)
+
+        monkeypatch.setattr(np.random, "PCG64", SizedPCG64)
+        monkeypatch.setattr(noise_mod, "_CHUNK_WORDS", 1)  # one row per draw
         circuit, init, _ = walk_setup(L=8, t=8)
         run_noisy(circuit, init, NoiseSpec(seed=4), 500)
         n = len(lower_swaps(circuit))  # 232 gates, about 1.2 flagged per shot
         assert set(widths) == {n + 7 + 1 + 8}  # was n + 116 + 1 + 8
 
+    @pytest.mark.parametrize("probs", [
+        "shipped_walk",
+        np.full(232, 0.05),
+        np.full(40, 0.3),
+        np.full(2000, 0.001),
+        np.full(5000, 0.02),
+        np.array(DECODE_CASES["flag_edges"][0]),
+    ], ids=["shipped_walk", "232_at_0.05", "40_at_0.3", "2000_at_0.001", "5000_at_0.02",
+            "flag_edges"])
+    def test_room_overflows_below_1e_9(self, probs):
+        # the exact law of a shot's flagged-gate count, a sum of Bernoullis
+        if isinstance(probs, str):
+            circuit, _, _ = walk_setup(L=8, t=8)
+            spec = NoiseSpec(seed=0)
+            cnots = np.array([g.kind == "cnot" for g in lower_swaps(circuit).instructions])
+            probs = np.where(cnots, spec.p_cnot, spec.p_1q)
+        law = np.zeros(len(probs) + 1)
+        law[0] = 1.0
+        for p in probs:
+            law[1:] = law[1:] * (1.0 - p) + law[:-1] * p
+            law[0] *= 1.0 - p
+        room = 2 * noise_mod._pauli_words(probs)
+        assert law[room + 1:].sum() < 1e-9
+
+    def test_room_is_at_most_one_half_word_per_gate(self):
+        assert noise_mod._pauli_words(np.zeros(0)) == 0
+        for n in range(1, 41):
+            assert noise_mod._pauli_words(np.ones(n)) == (n + 1) // 2  # never overflows
+            # mean + 6 sd + 6 is 6.2 to 7.3 here: room for 8 gates once there are 7
+            assert noise_mod._pauli_words(np.full(n, 1e-3)) == min((n + 1) // 2, 4)
+
     @pytest.mark.parametrize("pauli", [0, 1])
     @pytest.mark.parametrize("case", DECODE_CASES)
     def test_overflowing_shots_are_replayed(self, monkeypatch, case, pauli):
-        import fcqw.noise as noise_mod
-
-        replays = []
         monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: pauli)
-        monkeypatch.setattr(noise_mod, "words_rng", lambda w: replays.append(w) or words_rng(w))
         probs, cnots, p_readout = (np.array(x) for x in DECODE_CASES[case])
         L, shots, seed = 5, 150, 9
+        width = stream_width(probs, p_readout, L)
         expected = _generator_draws(
-            (shot_rng(seed, s) for s in range(shots)), probs, cnots, p_readout, L)
-        got = _read_streams(shot_words(seed, shots), probs, cnots, float(p_readout), L)
+            (row_rng(seed, s, width) for s in range(shots)), probs, cnots, p_readout, L)
+        built = count_pcg64(monkeypatch)
+        got = _read_streams(seed, shots, probs, cnots, float(p_readout), L)
         for name, ours, ref in zip(("shot", "gate", "code", "u", "flips"), got, expected):
             assert np.array_equal(ours, np.array(ref, dtype=ours.dtype)), name
         flagged = np.bincount(np.array(expected[0], dtype=int), minlength=shots)
-        assert len(replays) == np.count_nonzero((flagged + 1) // 2 > pauli)
+        assert len(built) - 1 == np.count_nonzero((flagged + 1) // 2 > pauli)
 
     @pytest.mark.parametrize("kind", ["classical", "statevector"])
     def test_forced_overflow_keeps_counts(self, monkeypatch, kind):
-        import fcqw.noise as noise_mod
-
+        # the room sets the row width, so the reference reads rows of the
+        # same width: every flagged shot is replayed past its row's end
+        monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: 0)
+        spec = NoiseSpec(**HIGH_NOISE, seed=41)
         if kind == "classical":
             circuit, init, _ = walk_setup(L=6, t=6, W=0.7)
+            expected = _replay_counts(circuit, 1, spec, 300)
         else:
             circuit, init, _ = _trotter_case(4)
-        spec = NoiseSpec(**HIGH_NOISE, seed=41)
-        expected = run_noisy(circuit, init, spec, shots=300).counts
-        monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: 0)
+            expected = _per_shot_counts(circuit, init, spec, 300)
         assert run_noisy(circuit, init, spec, shots=300).counts == expected
+
+
+def _streams_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+class TestStreamContract:
+    """Shot s reads words [s * width, (s + 1) * width) of PCG64(seed)."""
+
+    PROBS = np.array([0.05, 0.01, 0.3, 0.0, 0.02] * 8)
+    CNOTS = np.array([True, False, True, True, False] * 8)
+
+    def test_shorter_run_is_a_prefix(self):
+        L, seed = 6, 17
+        long = _read_streams(seed, 7000, self.PROBS, self.CNOTS, 0.05, L)
+        short = _read_streams(seed, 5000, self.PROBS, self.CNOTS, 0.05, L)
+        shot, gate, code, u, flips = long
+        kept = shot < 5000
+        assert _streams_equal(short, (shot[kept], gate[kept], code[kept], u[:5000], flips[:5000]))
+        assert len(short[0]) > 1000  # both runs flag gates
+
+    def test_chunk_size_does_not_matter(self, monkeypatch):
+        # a room of one Pauli word overflows on 3 or more flagged gates,
+        # here about half the shots; some are the last row of a 7-row chunk
+        probs, cnots = np.array([1.0, 0.5, 0.5, 0.5]), np.array([True, False, True, False])
+        L, shots, seed = 4, 150, 23
+        monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: 1)
+        width = stream_width(probs, 0.1, L)
+        expected = _generator_draws(
+            (row_rng(seed, s, width) for s in range(shots)), probs, cnots, 0.1, L)
+        flagged = np.bincount(np.array(expected[0], dtype=int), minlength=shots)
+        over = np.flatnonzero(flagged > 2)
+        assert np.any(over % 7 == 6) and over[-1] == shots - 1
+        outputs = []
+        for rows in (1, 7, shots):
+            monkeypatch.setattr(noise_mod, "_CHUNK_WORDS", rows * width)
+            outputs.append(_read_streams(seed, shots, probs, cnots, 0.1, L))
+        for got in outputs:
+            assert _streams_equal(got, [np.array(r, dtype=g.dtype) for r, g in zip(expected, got)])
+
+    @pytest.mark.parametrize("kind", ["classical", "statevector"])
+    def test_noiseless_counts_are_inverse_cdf_of_default_rng(self, monkeypatch, kind):
+        circuit, init, _ = walk_setup(L=6, t=3, W=0.7)
+        if kind == "classical":
+            monkeypatch.setattr(noise_mod, "simulate", None)  # the fault table only
+        else:
+            init = apply_gate(init, h(0))  # a superposition: only the dense path runs it
+        cumulative = np.cumsum(np.abs(simulate(circuit, init).amplitudes) ** 2)
+        u = np.random.default_rng(19).random(2000)
+        index = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+        counts = run_noisy(circuit, init, NoiseSpec(0.0, 0.0, 0.0, seed=19), 2000).counts
+        assert counts == dict(Counter(index.tolist()))
+
+    def test_noiseless_uniforms_are_default_rng(self):
+        shot, _, _, u, flips = _read_streams(
+            8, 3000, np.zeros(12), np.ones(12, dtype=bool), 0.0, 5)
+        assert len(shot) == 0 and not flips.any()
+        assert np.array_equal(u, np.random.default_rng(8).random(3000))
 
 
 class TestCallCount:
@@ -571,6 +674,24 @@ class TestCallCount:
         run_noisy(circuit, init, NoiseSpec(**HIGH_NOISE, seed=3), shots)
         assert not generators
         assert len(built) <= shots and len(raw_calls) <= shots
+
+    @pytest.mark.parametrize("pauli", [None, 0], ids=["shipped", "every_flagged_shot_replayed"])
+    def test_one_bit_generator_per_point_and_replay(self, monkeypatch, pauli):
+        # a bit generator seeded per shot would build 7000 of them
+        circuit, init, _ = walk_setup(L=8, t=8)
+        spec, shots = NoiseSpec(seed=3), 7000
+        replayed = 0
+        if pauli is not None:
+            monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: pauli)
+            gates = lower_swaps(circuit).instructions
+            cnots = np.array([g.kind == "cnot" for g in gates])
+            probs = np.where(cnots, spec.p_cnot, spec.p_1q)
+            shot = _read_streams(spec.seed, shots, probs, cnots, spec.p_readout, 8)[0]
+            replayed = len(np.unique(shot))
+            assert replayed > 1000
+        built = count_pcg64(monkeypatch)
+        run_noisy(circuit, init, spec, shots)
+        assert len(built) == 1 + replayed
 
 
 class TestExactExpectation:
@@ -607,6 +728,18 @@ class TestErrorModel:
             NoiseSpec(p_cnot=1.5)
         with pytest.raises(ValueError):
             NoiseSpec(p_readout=-0.1)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), 2.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError):
+            NoiseSpec(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1, 2**200, np.int64(7), np.uint64(2**63)],
+                             ids=["0", "2^32", "2^64+1", "2^200", "int64", "uint64"])
+    def test_good_seed_accepted(self, seed):
+        spec = NoiseSpec(seed=seed)
+        u = _read_streams(spec.seed, 50, np.zeros(3), np.ones(3, dtype=bool), 0.0, 2)[3]
+        assert np.array_equal(u, np.random.default_rng(int(seed)).random(50))
 
     def test_zero_shots_rejected(self):
         circuit, init, _ = walk_setup(t=1)

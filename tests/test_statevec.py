@@ -11,37 +11,35 @@ from fcqw.statevec import (
     basis_state,
     bitstring_to_index,
     cnot,
+    derived_seed,
     gate_matrix,
     h,
     hy,
     index_to_bitstring,
     one_hot_state,
-    raw_words,
     rz,
     sample_index,
-    shot_rng,
-    shot_words,
     swap,
     swap_as_cnots,
-    words_rng,
 )
-from fcqw import statevec
-from fcqw.statevec import _Words
+
+
+def row_rng(seed: int, shot: int, width: int) -> np.random.Generator:
+    """Reference stream of one shot: a generator on ``PCG64(seed)`` moved
+    forward to the shot's row, word ``shot * width`` of the stream."""
+    return np.random.Generator(np.random.PCG64(seed).advance(shot * width))
 
 
 def sample_bitstrings(state: StateVector, shots: int, seed: int) -> list[str]:
     """Reference noiseless sampler: i.i.d. bitstrings from |amplitudes|^2,
-    each shot consuming exactly one uniform from its own seeded substream,
+    shot s taking the inverse CDF of ``default_rng(seed).random(shots)[s]``,
     so noiseless trajectory runs reproduce these draws shot for shot."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     cumulative = np.cumsum(np.abs(state.amplitudes) ** 2)
     L = state.num_qubits
-    out = []
-    for words in shot_words(seed, shots):
-        u = words_rng(words).random()
-        out.append(index_to_bitstring(sample_index(cumulative, u), L))
-    return out
+    return [index_to_bitstring(sample_index(cumulative, u), L)
+            for u in np.random.default_rng(seed).random(shots)]
 
 
 def embed_gate(gate: GateInstruction, L: int) -> np.ndarray:
@@ -307,111 +305,49 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_bitstrings(one_hot_state(2, 0), 0, seed=0)
 
-    def test_draws_follow_shot_rng(self):
+    def test_draws_follow_row_rng(self):
         state = random_state(np.random.default_rng(4), 3)
         cumulative = np.cumsum(np.abs(state.amplitudes) ** 2)
         expected = [
-            index_to_bitstring(sample_index(cumulative, shot_rng(11, s).random()), 3)
+            index_to_bitstring(sample_index(cumulative, row_rng(11, s, 1).random()), 3)
             for s in range(200)
         ]
         assert sample_bitstrings(state, 200, seed=11) == expected
 
 
-class TestShotWords:
-    #: every key below 1000, then a stride past 2**16 (where the key's high
-    #: half word first reaches the hash's xor-shift), and the edges around it
-    ROWS = np.r_[0:1000, 1000:70000:37, 65535, 65536, 69999]
+class TestDerivedSeed:
+    """Every noisy point's stream starts from ``derived_seed``; a change to
+    it changes every sampled count."""
 
     @pytest.mark.parametrize(
-        "seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**131 + 12345, 2**200 + 11],
-        ids=["0", "2^32-1", "2^32", "2^64+1", "above_2^128", "7_words"],
+        "base, key, seed",
+        [
+            (0, (), 2968811710),
+            (1, (8, 0), 2407966284),
+            (7, (3, -2500), 1933806770),
+            (2**64 + 1, (5, 9, 2**31), 2371538314),
+        ],
+        ids=["no_key", "step_and_W", "negative_key", "wide_base"],
     )
-    def test_rows_equal_seed_sequence_state(self, seed):
-        words = shot_words(seed, 70_000)
-        assert words.shape == (70_000, 4) and words.dtype == np.uint64
-        for s in self.ROWS:
-            expected = np.random.SeedSequence(seed, spawn_key=(int(s),)).generate_state(4, np.uint64)
-            assert np.array_equal(words[s], expected), s
+    def test_pinned_values(self, base, key, seed):
+        assert derived_seed(base, *key) == seed
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**70 + 3])
-    def test_generators_draw_what_shot_rng_draws(self, seed):
-        words = shot_words(seed, 40)
-        for s in (0, 1, 39):
-            ours, ref = words_rng(words[s]), shot_rng(seed, s)
-            assert np.array_equal(ours.random(300), ref.random(300))
-            assert np.array_equal(ours.integers(1, 16, size=300), ref.integers(1, 16, size=300))
-            assert np.array_equal(ours.integers(1, 4, size=300), ref.integers(1, 4, size=300))
+    def test_negative_keys_wrap_to_32_bits(self):
+        assert derived_seed(5, -1, 3) == derived_seed(5, 2**32 - 1, 3)
+        assert derived_seed(5, -(2**31), 0) == derived_seed(5, 2**31, 0)
 
-    def test_zero_shots(self):
-        assert shot_words(3, 0).shape == (0, 4)
+    def test_is_a_32_bit_word(self):
+        seeds = [derived_seed(base, x, w) for base in (0, 1, 2**70) for x in range(5)
+                 for w in (-3, 0, 3)]
+        assert all(isinstance(s, int) and 0 <= s < 2**32 for s in seeds)
 
-    @pytest.mark.parametrize("seed", [-1, -(2**40), 2.5, "3", None])
-    def test_bad_seed_rejected(self, seed):
-        with pytest.raises(ValueError):
-            shot_words(seed, 4)
+    def test_base_and_every_key_word_matter(self):
+        seeds = {derived_seed(base, x, w) for base in (0, 1) for x in range(20) for w in range(20)}
+        assert len(seeds) == 2 * 20 * 20
 
-    @pytest.mark.parametrize("shots", [2**32 + 1, 2**40, -1])
-    def test_bad_shot_count_rejected(self, shots):
-        # a spawn key >= 2**32 would be two words; refused before allocating
-        with pytest.raises(ValueError):
-            shot_words(0, shots)
-
-
-def _raw_words_per_row(words: np.ndarray, width: int) -> np.ndarray:
-    """Reference: one bit generator seeded the public way per row."""
-    out = np.empty((len(words), width), dtype=np.uint64)
-    for s, row in enumerate(words):
-        out[s] = np.random.PCG64(_Words(row)).random_raw(width)
-    return out
-
-
-#: hand-made rows (w0, w1, w2, w3): w1 + inc_lo carries into the high
-#: word; the top bit of w3 carries into inc_hi; every word all ones; zeros
-_CARRY_WORDS = np.array([
-    [5, 2**64 - 1, 7, 2**63 + 11],
-    [2**64 - 1, 2**64 - 2, 2**64 - 1, 2**63],
-    [2**64 - 1] * 4,
-    [0] * 4,
-], dtype=np.uint64)
-
-
-class TestRawWords:
-    @pytest.fixture(params=["fast", "fallback"])
-    def path(self, request, monkeypatch):
-        if request.param == "fallback":
-            monkeypatch.setattr(statevec, "_pcg64_layout_ok", lambda: False)
-        return request.param
-
-    def test_layout_guard_passes_on_this_build(self):
-        # a numpy whose PCG64 struct differs fails here instead of silently
-        # taking the per-row fallback
-        assert statevec._pcg64_layout_ok()
-
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
-    def test_rows_are_the_generators_words(self, seed, path):
-        words = shot_words(seed, 30)
-        raw = raw_words(words, 50)
-        assert raw.shape == (30, 50) and raw.dtype == np.uint64
-        assert np.array_equal(raw, _raw_words_per_row(words, 50))
-        for s in (0, 17, 29):
-            # a double is the top 53 bits of one word
-            assert np.array_equal((raw[s] >> 11) * 2.0**-53, shot_rng(seed, s).random(50))
-
-    @pytest.mark.parametrize("width", [1, 3, 171])
-    def test_carries_in_the_128_bit_words(self, width, path):
-        words = _CARRY_WORDS
-        # row 0 forces both carries of the 128-bit sums
-        w1, w3 = int(words[0, 1]), int(words[0, 3])
-        assert w1 + ((w3 << 1 | 1) & (2**64 - 1)) >= 2**64 and w3 >> 63
-        assert np.array_equal(raw_words(words, width), _raw_words_per_row(words, width))
-
-    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1])
-    def test_width_one(self, seed, path):
-        words = shot_words(seed, 20)
-        assert np.array_equal(raw_words(words, 1), _raw_words_per_row(words, 1))
-
-    def test_no_rows(self, path):
-        assert raw_words(shot_words(1, 0), 5).shape == (0, 5)
+    def test_key_order_matters(self):
+        assert derived_seed(1, 2, 3) != derived_seed(1, 3, 2)
+        assert derived_seed(1, 2) != derived_seed(1, 2, 0)
 
 
 class TestBitstrings:
