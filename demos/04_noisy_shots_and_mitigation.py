@@ -13,7 +13,6 @@ from fcqw import (
     PotentialProfile,
     amplitude_decay_sweep,
     build_fcqw_walk,
-    one_hot_state,
     peak_amplitude,
     post_process,
     restricted_site_density_counts,
@@ -24,11 +23,11 @@ from fcqw.statevec import index_to_bitstring
 
 L, steps, shots = 8, 8, 5000
 walk = build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), steps)
-init = one_hot_state(L, 0)
+start = 1 << 0  # basis index of one particle on site 0
 target = steps % L
 
 spec = NoiseSpec(p_cnot=7e-3, p_1q=3e-4, p_readout=1e-2, seed=1)
-result = run_noisy(walk, init, spec, shots)
+result = run_noisy(walk, start, spec, shots)
 
 raw = site_density_counts(result, L)
 mitigated = post_process(raw)

@@ -403,15 +403,6 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def save_spectrum_csv(spectrum: QuasiEnergySpectrum, path) -> None:
-    dim = len(spectrum.eigenphases)
-    header = ["n", "eigenphase"] + [f"v{j}_{part}" for j in range(dim) for part in ("re", "im")]
-    # row n of the float view interleaves re, im of eigenvector n
-    vectors = np.ascontiguousarray(spectrum.eigenvectors.T, dtype=complex).view(float).tolist()
-    rows = [[n, p, *vec] for n, (p, vec) in enumerate(zip(spectrum.eigenphases.tolist(), vectors))]
-    write_csv(path, header, rows)
-
-
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     m = np.ascontiguousarray(matrix, dtype=complex)
     header = [f"c{j}_{part}" for j in range(m.shape[1]) for part in ("re", "im")]

@@ -55,7 +55,7 @@ from .observables import (
     site_density_counts,
 )
 from .qasm import emit_qasm3
-from .statevec import MAX_QUBITS, derived_seed, one_hot_state
+from .statevec import MAX_QUBITS, derived_seed
 
 KINDS = (
     "chiral_propagation",
@@ -281,7 +281,10 @@ def _overflowing(cfg: ExperimentConfig) -> list[str]:
         if trotter and not np.isfinite(-2.0 * cfg.J * dts).all():
             return ["J", "times"]
     # an exact point's energies: |E| <= 4|J| + top (hops of -2J to two
-    # neighbours, Gershgorin), and e^{-i E t} needs a finite E t
+    # neighbours, Gershgorin), and e^{-i E t} needs a finite E t; a disorder
+    # step is t = 1 with |onsite phase| <= L |W|, as |u| <= 1
+    if cfg.kind == "disorder_spectra" and not math.isfinite(4.0 * abs(cfg.J) + cfg.L * abs(cfg.W)):
+        return ["J"]
     if exact and cfg.kind == "nonchiral_localization" and not math.isfinite(
             (4.0 * abs(cfg.J) + top) * max(xs)):
         return ["J", "times"]
@@ -406,8 +409,7 @@ def _measure(cfg: ExperimentConfig, profile: PotentialProfile, circuit: Circuit 
         return SiteDistribution(np.abs(op.matrix[:, cfg.start_site]) ** 2), None
     step_key = _point_key(x) if cfg.kind == "nonchiral_localization" else x
     seed = derived_seed(cfg.noise.seed, step_key, _point_key(W))
-    init = one_hot_state(cfg.L, cfg.start_site)
-    result = run_noisy(circuit, init, cfg.noise.replace_seed(seed), cfg.shots)
+    result = run_noisy(circuit, 1 << cfg.start_site, cfg.noise.replace_seed(seed), cfg.shots)
     return site_density_counts(result, cfg.L), result
 
 
@@ -437,7 +439,8 @@ def _run_points(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
             circuit = _point_circuit(cfg, profile, x)
             raw, result = _measure(cfg, profile, circuit, W, x)
             density = post_process(raw)
-            peak_site = (cfg.start_site + x) % cfg.L if walk else cfg.start_site
+            shift = (x if cfg.chirality == "right" else -x) if walk else 0
+            peak_site = (cfg.start_site + shift) % cfg.L
             site_rows += [(x, site + 1, float(p)) for site, p in enumerate(density.p)]
             row = (x, ipr(density), peak_amplitude(density, peak_site))
             summary_rows.append(row if walk else (*row, float(np.sum(density.p[beyond]))))

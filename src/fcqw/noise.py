@@ -11,18 +11,19 @@ physical CNOT.
 Fault table: rz and CNOT map basis indices to basis indices, linearly over
 GF(2), so an X or Y fault after gate j flips a fixed mask of the final
 index (a Pauli frame, as in Stim).  One backward pass over the gates gives
-every mask and the clean final index; a shot on a basis-state start then
-costs its random draws plus one XOR per X/Y fault.
+every mask and the clean final index of the start's basis index; a shot
+then costs its random draws plus one XOR per X/Y fault, and no 2^L array.
 
-Trajectory batch: any other circuit or start runs on dense amplitudes,
-in the two-qubit blocks of ``circuits.fuse_blocks``.  Every shot's stream
-is read first; the faulty shots, in order of first fault, are then rows
-of one (rows, 2^L) array whose row 0 is the clean trajectory, so each
-block is one kernel call on all active rows.  A Pauli P after gate j of
-block B is the correction B Pre_j^+ P Pre_j B^+ after B, Pre_j being B's
-product through gate j.  A batch holds about 2^20 amplitudes at most
-(16 MiB); a larger run is evolved in chunks of 2^20 >> L faulty rows, at
-least one, so past L = 20 a batch is the clean row and one faulty row.
+Trajectory batch: any other circuit runs on dense amplitudes from the
+start's basis state, in the two-qubit blocks of ``circuits.fuse_blocks``.
+Every shot's stream is read first; the faulty shots, in order of first
+fault, are then rows of one (rows, 2^L) array whose row 0 is the clean
+trajectory, so each block is one kernel call on all active rows.  A Pauli
+P after gate j of block B is the correction B Pre_j^+ P Pre_j B^+ after B,
+Pre_j being B's product through gate j.  A batch holds about 2^20
+amplitudes at most (16 MiB); a larger run is evolved in chunks of 2^20 >>
+L faulty rows, at least one, so past L = 20 a batch is the clean row and
+one faulty row.
 
 Determinism: shot s of a point reads row s of one stream, words
 [s * width, (s + 1) * width) of ``np.random.PCG64(seed)``, in a fixed
@@ -48,7 +49,6 @@ shots, shares words with shot s + 1.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from bisect import bisect_right
@@ -62,16 +62,16 @@ from .circuits import (
 from .observables import peak_amplitude, post_process, site_density_counts
 from .statevec import (
     PAULI_MATRICES,
-    StateVector,
     apply_matrix_inplace,
-    bitstring_to_index,
+    basis_state,
     derived_seed,
-    index_to_bitstring,
-    one_hot_state,
     sample_index,
 )
 
 SWEEP_AXES = ("steps_at_fixed_L", "size_with_t_equals_L")
+
+#: gate kinds that map basis indices to basis indices, for the fault table
+INDEX_KINDS = ("rz", "cnot")
 
 # amplitudes per batch of faulty trajectories (16 MiB)
 _BATCH_AMPLITUDES = 1 << 20
@@ -121,28 +121,6 @@ class ShotResult:
     def __post_init__(self):
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to the shot total")
-
-    def to_json(self) -> str:
-        """Counts keyed by bitstring (site 0 first), in bitstring order."""
-        counts = {index_to_bitstring(i, self.num_qubits): n for i, n in self.counts.items()}
-        return json.dumps({"shots": self.shots, "counts": dict(sorted(counts.items()))})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShotResult":
-        data = json.loads(text)
-        widths = {len(bits) for bits in data["counts"]}
-        if len(widths) > 1:
-            raise ValueError(f"bitstrings of mixed lengths {sorted(widths)}")
-        counts = {bitstring_to_index(bits): n for bits, n in data["counts"].items()}
-        return cls(counts, int(data["shots"]), max(widths, default=0))
-
-
-def _basis_index(state: StateVector) -> int | None:
-    """Basis index if the state is (exactly) a computational basis state."""
-    nz = np.flatnonzero(state.amplitudes)
-    if len(nz) == 1:
-        return int(nz[0])
-    return None
 
 
 def _fault_table(gates, L: int, start_index: int) -> tuple[np.ndarray, int]:
@@ -262,27 +240,28 @@ def _evolve_faulty(initial: np.ndarray, blocks, L: int, faults_per_row) -> np.nd
 
 def run_noisy(
     circuit: Circuit,
-    initial: StateVector,
+    start: int,
     spec: NoiseSpec,
     shots: int,
 ) -> ShotResult:
-    """Sample measurement outcomes of the circuit under the noise model.
+    """Sample measurement outcomes of the circuit under the noise model,
+    each shot started on the basis state of index ``start`` (bit i = site i).
 
     Each shot evolves a fresh trajectory.  Circuits built from rz/swap/cnot
-    acting on a basis state map basis states to basis states, so those
-    shots XOR fault-table masks into the clean final index; anything else
-    runs on dense amplitudes, one kernel call per fused block, with the
-    faulty shots evolved together as rows of one batch, each a copy of the
-    clean trajectory after its first fault's block, corrected for each
-    fault.  Both paths read the same decoded streams: the per-gate error
-    flags (skipped when both gate probabilities are zero), one Pauli draw
-    per flagged gate in order, one uniform for the measurement, and the
-    readout flips (skipped when p_readout is zero).
+    map basis states to basis states, so those shots XOR fault-table masks
+    into the clean final index; any other circuit runs on dense amplitudes,
+    one kernel call per fused block, with the faulty shots evolved together
+    as rows of one batch, each a copy of the clean trajectory after its
+    first fault's block, corrected for each fault.  Both paths read the
+    same decoded streams: the per-gate error flags (skipped when both gate
+    probabilities are zero), one Pauli draw per flagged gate in order, one
+    uniform for the measurement, and the readout flips (skipped when
+    p_readout is zero).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if initial.num_qubits != circuit.num_qubits:
-        raise ValueError("initial state and circuit width differ")
+    if not 0 <= start < 1 << circuit.num_qubits:
+        raise IndexError(f"basis index {start} out of range for L={circuit.num_qubits}")
     lowered = lower_swaps(circuit)
     gates = lowered.instructions
     L = lowered.num_qubits
@@ -290,9 +269,8 @@ def run_noisy(
     gate_probs = np.where(cnots, spec.p_cnot, spec.p_1q)
     shot, gate, code, u, flips = _read_streams(
         spec.seed, shots, gate_probs, cnots, spec.p_readout, L)
-    start_index = _basis_index(initial)
-    if start_index is not None and all(g.kind in ("rz", "cnot") for g in gates):
-        masks, clean = _fault_table(gates, L, start_index)
+    if all(g.kind in INDEX_KINDS for g in gates):
+        masks, clean = _fault_table(gates, L, start)
         index = np.full(shots, clean, dtype=np.int64)
         # an X (1) or Y (2) on a target flips its mask; codes are c0 + 4 c1
         xy0, xy1 = (np.isin(c, (1, 2)) for c in (code & 3, code >> 2))
@@ -302,6 +280,7 @@ def run_noisy(
         # the clean final state, for the fault-free shots; its own call, as
         # perfbench's trace tells a statevector run by this child span.  Its
         # fusion of ``lowered`` is cached on it, so the batch reuses the blocks
+        initial = basis_state(L, start)
         final = simulate(lowered, initial)
         clean_cumulative = np.cumsum(np.abs(final.amplitudes) ** 2)
         samples = np.searchsorted(clean_cumulative, u, side="right")
@@ -350,12 +329,11 @@ def amplitude_decay_sweep(
             size, steps = int(x), int(x)
         profile = PotentialProfile.uniform(size, 0.0)
         circuit = build_fcqw_walk(size, profile, steps)
-        init = one_hot_state(size, start_site)
         target = (start_site + steps) % size
         amps = []
         for k in range(n_seeds):
             seed = derived_seed(spec.seed, int(x), k)
-            result = run_noisy(circuit, init, spec.replace_seed(seed), shots)
+            result = run_noisy(circuit, 1 << start_site, spec.replace_seed(seed), shots)
             density = post_process(site_density_counts(result, size))
             amps.append(peak_amplitude(density, target))
         rows.append((int(x), float(np.mean(amps))))

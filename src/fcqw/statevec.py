@@ -8,7 +8,7 @@ Conventions used throughout the package:
   is the least significant bit
 * a set bit marks an occupied site
 * outcomes are basis indices; bitstrings, written site 0 first
-  (``"0100"`` means site 1 occupied), appear only in JSON and printouts
+  (``"0100"`` means site 1 occupied), appear only in printouts
 
 ``GATES`` gives each gate kind's OpenQASM name, target count and matrix.
 One kernel, ``apply_matrix_inplace``, applies every gate, fused block and
@@ -151,12 +151,6 @@ def basis_state(L: int, index: int) -> StateVector:
 def index_to_bitstring(index: int, L: int) -> str:
     """Render a basis index with site 0 as the first character."""
     return "".join("1" if (index >> i) & 1 else "0" for i in range(L))
-
-
-def bitstring_to_index(bits: str) -> int:
-    if any(c not in "01" for c in bits):
-        raise ValueError(f"not a bitstring: {bits!r}")
-    return sum(1 << i for i, c in enumerate(bits) if c == "1")
 
 
 # ---------------------------------------------------------------------------

@@ -196,12 +196,11 @@ def test_criterion_06_effective_hamiltonian_structure():
 def test_criterion_07_post_processing_benefit():
     L, t, start, shots = 8, 8, 0, 5000
     circuit = build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), t)
-    init = one_hot_state(L, start)
     target = (start + t) % L
     gains = []
     for seed in (11, 22, 33):
         spec = NoiseSpec(p_cnot=7e-3, p_1q=3e-4, p_readout=1e-2, seed=seed)
-        result = run_noisy(circuit, init, spec, shots)
+        result = run_noisy(circuit, 1 << start, spec, shots)
         mitigated = post_process(site_density_counts(result, L))
         unmitigated = restricted_site_density_counts(result, L)
         gains.append(
@@ -214,7 +213,6 @@ def test_criterion_07_post_processing_benefit():
 
 def test_criterion_08_chiral_robustness_under_noise():
     L, t, start, shots = 8, 8, 0, 5000
-    init = one_hot_state(L, start)
     target = (start + t) % L
     means = {}
     for W in (0.0, 4.0):
@@ -223,7 +221,7 @@ def test_criterion_08_chiral_robustness_under_noise():
         for seed in (11, 22, 33):
             spec = NoiseSpec(p_cnot=7e-3, p_1q=3e-4, p_readout=1e-2, seed=seed)
             density = post_process(
-                site_density_counts(run_noisy(circuit, init, spec, shots), L)
+                site_density_counts(run_noisy(circuit, 1 << start, spec, shots), L)
             )
             iprs.append(ipr(density))
             peaks.append(peak_amplitude(density, target))

@@ -500,7 +500,7 @@ class TestFusedOnce:
         one_fusion = len(products)
         products.clear()
         spec = NoiseSpec(p_cnot=0.05, p_1q=0.01, p_readout=0.01, seed=3)
-        result = run_noisy(trotter_L6(), one_hot_state(6, 2), spec, shots=40)
+        result = run_noisy(trotter_L6(), 1 << 2, spec, shots=40)
         assert result.shots == 40
         assert len(products) == one_fusion
 

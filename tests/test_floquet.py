@@ -32,7 +32,6 @@ from fcqw.floquet import (
     reduce_to_single_particle,
     sample_disorder_profiles,
     save_matrix_csv,
-    save_spectrum_csv,
     shift_matrix,
     winding_number,
     xy_chain_hamiltonian,
@@ -602,16 +601,6 @@ class TestXYChain:
 
 
 class TestCsvExport:
-    def test_spectrum_roundtrip(self, tmp_path):
-        spec = quasi_energy_spectrum(SingleParticleOperator(shift_matrix(4)))
-        path = tmp_path / "spectrum.csv"
-        save_spectrum_csv(spec, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][:2] == ["n", "eigenphase"]
-        phases = np.array([float(r[1]) for r in rows[1:]])
-        assert np.max(np.abs(phases - spec.eigenphases)) == 0.0
-
     def test_matrix_roundtrip(self, tmp_path):
         m = shift_matrix(3) * np.exp(0.5j)
         path = tmp_path / "matrix.csv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fcqw.cli import main
-from fcqw.floquet import QuasiEnergySpectrum, save_matrix_csv, save_spectrum_csv
+from fcqw.floquet import save_matrix_csv
 from fcqw.harness import (
     ConfigError,
     ExperimentConfig,
@@ -138,6 +138,7 @@ class TestValidation:
             ("trotter", "J", 1e308, "J"),
             ("spectra", "J", 1e308, "J"),
             ("spectra", "J", 10**400, "J"),
+            ("spectra", "J", 8e307, "J"),
             ("noisy", "W", 10**400, "W"),
             ("localization", "times", [10**400], "times"),
             ("custom", "custom_u", [10**400, 0, 0, 0], "custom_u"),
@@ -159,7 +160,8 @@ class TestValidation:
             "noise_not_an_object", "noise_probability_string", "scaling_without_noise",
             "values_duplicate", "rz_angle_overflows", "hopping_overflows_exact",
             "hopping_overflows_trotter", "hopping_overflows_spectra",
-            "J_past_the_float_range", "W_past_the_float_range", "times_past_the_float_range",
+            "J_past_the_float_range", "spectra_energy_bound_overflows",
+            "W_past_the_float_range", "times_past_the_float_range",
             "custom_u_past_the_float_range", "noise_probability_past_the_float_range",
             "shots_0", "shots_negative", "shots_past_2^32", "seed_2.5", "noise_seed_negative",
         ],
@@ -263,8 +265,10 @@ class TestContentHash:
 
 
 class TestChiralPropagation:
-    def test_noiseless_run_produces_expected_artifacts(self, tmp_path):
-        cfg = validate_config(chiral_config(tmp_path))
+    @pytest.mark.parametrize("chirality", ["right", "left"])
+    def test_noiseless_run_produces_expected_artifacts(self, tmp_path, chirality):
+        # the checks score each step's peak on the site the walk moved to
+        cfg = validate_config(chiral_config(tmp_path, chirality=chirality))
         outdir = run_experiment(cfg)
         assert (outdir / "manifest.json").exists()
         assert (outdir / "checks.json").exists()
@@ -273,14 +277,15 @@ class TestChiralPropagation:
         report = json.loads((outdir / "checks.json").read_text())
         assert report["all_passed"]
 
-    def test_site_csv_has_unit_probability_at_ballistic_site(self, tmp_path):
-        cfg = validate_config(chiral_config(tmp_path))
+    @pytest.mark.parametrize("chirality, direction", [("right", 1), ("left", -1)])
+    def test_site_csv_has_unit_probability_at_ballistic_site(self, tmp_path, chirality, direction):
+        cfg = validate_config(chiral_config(tmp_path, chirality=chirality))
         outdir = run_experiment(cfg)
         with open(outdir / "site_density_W2.csv") as fh:
             rows = list(csv.DictReader(fh))
         # sites are labelled 1..L in reports; start site 0 -> label 1
         for t in (2, 5, 8):
-            expected_label = (0 + t) % 8 + 1
+            expected_label = (0 + direction * t) % 8 + 1
             peak = [
                 r for r in rows if int(r["step"]) == t and int(r["site"]) == expected_label
             ]
@@ -662,7 +667,9 @@ GOLDEN_CASES = {
 }
 
 #: first 16 hex digits of the SHA-256 of every file ``run_experiment`` writes
-#: for each case, recorded before the harness was restructured
+#: for each case, recorded before the harness was restructured; the left
+#: walk's summary, mitigation and checks files since its peaks are scored on
+#: the site it moves to
 GOLDEN_DIGESTS = {
     "chiral_noiseless": {
         "checks.json": "397b189836e33fa3",
@@ -683,18 +690,18 @@ GOLDEN_DIGESTS = {
         "summary_W1.5.csv": "bb5d34b497578197",
     },
     "chiral_robustness": {
-        "checks.json": "6310bac94e237262",
+        "checks.json": "9c51bbcc2202153b",
         "circuit_W0_t2.qasm": "09a910432b7842d7",
         "circuit_W0_t3.qasm": "8f6bffa86a200d08",
         "circuit_W2.5_t2.qasm": "9eca5c84fb6baf30",
         "circuit_W2.5_t3.qasm": "84dd6fe5398882fa",
         "manifest.json": "de46ffa570a4766b",
-        "mitigation_W0.csv": "d6cfaaf42f02a66a",
-        "mitigation_W2.5.csv": "8b1c89067ef58b32",
+        "mitigation_W0.csv": "f2cb17bf03c34daf",
+        "mitigation_W2.5.csv": "2540d191e515deab",
         "site_density_W0.csv": "28382b5250f206c4",
         "site_density_W2.5.csv": "92284020aa22f68a",
-        "summary_W0.csv": "1dff77b8b9dcf7db",
-        "summary_W2.5.csv": "6ce97641de7c0b9c",
+        "summary_W0.csv": "9a1b3b278845ddc5",
+        "summary_W2.5.csv": "8cb23f1ed785c9d3",
     },
     "nonchiral_statevector": {
         "checks.json": "757600c6219bd936",
@@ -770,15 +777,6 @@ class TestGoldenBytes:
         paths = emit_experiment_qasm(cfg, tmp_path / "emit")
         assert sorted(p.name for p in paths) == sorted(file_bytes(run_dir, "*.qasm"))
         assert file_bytes(tmp_path / "emit") == file_bytes(run_dir, "*.qasm")
-
-    def test_save_spectrum_csv_bytes(self, tmp_path):
-        spec = QuasiEnergySpectrum(np.array([0.1, np.pi]), np.array([[1.0, 0.5j], [-0.25, 1 / 3]]))
-        save_spectrum_csv(spec, tmp_path / "spectrum.csv")
-        assert (tmp_path / "spectrum.csv").read_text() == (
-            "n,eigenphase,v0_re,v0_im,v1_re,v1_im\n"
-            "0,0.1,1.0,0.0,-0.25,0.0\n"
-            "1,3.141592653589793,0.0,0.5,0.3333333333333333,0.0\n"
-        )
 
     def test_save_matrix_csv_bytes(self, tmp_path):
         save_matrix_csv(np.array([[1, 2.5 - 1j], [np.exp(0.5j), 0]]), tmp_path / "matrix.csv")

@@ -31,19 +31,16 @@ from fcqw.observables import (
 )
 from fcqw.statevec import (
     PAULI_MATRICES,
-    apply_gate,
     apply_matrix_inplace,
     basis_state,
-    bitstring_to_index,
     cnot,
     gate_matrix,
     h,
-    one_hot_state,
     rz,
     sample_index,
     swap,
 )
-from test_statevec import row_rng, sample_bitstrings
+from test_statevec import bitstring_to_index, row_rng, sample_bitstrings
 
 
 def _by_index(bit_counts: dict[str, int]) -> dict[int, int]:
@@ -58,8 +55,15 @@ def apply_pauli(amps, q, code):
 
 
 def walk_setup(L=8, t=8, W=0.0):
+    """The t-step walk, its start's basis index (site 0) and its peak site."""
     profile = PotentialProfile.uniform(L, W)
-    return build_fcqw_walk(L, profile, t), one_hot_state(L, 0), (0 + t) % L
+    return build_fcqw_walk(L, profile, t), 1, (0 + t) % L
+
+
+def with_h(circuit, q=0):
+    """The circuit after an h on qubit q: a superposed start, which only
+    the statevector branch can run."""
+    return Circuit(circuit.num_qubits, (h(q), *circuit.instructions))
 
 
 ZERO_NOISE = NoiseSpec(0.0, 0.0, 0.0, seed=0)
@@ -88,25 +92,23 @@ def count_pcg64(monkeypatch):
 
 class TestNoiselessReduction:
     def test_clean_walk_returns_home_every_shot(self):
-        circuit, init, _ = walk_setup(L=8, t=8)
-        result = run_noisy(circuit, init, ZERO_NOISE, shots=1000)
+        circuit, start, _ = walk_setup(L=8, t=8)
+        result = run_noisy(circuit, start, ZERO_NOISE, shots=1000)
         assert result.counts == {1: 1000}
 
     def test_counts_match_ideal_sampling_exactly(self):
         # superposition-producing circuit: the statevector path must consume
         # each shot's row exactly like sample_bitstrings
         circ = build_xy_trotter(4, PotentialProfile.uniform(4, 1.0), TrotterConfig(1.0, 0.6, 2))
-        init = one_hot_state(4, 1)
         spec = NoiseSpec(0.0, 0.0, 0.0, seed=77)
-        result = run_noisy(circ, init, spec, shots=400)
-        final = simulate(circ, init)
+        result = run_noisy(circ, 2, spec, shots=400)
+        final = simulate(circ, basis_state(4, 2))
         assert result.counts == _by_index(Counter(sample_bitstrings(final, 400, seed=77)))
 
     def test_total_variation_distance_small(self):
         circ = build_xy_trotter(3, PotentialProfile.uniform(3, 0.5), TrotterConfig(1.0, 0.8, 2))
-        init = one_hot_state(3, 0)
-        result = run_noisy(circ, init, NoiseSpec(0, 0, 0, seed=5), shots=10_000)
-        probs = np.abs(simulate(circ, init).amplitudes) ** 2
+        result = run_noisy(circ, 1, NoiseSpec(0, 0, 0, seed=5), shots=10_000)
+        probs = np.abs(simulate(circ, basis_state(3, 1)).amplitudes) ** 2
         empirical = np.zeros(8)
         for index, count in result.counts.items():
             empirical[index] = count / 10_000
@@ -116,30 +118,30 @@ class TestNoiselessReduction:
 
 class TestDeterminism:
     def test_same_seed_same_counts(self):
-        circuit, init, _ = walk_setup()
+        circuit, start, _ = walk_setup()
         spec = NoiseSpec(5e-3, 1e-3, 1e-2, seed=9)
-        a = run_noisy(circuit, init, spec, shots=500)
-        b = run_noisy(circuit, init, spec, shots=500)
+        a = run_noisy(circuit, start, spec, shots=500)
+        b = run_noisy(circuit, start, spec, shots=500)
         assert a.counts == b.counts
 
     def test_classical_and_statevector_paths_agree(self, monkeypatch):
-        # same circuit, same stream: disabling basis-state detection forces
-        # the dense kernels (faulty shots taken in order of first fault),
-        # which must reproduce the fault-table path
-        circuit, init, _ = walk_setup(t=4)
+        # same circuit, same stream: with no gate kind taken as index
+        # preserving, the dense kernels run (faulty shots taken in order of
+        # first fault), and must reproduce the fault-table path
+        circuit, start, _ = walk_setup(t=4)
         spec = NoiseSpec(p_cnot=2e-2, p_1q=1e-3, p_readout=1e-2, seed=31)
-        fast = run_noisy(circuit, init, spec, shots=400)
-        monkeypatch.setattr(noise_mod, "_basis_index", lambda state: None)
-        dense = run_noisy(circuit, init, spec, shots=400)
+        fast = run_noisy(circuit, start, spec, shots=400)
+        monkeypatch.setattr(noise_mod, "INDEX_KINDS", ())
+        dense = run_noisy(circuit, start, spec, shots=400)
         assert fast.counts == dense.counts
 
     # exact counts pin the stream layout on both sampler paths
     @pytest.mark.parametrize(
-        "circuit, init, spec, shots, expected",
+        "circuit, start, spec, shots, expected",
         [
             (
                 build_fcqw_walk(6, PotentialProfile.uniform(6, 1.0), 6),
-                one_hot_state(6, 0),
+                1,
                 NoiseSpec(p_cnot=3e-3, p_1q=1e-3, p_readout=1e-2, seed=2024),
                 300,
                 {"000000": 10, "000010": 2, "000100": 2, "001000": 1, "001010": 1,
@@ -149,7 +151,7 @@ class TestDeterminism:
             ),
             (
                 build_xy_trotter(4, PotentialProfile.uniform(4, 1.0), TrotterConfig(1.0, 0.6, 2)),
-                one_hot_state(4, 1),
+                2,
                 NoiseSpec(p_cnot=1e-2, p_1q=2e-3, p_readout=1e-2, seed=2025),
                 200,
                 {"0000": 10, "0001": 32, "0010": 9, "0011": 1, "0100": 4, "0101": 2,
@@ -159,8 +161,8 @@ class TestDeterminism:
         ],
         ids=["classical_walk_L6", "statevector_trotter_L4"],
     )
-    def test_golden_counts(self, circuit, init, spec, shots, expected):
-        assert run_noisy(circuit, init, spec, shots).counts == _by_index(expected)
+    def test_golden_counts(self, circuit, start, spec, shots, expected):
+        assert run_noisy(circuit, start, spec, shots).counts == _by_index(expected)
 
 
 def _replay_counts(circuit, start_index, spec, shots):
@@ -203,10 +205,10 @@ HIGH_NOISE = dict(p_cnot=0.3, p_1q=0.1, p_readout=0.05)
 class TestFaultTable:
     @pytest.mark.parametrize("L", [4, 5, 6, 7, 8])
     def test_walk_matches_gate_by_gate_replay(self, L):
-        circuit, init, _ = walk_setup(L=L, t=L, W=0.7)
+        circuit, start, _ = walk_setup(L=L, t=L, W=0.7)
         spec = NoiseSpec(**HIGH_NOISE, seed=100 + L)
-        expected = _replay_counts(circuit, 1, spec, shots=200)
-        assert run_noisy(circuit, init, spec, shots=200).counts == expected
+        expected = _replay_counts(circuit, start, spec, shots=200)
+        assert run_noisy(circuit, start, spec, shots=200).counts == expected
 
     @pytest.mark.parametrize("trial", range(6))
     def test_random_circuits_match_gate_by_gate_replay(self, trial):
@@ -224,10 +226,10 @@ class TestFaultTable:
         start = int(gen.integers(1, 1 << L))
         spec = NoiseSpec(**HIGH_NOISE, seed=trial)
         expected = _replay_counts(circuit, start, spec, shots=200)
-        assert run_noisy(circuit, basis_state(L, start), spec, shots=200).counts == expected
+        assert run_noisy(circuit, start, spec, shots=200).counts == expected
 
 
-def _per_shot_counts(circuit, initial, spec, shots):
+def _per_shot_counts(circuit, start, spec, shots):
     """Reference statevector sampler, one shot at a time: faulty shots in
     order of first fault, each copied from one clean prefix state advanced
     gate by gate, re-creating its stream and replaying its remaining gates."""
@@ -238,6 +240,7 @@ def _per_shot_counts(circuit, initial, spec, shots):
     draw_flags = bool(np.any(probs > 0.0))
     weights = 1 << np.arange(L, dtype=np.int64)
     width = stream_width(probs, spec.p_readout, L)
+    initial = basis_state(L, start)
 
     def flagged(rng):
         return (rng.random(len(gates)) < probs).nonzero()[0] if draw_flags else ()
@@ -288,15 +291,15 @@ def _trotter_case(L):
     profile = PotentialProfile.uniform(L, 0.8)
     circuit = build_xy_trotter(L, profile, TrotterConfig(1.0, 0.9, 3))
     spec = NoiseSpec(p_cnot=0.1 + 0.04 * (L - 3), p_1q=0.05, p_readout=0.05, seed=300 + L)
-    return circuit, one_hot_state(L, L // 2), spec
+    return circuit, 1 << L // 2, spec
 
 
 def _superposed_walk_case(L):
     # a walk (rz/cnot after lowering, which the fault table could take)
-    # from h on the start qubit, which only the statevector branch can run
-    circuit, init, _ = walk_setup(L=L, t=3, W=0.7)
+    # after an h on the start qubit
+    circuit, start, _ = walk_setup(L=L, t=3, W=0.7)
     spec = NoiseSpec(p_cnot=0.2, p_1q=0.05, p_readout=0.05, seed=400 + L)
-    return circuit, apply_gate(init, h(0)), spec
+    return with_h(circuit), start, spec
 
 
 def _periodic_trotter_case(L):
@@ -304,7 +307,7 @@ def _periodic_trotter_case(L):
     profile = PotentialProfile.uniform(L, 0.8)
     circuit = build_xy_trotter(L, profile, TrotterConfig(1.0, 0.9, 3), periodic=True)
     spec = NoiseSpec(p_cnot=0.15, p_1q=0.05, p_readout=0.05, seed=500 + L)
-    return circuit, one_hot_state(L, L - 1), spec
+    return circuit, 1 << L - 1, spec
 
 
 BATCH_CASES = [(_trotter_case, L) for L in range(3, 9)] + [
@@ -315,21 +318,22 @@ class TestTrajectoryBatch:
     @pytest.mark.parametrize("rows", [None, 2, 3])
     @pytest.mark.parametrize("make, L", BATCH_CASES)
     def test_matches_per_shot_replay(self, monkeypatch, make, L, rows):
-        circuit, init, spec = make(L)
+        circuit, start, spec = make(L)
         if rows is not None:  # chunks of 2 or 3 faulty rows
             monkeypatch.setattr(noise_mod, "_BATCH_AMPLITUDES", rows << L)
         for shots in (1, 40):
-            expected = _per_shot_counts(circuit, init, spec, shots)
-            counts = run_noisy(circuit, init, spec, shots).counts
+            expected = _per_shot_counts(circuit, start, spec, shots)
+            counts = run_noisy(circuit, start, spec, shots).counts
             assert list(counts.items()) == list(expected.items())
 
     def test_noiseless_matches_sample_bitstrings(self):
-        circuit, init, _ = _trotter_case(6)
+        circuit, start, _ = _trotter_case(6)
         spec = NoiseSpec(0.0, 0.0, 0.0, seed=41)
-        expected = _by_index(Counter(sample_bitstrings(simulate(circuit, init), 300, seed=41)))
-        counts = run_noisy(circuit, init, spec, 300).counts
+        final = simulate(circuit, basis_state(6, start))
+        expected = _by_index(Counter(sample_bitstrings(final, 300, seed=41)))
+        counts = run_noisy(circuit, start, spec, 300).counts
         assert list(counts.items()) == list(expected.items())
-        assert counts == _per_shot_counts(circuit, init, spec, 300)
+        assert counts == _per_shot_counts(circuit, start, spec, 300)
 
     def test_one_kernel_call_per_block_per_chunk(self, monkeypatch):
         # the batch plus the clean reference run, one call per fused block,
@@ -338,7 +342,6 @@ class TestTrajectoryBatch:
         import fcqw.circuits as circuits_mod
         L, shots = 8, 50  # the noisy point of the dense benchmark
         circuit = build_xy_trotter(L, PotentialProfile.box(L, 6.0), TrotterConfig(1.0, 2.0, 8))
-        init = one_hot_state(L, 3)
         calls, faults = [], []
 
         def counting(amps, qubits, m):
@@ -353,7 +356,7 @@ class TestTrajectoryBatch:
         monkeypatch.setattr(noise_mod, "apply_matrix_inplace", counting)
         monkeypatch.setattr(circuits_mod, "apply_matrix_inplace", counting)
         monkeypatch.setattr(noise_mod, "_evolve_faulty", evolve)
-        run_noisy(circuit, init, NoiseSpec(seed=5), shots)
+        run_noisy(circuit, 1 << 3, NoiseSpec(seed=5), shots)
         n_gates = len(lower_swaps(circuit))
         n_blocks = len(fuse_blocks(lower_swaps(circuit)))
         chunks = -(-shots // max(1, noise_mod._BATCH_AMPLITUDES >> L))
@@ -508,11 +511,11 @@ class TestRejectedDraw:
     @pytest.mark.parametrize("trial", range(3))
     def test_forced_rejections_keep_counts(self, monkeypatch, trial):
         monkeypatch.setattr(noise_mod, "_rejected", lambda m: np.arange(len(m)) % 3 == trial)
-        circuit, init, _ = walk_setup(L=6, t=6, W=0.7)
+        circuit, start, _ = walk_setup(L=6, t=6, W=0.7)
         spec = NoiseSpec(**HIGH_NOISE, seed=700 + trial)
-        expected = _replay_counts(circuit, 1, spec, 200)
+        expected = _replay_counts(circuit, start, spec, 200)
         built = count_pcg64(monkeypatch)
-        assert run_noisy(circuit, init, spec, shots=200).counts == expected
+        assert run_noisy(circuit, start, spec, shots=200).counts == expected
         assert len(built) > 1  # replays beside the stream
 
 
@@ -527,8 +530,8 @@ class TestPauliRegion:
 
         monkeypatch.setattr(np.random, "PCG64", SizedPCG64)
         monkeypatch.setattr(noise_mod, "_CHUNK_WORDS", 1)  # one row per draw
-        circuit, init, _ = walk_setup(L=8, t=8)
-        run_noisy(circuit, init, NoiseSpec(seed=4), 500)
+        circuit, start, _ = walk_setup(L=8, t=8)
+        run_noisy(circuit, start, NoiseSpec(seed=4), 500)
         n = len(lower_swaps(circuit))  # 232 gates, about 1.2 flagged per shot
         assert set(widths) == {n + 7 + 1 + 8}  # was n + 116 + 1 + 8
 
@@ -586,12 +589,12 @@ class TestPauliRegion:
         monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: 0)
         spec = NoiseSpec(**HIGH_NOISE, seed=41)
         if kind == "classical":
-            circuit, init, _ = walk_setup(L=6, t=6, W=0.7)
-            expected = _replay_counts(circuit, 1, spec, 300)
+            circuit, start, _ = walk_setup(L=6, t=6, W=0.7)
+            expected = _replay_counts(circuit, start, spec, 300)
         else:
-            circuit, init, _ = _trotter_case(4)
-            expected = _per_shot_counts(circuit, init, spec, 300)
-        assert run_noisy(circuit, init, spec, shots=300).counts == expected
+            circuit, start, _ = _trotter_case(4)
+            expected = _per_shot_counts(circuit, start, spec, 300)
+        assert run_noisy(circuit, start, spec, shots=300).counts == expected
 
 
 def _streams_equal(a, b):
@@ -634,15 +637,15 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("kind", ["classical", "statevector"])
     def test_noiseless_counts_are_inverse_cdf_of_default_rng(self, monkeypatch, kind):
-        circuit, init, _ = walk_setup(L=6, t=3, W=0.7)
+        circuit, start, _ = walk_setup(L=6, t=3, W=0.7)
+        if kind == "statevector":
+            circuit = with_h(circuit)
+        cumulative = np.cumsum(np.abs(simulate(circuit, basis_state(6, start)).amplitudes) ** 2)
         if kind == "classical":
             monkeypatch.setattr(noise_mod, "simulate", None)  # the fault table only
-        else:
-            init = apply_gate(init, h(0))  # a superposition: only the dense path runs it
-        cumulative = np.cumsum(np.abs(simulate(circuit, init).amplitudes) ** 2)
         u = np.random.default_rng(19).random(2000)
         index = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
-        counts = run_noisy(circuit, init, NoiseSpec(0.0, 0.0, 0.0, seed=19), 2000).counts
+        counts = run_noisy(circuit, start, NoiseSpec(0.0, 0.0, 0.0, seed=19), 2000).counts
         assert counts == dict(Counter(index.tolist()))
 
     def test_noiseless_uniforms_are_default_rng(self):
@@ -669,16 +672,16 @@ class TestCallCount:
         monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
         monkeypatch.setattr(
             np.random, "Generator", lambda bg: generators.append(1) or real_generator(bg))
-        circuit, init, _ = walk_setup(L=8, t=8)
+        circuit, start, _ = walk_setup(L=8, t=8)
         shots = 300
-        run_noisy(circuit, init, NoiseSpec(**HIGH_NOISE, seed=3), shots)
+        run_noisy(circuit, start, NoiseSpec(**HIGH_NOISE, seed=3), shots)
         assert not generators
         assert len(built) <= shots and len(raw_calls) <= shots
 
     @pytest.mark.parametrize("pauli", [None, 0], ids=["shipped", "every_flagged_shot_replayed"])
     def test_one_bit_generator_per_point_and_replay(self, monkeypatch, pauli):
         # a bit generator seeded per shot would build 7000 of them
-        circuit, init, _ = walk_setup(L=8, t=8)
+        circuit, start, _ = walk_setup(L=8, t=8)
         spec, shots = NoiseSpec(seed=3), 7000
         replayed = 0
         if pauli is not None:
@@ -690,7 +693,7 @@ class TestCallCount:
             replayed = len(np.unique(shot))
             assert replayed > 1000
         built = count_pcg64(monkeypatch)
-        run_noisy(circuit, init, spec, shots)
+        run_noisy(circuit, start, spec, shots)
         assert len(built) == 1 + replayed
 
 
@@ -699,7 +702,7 @@ class TestExactExpectation:
         # E[(-1)^bit_i] = (-1)^clean_i prod_j (1 - 2 p_j q_ji) (1 - 2 p_ro),
         # q_ji the share of gate j's Pauli codes whose flip sets bit i
         L, start, shots = 6, 1, 20_000
-        circuit, init, _ = walk_setup(L=L, t=1, W=0.7)
+        circuit, _, _ = walk_setup(L=L, t=1, W=0.7)
         spec = NoiseSpec(p_cnot=0.3, p_1q=0.1, p_readout=0.05, seed=44)
         gates = lower_swaps(circuit).instructions
         masks, clean = _fault_table(gates, L, start)
@@ -712,7 +715,7 @@ class TestExactExpectation:
                      ^ (masks[j][1] if (c >> 2) in (1, 2) else 0) for c in codes]
             q = np.mean([(f >> sites) & 1 for f in flips], axis=0)
             expected *= 1 - 2 * p * q
-        counts = run_noisy(circuit, init, spec, shots).counts
+        counts = run_noisy(circuit, start, spec, shots).counts
         signs = np.zeros(L)
         for index, n in counts.items():
             signs += n * (1.0 - 2.0 * ((index >> np.arange(L)) & 1))
@@ -742,36 +745,57 @@ class TestErrorModel:
         assert np.array_equal(u, np.random.default_rng(int(seed)).random(50))
 
     def test_zero_shots_rejected(self):
-        circuit, init, _ = walk_setup(t=1)
+        circuit, start, _ = walk_setup(t=1)
         with pytest.raises(ValueError):
-            run_noisy(circuit, init, ZERO_NOISE, shots=0)
+            run_noisy(circuit, start, ZERO_NOISE, shots=0)
+
+    @pytest.mark.parametrize("start", [-1, 1 << 8, 1 << 9])
+    def test_start_out_of_range_rejected(self, start):
+        circuit, _, _ = walk_setup(L=8, t=1)
+        for sampled in (circuit, with_h(circuit)):  # the classical and the dense path
+            with pytest.raises(IndexError):
+                run_noisy(sampled, start, ZERO_NOISE, shots=10)
+
+    def test_classical_walk_allocates_no_dense_state(self, monkeypatch):
+        # the fault table follows the start as a basis index: at L = 24 a
+        # dense state would be 2^24 amplitudes (256 MiB)
+        L, t, shots = 24, 2, 50
+        circuit, start, _ = walk_setup(L=L, t=t, W=0.7)
+        spec = NoiseSpec(**HIGH_NOISE, seed=24)
+        expected = _replay_counts(circuit, start, spec, shots)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("2^L amplitudes allocated")
+
+        monkeypatch.setattr(noise_mod, "basis_state", refuse)
+        monkeypatch.setattr(noise_mod, "simulate", refuse)
+        assert run_noisy(circuit, start, spec, shots).counts == expected
 
     def test_noisy_walk_peak_in_golden_interval(self):
         # frozen from repeated runs at these settings (observed 0.377..0.385)
-        circuit, init, target = walk_setup(L=8, t=8)
+        circuit, start, target = walk_setup(L=8, t=8)
         spec = NoiseSpec(p_cnot=0.01, p_1q=3e-4, p_readout=1e-2, seed=1)
-        result = run_noisy(circuit, init, spec, shots=5000)
+        result = run_noisy(circuit, start, spec, shots=5000)
         peak = peak_amplitude(post_process(site_density_counts(result, 8)), target)
         assert 0.33 < peak < 0.43
 
     def test_readout_flips_touch_every_qubit(self):
         circuit = Circuit(4, ())
-        init = one_hot_state(4, 0)
         spec = NoiseSpec(0.0, 0.0, 0.5, seed=8)
-        result = run_noisy(circuit, init, spec, shots=2000)
+        result = run_noisy(circuit, 1, spec, shots=2000)
         density = site_density_counts(result, 4)
         # site 0 starts occupied, others empty; all should move toward 1/2
         assert 0.4 < density.p[0] < 0.6
         assert all(0.4 < p < 0.6 for p in density.p[1:])
 
     def test_peak_amplitude_monotone_in_each_probability(self):
-        circuit, init, target = walk_setup(L=8, t=6)
+        circuit, start, target = walk_setup(L=8, t=6)
         base = dict(p_cnot=4e-3, p_1q=4e-4, p_readout=5e-3)
         shots = 3000
 
         def peak(**kwargs):
             spec = NoiseSpec(**{**base, **kwargs}, seed=12)
-            result = run_noisy(circuit, init, spec, shots=shots)
+            result = run_noisy(circuit, start, spec, shots=shots)
             return peak_amplitude(post_process(site_density_counts(result, 8)), target)
 
         sigma2 = 2 * np.sqrt(0.25 / shots)
@@ -787,32 +811,16 @@ class TestErrorModel:
 
 class TestPostProcessingBenefit:
     def test_mitigated_peak_beats_sector_discard_every_seed(self):
-        circuit, init, target = walk_setup(L=8, t=8)
+        circuit, start, target = walk_setup(L=8, t=8)
         for seed in (11, 22, 33):
             spec = NoiseSpec(p_cnot=7e-3, p_1q=3e-4, p_readout=1e-2, seed=seed)
-            result = run_noisy(circuit, init, spec, shots=5000)
+            result = run_noisy(circuit, start, spec, shots=5000)
             pp = post_process(site_density_counts(result, 8))
             restricted = restricted_site_density_counts(result, 8)
             assert peak_amplitude(pp, target) > peak_amplitude(restricted, target)
 
 
 class TestShotResult:
-    def test_json_roundtrip(self):
-        result = ShotResult(_by_index({"01": 3, "10": 7}), 10, 2)
-        back = ShotResult.from_json(result.to_json())
-        assert back == result
-
-    def test_json_bytes_are_bitstrings_in_bitstring_order(self):
-        # index order (1, 6, 8) is the reverse of bitstring order here
-        result = ShotResult({6: 2, 1: 5, 8: 3}, 10, 4)
-        assert result.to_json() == '{"shots": 10, "counts": {"0001": 3, "0110": 2, "1000": 5}}'
-
-    @pytest.mark.parametrize("counts, match", [
-        ('{"0a": 2}', "not a bitstring"), ('{"01": 1, "011": 1}', "mixed lengths")])
-    def test_from_json_rejects_bad_keys(self, counts, match):
-        with pytest.raises(ValueError, match=match):
-            ShotResult.from_json(f'{{"shots": 2, "counts": {counts}}}')
-
     def test_counts_must_sum_to_shots(self):
         with pytest.raises(ValueError):
             ShotResult({2: 3}, 10, 2)

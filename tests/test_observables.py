@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -17,17 +15,16 @@ from fcqw.observables import (
 from fcqw.statevec import (
     StateVector,
     basis_state,
-    bitstring_to_index,
     one_hot_state,
     index_to_bitstring,
 )
-from test_statevec import sample_bitstrings
+from test_statevec import bitstring_to_index, sample_bitstrings
 
 
 def _shots(bit_counts: dict[str, int]) -> ShotResult:
-    """A ShotResult from counts keyed by bitstring (site 0 first)."""
-    shots = sum(bit_counts.values())
-    return ShotResult.from_json(json.dumps({"shots": shots, "counts": bit_counts}))
+    """A ShotResult from counts keyed by bitstring (site 0 first), all of one length."""
+    counts = {bitstring_to_index(bits): n for bits, n in bit_counts.items()}
+    return ShotResult(counts, sum(bit_counts.values()), len(next(iter(bit_counts))))
 
 
 def _per_character_density(bit_counts: dict[str, int], shots: int, weight) -> np.ndarray:

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from fcqw import statevec
-from fcqw.circuits import PotentialProfile, build_fcqw_walk
-from fcqw.noise import NoiseSpec, run_noisy
+from fcqw import noise, statevec
+from fcqw.circuits import Circuit, PotentialProfile, build_fcqw_walk
+from fcqw.noise import NoiseSpec
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,11 +37,22 @@ def test_every_statevec_name_micro_calls_resolves(perfbench_module):
         assert hasattr(statevec, name), name
 
 
-def test_run_noisy_result_reports_shots():
+@pytest.mark.parametrize("superposed", [False, True], ids=["classical", "statevector"])
+def test_run_noisy_span_counts_shots_and_probabilities(perfbench_module, superposed):
+    # called as the harness calls it; the trace tells the sampler path by
+    # a circuits.simulate child span
+    spans = perfbench_module("spans")
     L = 4
     circuit = build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), 2)
-    result = run_noisy(circuit, statevec.one_hot_state(L, 0), NoiseSpec(seed=1), 10)
-    assert result.shots == 10
+    if superposed:
+        circuit = Circuit(L, (statevec.h(0), *circuit.instructions))
+    spec = NoiseSpec(p_cnot=0.02, p_1q=0.001, seed=1)
+    with spans.Recorder().installed() as rec:
+        noise.run_noisy(circuit, 1, spec, 10)
+    names = [s.name for s in rec.spans]
+    assert names == ["noise.run_noisy", "circuits.lower_swaps"] + (
+        ["circuits.simulate"] if superposed else [])
+    assert rec.spans[0].counts == {"shots": 10, "p_cnot": 0.02, "p_1q": 0.001}
 
 
 @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
