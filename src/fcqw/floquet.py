@@ -4,7 +4,9 @@ the effective Hamiltonian -i log U."""
 from __future__ import annotations
 
 import csv
+import os
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -308,19 +310,41 @@ def quasi_energy_spectrum(op: SingleParticleOperator) -> QuasiEnergySpectrum:
     return QuasiEnergySpectrum(phases[order], q[:, order])
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def quasi_energy_phases(matrices: np.ndarray) -> np.ndarray:
     """Eigenphases in [0, 2pi), ascending, with no eigenvectors formed, of
     an L x L unitary or of each one in a stack: (..., L, L) -> (..., L).
 
-    One ``np.linalg.eigvals`` call runs an eigenvalue-only zgeev per matrix,
-    alone or in a stack.  A unitary has unit-norm rows and columns, so
-    zgeev's balancing changes nothing, and it then runs the same Hessenberg
+    ``np.linalg.eigvals`` runs an eigenvalue-only zgeev per matrix, alone or
+    in a stack.  A unitary has unit-norm rows and columns, so zgeev's
+    balancing changes nothing, and it then runs the same Hessenberg
     reduction and QR iterations on the eigenvalues as the Schur decomposition
     in :func:`quasi_energy_spectrum`, whose Schur vectors never feed back into
     them: the phases equal its ``eigenphases`` bit for bit, at about half the
     cost.  See :func:`xy_step_phases` for the XY chain.
+
+    A stack is cut into one contiguous part per CPU of the process's
+    affinity set (at most one per matrix), each solved by its own
+    ``eigvals`` call on a pool thread; numpy's linalg releases the GIL, so
+    the parts run at once.  Each zgeev still sees only its own matrix, so
+    the phases are the same bits for any CPU count.
     """
-    return np.sort(_phases_0_2pi(np.linalg.eigvals(matrices)), axis=-1)
+    m = np.asarray(matrices)
+    stack = m.reshape(-1, *m.shape[-2:])
+    parts = min(_cpu_count(), len(stack))
+    if parts <= 1:
+        values = np.linalg.eigvals(stack)
+    else:
+        with ThreadPoolExecutor(parts) as pool:
+            values = np.concatenate(list(pool.map(np.linalg.eigvals, np.array_split(stack, parts))))
+    return np.sort(_phases_0_2pi(values.reshape(m.shape[:-1])), axis=-1)
 
 
 def level_spacing_stats(eigenphases: np.ndarray) -> LevelSpacingStats:
@@ -338,9 +362,11 @@ def level_spacing_stats(eigenphases: np.ndarray) -> LevelSpacingStats:
 
 def predicted_chiral_eigenphases(u: np.ndarray, W: float) -> np.ndarray:
     """Analytic spectrum of :func:`chiral_step_matrices`, along u's last axis: shift x
-    diagonal has lambda^L = e^{i sum(phases)}, so eigenphases are (sum + 2 pi n) / L."""
+    diagonal has lambda^L = e^{i sum(phases)}, so eigenphases are (sum + 2 pi n) / L.
+    The sum is over the phases wrapped into [-pi, pi], as the matrix holds them: the
+    raw phases reach about W L, and their float sum would lose the digits that count."""
     L = u.shape[-1]
-    total = np.sum(onsite_phases(u, W), axis=-1, keepdims=True)
+    total = np.sum(np.angle(np.exp(1j * onsite_phases(u, W))), axis=-1, keepdims=True)
     return np.sort(np.mod((total + 2.0 * np.pi * np.arange(L)) / L, 2.0 * np.pi), axis=-1)
 
 

@@ -1,4 +1,5 @@
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -354,6 +355,52 @@ class TestPhasesOnly:
         profile = PotentialProfile.box(8, 2.0)
         ref = quasi_energy_phases(xy_step_operator(8, profile, J=1.5).matrix)
         assert _paired_phase_gap(xy_step_phases(profile.u, profile.W, J=1.5), ref) <= 1e-12
+
+    @staticmethod
+    def _steps(shape):
+        u = np.random.default_rng(0).uniform(-1.0, 1.0, (*shape, 16))
+        return chiral_step_matrices(u, 4.0)
+
+    @staticmethod
+    def _each_matrix(stack):
+        """Phases from one eigvals call per matrix, in the stack's shape."""
+        flat = stack.reshape(-1, *stack.shape[-2:])
+        rows = [np.sort(floquet._phases_0_2pi(np.linalg.eigvals(m))) for m in flat]
+        return np.array(rows).reshape(stack.shape[:-1])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (3,), (5,), (400,), (2, 3)],
+                             ids=["matrix", "R1", "R2", "R3", "R5", "R400", "2x3"])
+    def test_split_stack_matches_each_matrix(self, monkeypatch, cpus, shape):
+        monkeypatch.setattr(floquet, "_cpu_count", lambda: cpus)
+        steps = self._steps(shape)
+        assert np.array_equal(quasi_energy_phases(steps), self._each_matrix(steps))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_nan_matrix_in_a_split_stack_raises(self, monkeypatch, cpus):
+        monkeypatch.setattr(floquet, "_cpu_count", lambda: cpus)
+        steps = self._steps((5,))
+        steps[3, 0, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            quasi_energy_phases(steps)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_stack_is_solved_on_one_thread_per_cpu(self, monkeypatch, cpus):
+        eigvals, parts = np.linalg.eigvals, min(cpus, 5)
+        # every part waits for the others, so the parts must run at once
+        barrier = threading.Barrier(parts, timeout=5.0)
+        threads = []
+
+        def recording_eigvals(a):
+            threads.append((threading.get_ident(), len(a)))
+            barrier.wait()
+            return eigvals(a)
+
+        monkeypatch.setattr(floquet, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+        quasi_energy_phases(self._steps((5,)))
+        assert len({ident for ident, _ in threads}) == parts
+        assert sorted(n for _, n in threads) == sorted(len(p) for p in np.array_split(range(5), parts))
 
 
 def _loop_spacing_stats(phases: np.ndarray) -> tuple[float, float, float]:
