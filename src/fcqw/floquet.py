@@ -327,23 +327,25 @@ def quasi_energy_phases(matrices: np.ndarray) -> np.ndarray:
     balancing changes nothing, and it then runs the same Hessenberg
     reduction and QR iterations on the eigenvalues as the Schur decomposition
     in :func:`quasi_energy_spectrum`, whose Schur vectors never feed back into
-    them: the phases equal its ``eigenphases`` bit for bit, at about half the
-    cost.  See :func:`xy_step_phases` for the XY chain.
+    them: up to L = 123 the phases equal its ``eigenphases`` bit for bit, at
+    about half the cost (from L = 124 LAPACK takes other paths for the two,
+    and they agree to about 1e-14).  See :func:`xy_step_phases` for the XY
+    chain.
 
-    A stack is cut into one contiguous part per CPU of the process's
+    The matrices are cut into one contiguous part per CPU of the process's
     affinity set (at most one per matrix), each solved by its own
     ``eigvals`` call on a pool thread; numpy's linalg releases the GIL, so
-    the parts run at once.  Each zgeev still sees only its own matrix, so
-    the phases are the same bits for any CPU count.
+    the parts run at once.  Each zgeev still sees only its own matrix and
+    the parts are joined in order, so the phases are the same bits for any
+    CPU count.  That is tested at 1 to 8 parts and L up to 100 on a 2-CPU
+    host only; larger hosts, where each zgeev's BLAS threads compete with
+    the parts, are not measured.
     """
     m = np.asarray(matrices)
     stack = m.reshape(-1, *m.shape[-2:])
-    parts = min(_cpu_count(), len(stack))
-    if parts <= 1:
-        values = np.linalg.eigvals(stack)
-    else:
-        with ThreadPoolExecutor(parts) as pool:
-            values = np.concatenate(list(pool.map(np.linalg.eigvals, np.array_split(stack, parts))))
+    parts = np.array_split(stack, max(1, min(_cpu_count(), len(stack))))
+    with ThreadPoolExecutor(len(parts)) as pool:
+        values = np.concatenate(list(pool.map(np.linalg.eigvals, parts)))
     return np.sort(_phases_0_2pi(values.reshape(m.shape[:-1])), axis=-1)
 
 

@@ -356,30 +356,10 @@ class TestPhasesOnly:
         ref = quasi_energy_phases(xy_step_operator(8, profile, J=1.5).matrix)
         assert _paired_phase_gap(xy_step_phases(profile.u, profile.W, J=1.5), ref) <= 1e-12
 
-    @staticmethod
-    def _steps(shape):
-        u = np.random.default_rng(0).uniform(-1.0, 1.0, (*shape, 16))
-        return chiral_step_matrices(u, 4.0)
-
-    @staticmethod
-    def _each_matrix(stack):
-        """Phases from one eigvals call per matrix, in the stack's shape."""
-        flat = stack.reshape(-1, *stack.shape[-2:])
-        rows = [np.sort(floquet._phases_0_2pi(np.linalg.eigvals(m))) for m in flat]
-        return np.array(rows).reshape(stack.shape[:-1])
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    @pytest.mark.parametrize("shape", [(), (1,), (2,), (3,), (5,), (400,), (2, 3)],
-                             ids=["matrix", "R1", "R2", "R3", "R5", "R400", "2x3"])
-    def test_split_stack_matches_each_matrix(self, monkeypatch, cpus, shape):
-        monkeypatch.setattr(floquet, "_cpu_count", lambda: cpus)
-        steps = self._steps(shape)
-        assert np.array_equal(quasi_energy_phases(steps), self._each_matrix(steps))
-
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_nan_matrix_in_a_split_stack_raises(self, monkeypatch, cpus):
         monkeypatch.setattr(floquet, "_cpu_count", lambda: cpus)
-        steps = self._steps((5,))
+        steps = _random_steps(5)
         steps[3, 0, 1] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             quasi_energy_phases(steps)
@@ -398,9 +378,14 @@ class TestPhasesOnly:
 
         monkeypatch.setattr(floquet, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
-        quasi_energy_phases(self._steps((5,)))
+        quasi_energy_phases(_random_steps(5))
         assert len({ident for ident, _ in threads}) == parts
         assert sorted(n for _, n in threads) == sorted(len(p) for p in np.array_split(range(5), parts))
+
+
+def _random_steps(R: int) -> np.ndarray:
+    """An (R, 16, 16) stack of chiral step matrices at W = 4."""
+    return chiral_step_matrices(np.random.default_rng(0).uniform(-1.0, 1.0, (R, 16)), 4.0)
 
 
 def _loop_spacing_stats(phases: np.ndarray) -> tuple[float, float, float]:
@@ -419,14 +404,19 @@ def _loop_set_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 class TestStackedRealizations:
     """An (R, L) stack of disorder realizations gives, row by row, the bits of
-    each realization solved on its own."""
+    each realization solved on its own, whatever the CPU count splits the
+    stack into."""
 
-    @pytest.mark.parametrize("L", [5, 20, 40])
-    def test_stack_equals_each_realization(self, L):
-        profiles = sample_disorder_profiles(DisorderEnsemble(16, W=4.0, seed=L), L)
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize(("L", "shape"), [(5, (1,)), (5, (3,)), (5, (16,)), (20, (16,)),
+                                              (40, (16,)), (100, (3,)), (8, (2, 3))],
+                             ids=["L5-R1", "L5-R3", "L5-R16", "L20-R16", "L40-R16", "L100-R3", "L8-2x3"])
+    def test_stack_equals_each_realization(self, monkeypatch, cpus, L, shape):
+        monkeypatch.setattr(floquet, "_cpu_count", lambda: cpus)
+        profiles = sample_disorder_profiles(DisorderEnsemble(int(np.prod(shape)), W=4.0, seed=L), L)
         u = np.array([p.u for p in profiles])
         steps = chiral_step_matrices(u, 4.0)
-        chiral = quasi_energy_phases(steps)
+        chiral = quasi_energy_phases(steps.reshape(*shape, L, L)).reshape(-1, L)
         predicted = predicted_chiral_eigenphases(u, 4.0)
         xy = xy_step_phases(u, 4.0)
         stats = level_spacing_stats(np.stack([chiral, xy], axis=1))
