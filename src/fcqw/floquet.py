@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -44,10 +43,6 @@ class SingleParticleOperator:
         if dev >= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary: max |U+U - I| = {dev:g}")
         self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -216,45 +211,37 @@ def reduce_to_single_particle(circuit: Circuit) -> SingleParticleOperator:
 # momentum space
 
 
-def chiral_momentum_family(n_k: int = 256, W: float = 0.0) -> np.ndarray:
-    """The chiral walk's Bloch factors on a uniform k grid over [0, 2pi)."""
+def chiral_momentum_family(n_k: int = 256) -> np.ndarray:
+    """The clean chiral walk's Bloch factors e^{ik} on a uniform k grid over [0, 2pi)."""
     ks = 2.0 * np.pi * np.arange(n_k) / n_k
-    return np.exp(1j * (ks + W))
+    return np.exp(1j * ks)
 
 
-def xy_momentum_family(
-    n_k: int = 256, J: float = 1.0, t: float = 1.0, onsite: float = 0.0
-) -> np.ndarray:
-    """Step propagators e^{-i t epsilon(k)} of the clean XY chain band,
-    epsilon(k) = -4 J cos k + onsite."""
+def xy_momentum_family(n_k: int = 256) -> np.ndarray:
+    """One-step phases e^{-i epsilon(k)} of the clean XY chain band (J = 1, t = 1),
+    epsilon(k) = -4 cos k, on a uniform k grid over [0, 2pi)."""
     ks = 2.0 * np.pi * np.arange(n_k) / n_k
-    return np.exp(-1j * t * (-4.0 * J * np.cos(ks) + onsite))
+    return np.exp(4j * np.cos(ks))
 
 
 def winding_number(samples) -> int:
-    """Winding of det U_k around the unit circle over one Brillouin zone.
+    """Winding of a band's Bloch factor u_k around the unit circle over one Brillouin zone.
 
-    ``samples`` is a closed loop: scalars or d x d unitaries on a uniform
-    k grid (the wrap from the last sample back to the first is included).
-    Computed as (1/2pi) * sum of arg det(U_{k+1} U_k^dagger), which is an
-    exact integer up to floating-point residue.
+    ``samples`` is a closed loop of unit-modulus scalars on a uniform k grid
+    (the wrap from the last sample back to the first is included).  Computed
+    as (1/2pi) * sum of arg(u_{k+1} conj(u_k)), which is an exact integer up
+    to floating-point residue.
     """
     u = np.asarray(samples, dtype=complex)
-    if u.ndim == 1:
-        u = u[:, np.newaxis, np.newaxis]
-    if u.ndim != 3 or u.shape[1] != u.shape[2]:
-        raise ValueError(f"expected scalars or square matrices, got shape {u.shape}")
+    if u.ndim != 1:
+        raise ValueError(f"expected a 1-D loop of scalars, got shape {u.shape}")
     n_k = u.shape[0]
     if n_k < 8:
         raise ValueError(f"need at least 8 grid points, got {n_k}")
-    for j in range(n_k):
-        dev = unitarity_deviation(u[j])
-        if dev >= UNITARITY_TOL:
-            raise ValueError(f"sample {j} is not unitary: max |U+U - I| = {dev:g}")
-    nxt = np.roll(np.arange(n_k), -1)
-    increments = np.array(
-        [np.angle(np.linalg.det(u[nxt[j]] @ u[j].conj().T)) for j in range(n_k)]
-    )
+    dev = np.abs(u.conj() * u - 1.0)
+    if np.any(dev >= UNITARITY_TOL):
+        raise ValueError(f"samples are not unitary: max |conj(u) u - 1| = {dev.max():g}")
+    increments = np.angle(np.roll(u, -1) * u.conj())
     if np.any(np.abs(increments) >= np.pi - 0.1):
         raise GridResolutionError(
             f"phase increment {np.max(np.abs(increments)):.3f} rad is too close to "
@@ -287,24 +274,15 @@ def quasi_energy_spectrum(op: SingleParticleOperator) -> QuasiEnergySpectrum:
     eigenbasis even for degenerate phases; forming those Schur vectors is
     most of the cost, so a caller that needs only the phases should use
     :func:`quasi_energy_phases`.  Columns are sorted by phase rounded to
-    12 decimals; phases that tie there are ordered by the lexicographic
-    order of their eigenvector entries, rounded the same way, keeping the
-    output deterministic.  That eigenvector key is built only for the
-    columns whose rounded phase is shared.
+    12 decimals, then by their eigenvector entries rounded the same way, so
+    that tied phases come out in a deterministic order.
     """
     t, q = scipy.linalg.schur(op.matrix, output="complex")
     phases = _phases_0_2pi(np.diag(t))
-    phase_keys = [round(float(p), 12) for p in phases]
-    key_counts = Counter(phase_keys)
 
     def sort_key(j: int):
-        if key_counts[phase_keys[j]] == 1:  # a unique phase key never reaches the tie-break
-            return (phase_keys[j], ())
-        vec_key = tuple(
-            (round(float(z.real), 12), round(float(z.imag), 12))
-            for z in q[:, j]
-        )
-        return (phase_keys[j], vec_key)
+        vec_key = tuple((round(float(z.real), 12), round(float(z.imag), 12)) for z in q[:, j])
+        return (round(float(phases[j]), 12), vec_key)
 
     order = sorted(range(len(phases)), key=sort_key)
     return QuasiEnergySpectrum(phases[order], q[:, order])

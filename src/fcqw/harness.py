@@ -16,7 +16,7 @@ import math
 import numbers
 import shutil
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,17 +57,6 @@ from .observables import (
 from .qasm import emit_qasm3
 from .statevec import MAX_QUBITS, derived_seed
 
-KINDS = (
-    "chiral_propagation",
-    "chiral_robustness",
-    "nonchiral_localization",
-    "disorder_spectra",
-    "amplitude_scaling",
-)
-
-#: six uniformly spaced measurement times between the stated endpoints
-NONCHIRAL_TIMES = [0.1, 0.48, 0.86, 1.24, 1.62, 2.0]
-
 #: largest |W| or time: :func:`_point_key` keys one at 1e-3 resolution as an integer
 _POINT_LIMIT = 1e300
 
@@ -84,8 +73,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     kind: str
     L: int = 8
-    steps: list[int] = field(default_factory=lambda: [2, 5, 8])
-    times: list[float] = field(default_factory=lambda: list(NONCHIRAL_TIMES))
+    steps: list[int] = field(default_factory=list)
+    times: list[float] = field(default_factory=list)
     W: float = 0.0
     W_values: list[float] = field(default_factory=list)
     profile: str = "uniform"  # uniform | box | custom
@@ -106,22 +95,20 @@ class ExperimentConfig:
 
 
 _COMMON_KEYS = {"kind", "L", "seed", "output_dir", "noise", "shots"}
+#: kind -> (its own keys, the keys a config of it must give)
 _KIND_KEYS = {
-    "chiral_propagation": {"steps", "W", "profile", "custom_u", "start_site", "chirality"},
-    "chiral_robustness": {"steps", "W_values", "profile", "custom_u", "start_site", "chirality"},
-    "nonchiral_localization": {
-        "times", "W_values", "profile", "custom_u", "start_site", "J", "trotter_n", "method",
-    },
-    "disorder_spectra": {"W", "realizations", "J"},
-    "amplitude_scaling": {"axis", "values", "start_site", "sweep_seeds"},
+    "chiral_propagation": (
+        {"steps", "W", "profile", "custom_u", "start_site", "chirality"}, {"L", "steps"}),
+    "chiral_robustness": (
+        {"steps", "W_values", "profile", "custom_u", "start_site", "chirality"},
+        {"L", "steps", "W_values"}),
+    "nonchiral_localization": (
+        {"times", "W_values", "profile", "custom_u", "start_site", "J", "trotter_n", "method"},
+        {"L", "times", "W_values"}),
+    "disorder_spectra": ({"W", "realizations", "J"}, {"L", "W", "realizations"}),
+    "amplitude_scaling": ({"axis", "values", "start_site", "sweep_seeds"}, {"axis", "values"}),
 }
-_REQUIRED = {
-    "chiral_propagation": {"L", "steps"},
-    "chiral_robustness": {"L", "steps", "W_values"},
-    "nonchiral_localization": {"L", "times", "W_values"},
-    "disorder_spectra": {"L", "W", "realizations"},
-    "amplitude_scaling": {"axis", "values"},
-}
+KINDS = tuple(_KIND_KEYS)
 
 
 def _is_integer(value) -> bool:
@@ -168,11 +155,12 @@ def validate_config(data: dict) -> ExperimentConfig:
     kind = data["kind"]
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {KINDS}", ["kind"])
-    allowed = _COMMON_KEYS | _KIND_KEYS[kind]
+    keys, required = _KIND_KEYS[kind]
+    allowed = _COMMON_KEYS | keys
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys for kind {kind!r}", unknown)
-    missing = sorted(k for k in _REQUIRED[kind] if k not in data)
+    missing = sorted(k for k in required if k not in data)
     if missing:
         raise ConfigError(f"missing required fields for kind {kind!r}", missing)
     if not _int_in(data.get("seed", 0), 0):  # SeedSequence entropy
@@ -182,7 +170,6 @@ def validate_config(data: dict) -> ExperimentConfig:
     if kwargs.get("noise") is not None:
         kwargs["noise"] = _noise_spec(kwargs["noise"], data.get("seed", 0))
     cfg = ExperimentConfig(**kwargs)
-    keys = _KIND_KEYS[kind]
 
     problems = []
     if not _int_in(cfg.L, 2):  # a walk, a chain and level spacings need two sites
@@ -212,6 +199,8 @@ def validate_config(data: dict) -> ExperimentConfig:
             problems.append("values")
         elif len(set(cfg.values)) < len(cfg.values):
             problems.append("values")  # two points would share a noise stream
+        elif len(cfg.values) < 3:
+            problems.append("values")  # a line through one or two points fits with R^2 = 1
     if "L" not in problems and "values" not in problems:
         # the start site must lie on every lattice the run builds
         sites = min(cfg.values) if cfg.axis == "size_with_t_equals_L" else cfg.L
@@ -305,7 +294,7 @@ def resolved_config_dict(cfg: ExperimentConfig) -> dict:
         "output_dir": cfg.output_dir,
         "noise": None if cfg.noise is None else asdict(cfg.noise),
     }
-    for key in sorted(_KIND_KEYS[cfg.kind]):
+    for key in sorted(_KIND_KEYS[cfg.kind][0]):
         out[key] = getattr(cfg, key)
     return out
 
@@ -409,7 +398,7 @@ def _measure(cfg: ExperimentConfig, profile: PotentialProfile, circuit: Circuit 
         return SiteDistribution(np.abs(op.matrix[:, cfg.start_site]) ** 2), None
     step_key = _point_key(x) if cfg.kind == "nonchiral_localization" else x
     seed = derived_seed(cfg.noise.seed, step_key, _point_key(W))
-    result = run_noisy(circuit, 1 << cfg.start_site, cfg.noise.replace_seed(seed), cfg.shots)
+    result = run_noisy(circuit, 1 << cfg.start_site, replace(cfg.noise, seed=seed), cfg.shots)
     return site_density_counts(result, cfg.L), result
 
 

@@ -53,7 +53,7 @@ import math
 import numbers
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,9 +104,6 @@ class NoiseSpec:
         # PCG64(None) would seed from the OS, PCG64(2.5) raise a TypeError
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-    def replace_seed(self, seed: int) -> "NoiseSpec":
-        return NoiseSpec(self.p_cnot, self.p_1q, self.p_readout, seed)
 
 
 @dataclass
@@ -333,7 +330,7 @@ def amplitude_decay_sweep(
         amps = []
         for k in range(n_seeds):
             seed = derived_seed(spec.seed, int(x), k)
-            result = run_noisy(circuit, 1 << start_site, spec.replace_seed(seed), shots)
+            result = run_noisy(circuit, 1 << start_site, replace(spec, seed=seed), shots)
             density = post_process(site_density_counts(result, size))
             amps.append(peak_amplitude(density, target))
         rows.append((int(x), float(np.mean(amps))))

@@ -166,9 +166,9 @@ class TestMomentum:
         assert abs(momentum_operator(np.pi / 2, np.pi / 2) + 1.0) < 1e-15
 
     def test_family_matches_operator(self):
-        fam = chiral_momentum_family(16, W=0.3)
+        fam = chiral_momentum_family(16)
         ks = 2 * np.pi * np.arange(16) / 16
-        expected = np.array([momentum_operator(k, 0.3) for k in ks])
+        expected = np.array([momentum_operator(k) for k in ks])
         assert np.max(np.abs(fam - expected)) < 1e-14
 
 
@@ -204,11 +204,6 @@ class TestWinding:
         ks = 2 * np.pi * np.arange(8) / 8
         with pytest.raises(GridResolutionError):
             winding_number(np.exp(4j * ks))
-
-    def test_matrix_valued_family(self):
-        ks = 2 * np.pi * np.arange(64) / 64
-        fam = np.array([np.diag([np.exp(1j * k), 1.0]) for k in ks])
-        assert winding_number(fam) == 1
 
 
 class TestSpectrum:
@@ -443,9 +438,19 @@ class TestStackedRealizations:
 
         monkeypatch.setattr(floquet, "unitarity_deviation", unitarity_deviation)
         op = fcqw_step_operator(6, PotentialProfile.uniform(6, 1.3))
-        assert op.dim == 6 and op.matrix.dtype == complex
+        assert op.matrix.shape == (6, 6) and op.matrix.dtype == complex
         with pytest.raises(AssertionError, match="unitarity checked"):
             SingleParticleOperator(op.matrix)
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [(np.eye(3, 4), "square"), (np.ones((1, 4, 4)), "square"),
+         (0.5 * np.eye(4), "not unitary"), (shift_matrix(4) + 1e-6, "not unitary")],
+        ids=["rectangular", "stack", "scaled_identity", "perturbed_shift"],
+    )
+    def test_outside_matrix_guards(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            SingleParticleOperator(matrix)
 
     def test_only_the_uniform_distribution(self):
         assert len(sample_disorder_profiles(DisorderEnsemble(3, 1.0, "uniform_symmetric"), 4)) == 3

@@ -134,6 +134,8 @@ class TestValidation:
             ("chiral", "noise", {"p_cnot": "x"}, "p_cnot"),
             ("scaling", "noise", None, "noise"),
             ("scaling", "values", [1, 1, 2, 3], "values"),
+            ("scaling", "values", [2], "values"),
+            ("scaling", "values", [2, 4], "values"),
             ("custom", "custom_u", [1e308, 0, 0, 0], "custom_u"),
             ("exact", "J", 1e308, "J"),
             ("trotter", "J", 1e308, "J"),
@@ -159,8 +161,8 @@ class TestValidation:
             "method_single_particle_with_noise", "seed_negative", "start_site_1.5",
             "box_profile_at_L4", "custom_u_string", "sweep_seeds_0", "output_dir_number",
             "noise_not_an_object", "noise_probability_string", "scaling_without_noise",
-            "values_duplicate", "rz_angle_overflows", "hopping_overflows_exact",
-            "hopping_overflows_trotter", "hopping_overflows_spectra",
+            "values_duplicate", "values_one_point", "values_two_points", "rz_angle_overflows",
+            "hopping_overflows_exact", "hopping_overflows_trotter", "hopping_overflows_spectra",
             "J_past_the_float_range", "spectra_energy_bound_overflows",
             "W_past_the_float_range", "times_past_the_float_range",
             "custom_u_past_the_float_range", "noise_probability_past_the_float_range",
@@ -184,7 +186,7 @@ class TestValidation:
                         "W_values": [0.0], "method": "statevector"},
             "spectra": {"kind": "disorder_spectra", "L": 4, "W": 1.0, "realizations": 3},
             "scaling": {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "L": 4,
-                        "values": [1], "noise": noise},
+                        "values": [1, 2, 3], "noise": noise},
         }[base]
         validate_config(data)  # the base config itself is valid
         data = {"output_dir": str(tmp_path / "out"), **data, key: value}
@@ -543,7 +545,7 @@ class TestAmplitudeScaling:
                 {
                     "kind": "amplitude_scaling",
                     "axis": "steps_at_fixed_L",
-                    "values": [1, 2],
+                    "values": [1, 2, 3],
                     "seed": 0,
                     "output_dir": str(tmp_path / "x"),
                 }
@@ -605,7 +607,7 @@ class TestCli:
         assert main(["run", str(path)]) == 2
 
     def test_config_error_during_run_exit_code(self, tmp_path, capsys):
-        data = {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "values": [1, 2],
+        data = {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "values": [1, 2, 3],
                 "output_dir": str(tmp_path / "x")}
         assert main(["run", str(write_config(tmp_path, data))]) == 2
         assert "noise" in capsys.readouterr().err

@@ -62,3 +62,15 @@ def test_every_workload_config_validates(perfbench_module, tiny):
     workloads = perfbench_module("workloads")
     for name in workloads.WORKLOADS:
         assert workloads.build(name, 1, PERFBENCH.parent, tiny)
+
+
+@pytest.mark.parametrize("workload", ["noisy_walk", "dense", "spectra"])
+def test_every_workload_stage_runs_and_verifies(perfbench_module, workload, tmp_path):
+    # one full-scale round at the benchmark's first seed: a changed return
+    # type or attribute that a stage reads fails here, not as a failed
+    # benchmark operation; no statistical check is asserted beyond seed 1
+    workloads = perfbench_module("workloads")
+    for stage in workloads.build(workload, 1, PERFBENCH.parent):
+        outdir = tmp_path / stage.name
+        problems, _ = stage.verify(outdir, stage.run(outdir))
+        assert problems == [], stage.name
