@@ -10,8 +10,8 @@ import numpy as np
 
 from fcqw import (
     PotentialProfile,
+    basis_state,
     build_fcqw_walk,
-    one_hot_state,
     post_process,
     simulate,
     site_density_exact,
@@ -30,7 +30,7 @@ for W in (0.0, 4.0):
     print(f"\n=== box barrier strength W = {W} (walls on sites 2,3,7,8) ===")
     for steps in (2, 5, 8):
         walk = build_fcqw_walk(L, profile, steps)
-        state = simulate(walk, one_hot_state(L, START))
+        state = simulate(walk, basis_state(L, 1 << START))
         density = post_process(site_density_exact(state))
         print(f"\nafter t = {steps} steps (expected site {(START + steps) % L + 1}):")
         for site, p in enumerate(density.p, start=1):

@@ -60,11 +60,11 @@ from .statevec import (
     GateInstruction,
     StateVector,
     apply_gate,
+    basis_state,
     cnot,
     gate_matrix,
     h,
     hy,
-    one_hot_state,
     rz,
     swap,
     swap_as_cnots,

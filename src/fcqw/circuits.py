@@ -15,7 +15,6 @@ from .statevec import (
     GateInstruction,
     StateVector,
     apply_matrix_inplace,
-    basis_state,
     cnot,
     gate_matrix,
     h,
@@ -328,10 +327,8 @@ def _fuse_pass(gates) -> tuple[Block, ...]:
     return tuple(blocks)
 
 
-def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
+def simulate(circuit: Circuit, initial: StateVector) -> StateVector:
     """Run the circuit exactly on a dense statevector, block by block."""
-    if initial is None:
-        initial = basis_state(circuit.num_qubits, 0)
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError(
             f"state has {initial.num_qubits} qubits, circuit {circuit.num_qubits}"

@@ -46,6 +46,9 @@ def main(argv=None) -> int:
     action = run_experiment if args.command == "run" else emit_experiment_qasm
     try:
         result = action(cfg, args.output_dir)
+    except ConfigError as exc:  # an output dir that cannot be created or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # the CLI boundary: report, never a traceback
         print(f"error: run crashed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -92,10 +92,11 @@ def sample_disorder_profiles(ensemble: DisorderEnsemble, L: int) -> list[Potenti
 # operators
 
 
-def shift_matrix(L: int, chirality: str = "right") -> np.ndarray:
-    """Cyclic one-site shift; ``right`` moves occupation i -> i+1 (mod L)."""
+def shift_matrix(L: int) -> np.ndarray:
+    """Right cyclic one-site shift, occupation i -> i+1 (mod L); its
+    transpose is the left shift."""
     s = np.zeros((L, L), dtype=complex)
-    s[(np.arange(L) + (1 if chirality == "right" else -1)) % L, np.arange(L)] = 1.0
+    s[(np.arange(L) + 1) % L, np.arange(L)] = 1.0
     return s
 
 
@@ -109,22 +110,20 @@ def onsite_phases(u: np.ndarray, W: float) -> np.ndarray:
     return W * (2.0 * u - np.sum(u, axis=-1, keepdims=True))
 
 
-def chiral_step_matrices(u: np.ndarray, W: float, chirality: str = "right") -> np.ndarray:
-    """Walk-step matrices shift x diag(e^{i onsite phases}), one L x L matrix
-    per pattern along the last axis of ``u``: (..., L) -> (..., L, L)."""
+def chiral_step_matrices(u: np.ndarray, W: float) -> np.ndarray:
+    """Right-walk step matrices shift x diag(e^{i onsite phases}), one L x L
+    matrix per pattern along the last axis of ``u``: (..., L) -> (..., L, L)."""
     d = np.exp(1j * onsite_phases(u, W))
-    return shift_matrix(u.shape[-1], chirality) * d[..., np.newaxis, :]
+    return shift_matrix(u.shape[-1]) * d[..., np.newaxis, :]
 
 
-def fcqw_step_operator(
-    L: int, profile: PotentialProfile, chirality: str = "right"
-) -> SingleParticleOperator:
-    """One-excitation matrix of one walk step: shift times diagonal phases.
-    A permutation times unit phases is unitary, so the check is skipped."""
+def fcqw_step_operator(L: int, profile: PotentialProfile) -> SingleParticleOperator:
+    """One-excitation matrix of one right-walk step: shift times diagonal
+    phases.  A permutation times unit phases is unitary, so the check is skipped."""
     if profile.num_sites != L:
         raise ValueError(f"profile has {profile.num_sites} sites, expected {L}")
     op = object.__new__(SingleParticleOperator)
-    op.matrix = chiral_step_matrices(profile.u, profile.W, chirality)
+    op.matrix = chiral_step_matrices(profile.u, profile.W)
     return op
 
 
@@ -377,19 +376,17 @@ def effective_hamiltonian(op: SingleParticleOperator) -> np.ndarray:
     """Hermitian H with e^{iH} = U, phases on the principal branch (-pi, pi].
 
     Eigenvalues exactly at -1 map to +pi; eigenphases within 1e-9 past -pi,
-    beyond numerical noise, raise :class:`BranchCutError`.  A walk step
-    U = S diag(d), S either shift (left is right under site reversal), is
-    e^{i phi} G S G^+ (:func:`_shift_gauge`): H[i, j] = g_i h[(i - j) mod L]
-    conj(g_j), h = ifft(wrapped phi - 2 pi k / L).  Other U go through Schur.
+    beyond numerical noise, raise :class:`BranchCutError`.  A right-walk step
+    U = S diag(d) is e^{i phi} G S G^+ (:func:`_shift_gauge`):
+    H[i, j] = g_i h[(i - j) mod L] conj(g_j), h = ifft(wrapped phi - 2 pi k / L).
+    Every other U, a left-walk step included, goes through Schur.
     """
-    for sites in (slice(None), slice(None, None, -1)):
-        if (gauge := _shift_gauge(op.matrix[sites, sites])) is not None:
-            phi, g = gauge
-            k = np.arange(len(g))
-            theta = np.mod(phi - 2.0 * np.pi * k / len(g) + np.pi, 2.0 * np.pi) - np.pi
-            h = np.fft.ifft(_principal_phases(theta))[np.subtract.outer(k, k) % len(g)]
-            hmat = (g[:, np.newaxis] * h * g.conj())[sites, sites]
-            break
+    if (gauge := _shift_gauge(op.matrix)) is not None:
+        phi, g = gauge
+        k = np.arange(len(g))
+        theta = np.mod(phi - 2.0 * np.pi * k / len(g) + np.pi, 2.0 * np.pi) - np.pi
+        h = np.fft.ifft(_principal_phases(theta))[np.subtract.outer(k, k) % len(g)]
+        hmat = g[:, np.newaxis] * h * g.conj()
     else:
         t, q = scipy.linalg.schur(op.matrix, output="complex")
         hmat = (q * _principal_phases(np.angle(np.diag(t)))) @ q.conj().T

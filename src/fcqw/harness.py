@@ -286,17 +286,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:
-    out = {
-        "kind": cfg.kind,
-        "L": cfg.L,
-        "seed": cfg.seed,
-        "shots": cfg.shots,
-        "output_dir": cfg.output_dir,
-        "noise": None if cfg.noise is None else asdict(cfg.noise),
-    }
-    for key in sorted(_KIND_KEYS[cfg.kind][0]):
-        out[key] = getattr(cfg, key)
-    return out
+    keys = _COMMON_KEYS | _KIND_KEYS[cfg.kind][0]
+    return {k: v for k, v in asdict(cfg).items() if k in keys}
 
 
 def content_hash(config: dict) -> str:
@@ -625,11 +616,16 @@ _RUNNERS = {
 }
 
 
+#: the top-level files a result dir may hold, which a run clears before writing
+_RESULT_FILES = ("manifest.json", "checks.json", "spectra.csv", "level_stats.csv", "decay.csv",
+                 "site_density_W*.csv", "summary_W*.csv", "mitigation_W*.csv", "circuit_*.qasm")
+
+
 @contextmanager
 def _output_dir(outdir: Path):
-    """Create ``outdir`` and check it is writable.  If that or the body
-    raises, the topmost directory this call created is removed again; a
-    directory that already existed is left alone."""
+    """Create ``outdir`` and check it is writable, else a ``ConfigError`` on
+    ``output_dir``.  If the body raises, the topmost directory this call
+    created is removed again; a directory that already existed is left alone."""
     created = next((p for p in reversed((outdir, *outdir.parents)) if not p.exists()), None)
     try:
         try:
@@ -638,7 +634,7 @@ def _output_dir(outdir: Path):
             probe.write_text("")
             probe.unlink()
         except OSError as exc:
-            raise OSError(f"output directory {outdir} is not writable: {exc}") from exc
+            raise ConfigError(f"{outdir} is not writable: {exc}", ["output_dir"]) from exc
         yield
     except BaseException:
         if created is not None:
@@ -656,6 +652,8 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> Path:
         "package_version": __version__,
     }
     with _output_dir(outdir):
+        for stale in [p for pattern in _RESULT_FILES for p in outdir.glob(pattern) if p.is_file()]:
+            stale.unlink()
         checks = _RUNNERS[cfg.kind](cfg, outdir)
         report = {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
         for name, document in (("manifest.json", manifest), ("checks.json", report)):

@@ -125,22 +125,11 @@ class StateVector:
     amplitudes: np.ndarray
 
 
-def _check_num_qubits(L: int) -> None:
+def basis_state(L: int, index: int) -> StateVector:
+    """Computational basis state |index> (bit i of index = occupation of site i);
+    one particle at ``site`` is ``basis_state(L, 1 << site)``."""
     if not 1 <= L <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {L}")
-
-
-def one_hot_state(L: int, site: int) -> StateVector:
-    """State with a single particle at ``site`` and all other sites empty."""
-    _check_num_qubits(L)
-    if not 0 <= site < L:
-        raise IndexError(f"site {site} out of range for L={L}")
-    return basis_state(L, 1 << site)
-
-
-def basis_state(L: int, index: int) -> StateVector:
-    """Computational basis state |index> (bit i of index = occupation of site i)."""
-    _check_num_qubits(L)
     if not 0 <= index < 1 << L:
         raise IndexError(f"basis index {index} out of range for L={L}")
     amps = np.zeros(1 << L, dtype=complex)

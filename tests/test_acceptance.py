@@ -39,7 +39,7 @@ from fcqw.observables import (
     site_density_counts,
     site_density_exact,
 )
-from fcqw.statevec import one_hot_state
+from fcqw.statevec import basis_state
 
 NONCHIRAL_TIMES = [0.1, 0.48, 0.86, 1.24, 1.62, 2.0]
 
@@ -63,7 +63,7 @@ def test_criterion_01_chiral_ballistic_propagation():
     for W in (0.0, 1.0, 2.0, 3.0, 4.0):
         profile = PotentialProfile.box(L, W)
         for t in (2, 5, 8):
-            state = simulate(build_fcqw_walk(L, profile, t), one_hot_state(L, start))
+            state = simulate(build_fcqw_walk(L, profile, t), basis_state(L, 1 << start))
             density = site_density_exact(state)
             worst = max(worst, abs(density.p[(start + t) % L] - 1.0))
     elapsed = time.monotonic() - t0
@@ -284,7 +284,7 @@ def test_criterion_10_oracle_equivalence():
             start = int(rng.integers(0, L))
             op = reduce_to_single_particle(circuit)
             marginal = np.abs(np.linalg.matrix_power(op.matrix, t)[:, start]) ** 2
-            state = one_hot_state(L, start)
+            state = basis_state(L, 1 << start)
             for _ in range(t):
                 state = simulate(circuit, state)
             dev = float(np.max(np.abs(site_density_exact(state).p - marginal)))

@@ -29,7 +29,6 @@ from fcqw.statevec import (
     gate_matrix,
     h,
     hy,
-    one_hot_state,
     rz,
     swap,
 )
@@ -53,7 +52,7 @@ class TestHoppingLadder:
         pairs = [(2, 3), (1, 2), (0, 1)]
         assert compose_swaps_by_hand(4, pairs) == [1, 2, 3, 0]
         circ = build_hopping_ladder(4, "right")
-        out = simulate(circ, one_hot_state(4, 0))
+        out = simulate(circ, basis_state(4, 1 << 0))
         assert abs(out.amplitudes[1 << 1] - 1.0) == 0.0
 
     def test_left_matrix_is_down_shift(self):
@@ -65,7 +64,7 @@ class TestHoppingLadder:
 
     def test_cyclic_period(self):
         L = 8
-        state = one_hot_state(L, 0)
+        state = basis_state(L, 1 << 0)
         circ = build_hopping_ladder(L, "right")
         for _ in range(L):
             state = simulate(circ, state)
@@ -97,7 +96,7 @@ class TestOnsiteLayer:
     def test_diagonal_keeps_distribution(self):
         profile = PotentialProfile.random_symmetric(5, 2.5, np.random.default_rng(4))
         layer = build_onsite_layer(profile)
-        out = simulate(layer, one_hot_state(5, 2))
+        out = simulate(layer, basis_state(5, 1 << 2))
         density = site_density_exact(out)
         assert np.max(np.abs(density.p - np.eye(5)[2])) < 1e-14
 
@@ -107,7 +106,7 @@ class TestFcqwStep:
         L = 8
         profile = PotentialProfile.uniform(L, 0.0)
         for t in (1, 3, 8, 11):
-            out = simulate(build_fcqw_walk(L, profile, t), one_hot_state(L, 0))
+            out = simulate(build_fcqw_walk(L, profile, t), basis_state(L, 1 << 0))
             density = site_density_exact(out)
             assert abs(density.p[t % L] - 1.0) < 1e-12
 
@@ -115,11 +114,11 @@ class TestFcqwStep:
         L = 8
         rng = np.random.default_rng(8)
         base = site_density_exact(
-            simulate(build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), 5), one_hot_state(L, 0))
+            simulate(build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), 5), basis_state(L, 1 << 0))
         )
         for W in (1.0, 2.5, 4.0):
             profile = PotentialProfile.random_symmetric(L, W, rng)
-            out = simulate(build_fcqw_walk(L, profile, 5), one_hot_state(L, 0))
+            out = simulate(build_fcqw_walk(L, profile, 5), basis_state(L, 1 << 0))
             assert np.max(np.abs(site_density_exact(out).p - base.p)) < 1e-12
 
     def test_smallest_lattice_structure(self):
@@ -476,7 +475,7 @@ class TestFusedOnce:
         products.clear()
         assert fuse_blocks(circ) is blocks
         assert products == []
-        simulate(circ, one_hot_state(6, 2))
+        simulate(circ, basis_state(6, 1 << 2))
         reduce_to_single_particle(circ)
         assert products == []
 

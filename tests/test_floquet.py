@@ -27,6 +27,7 @@ from fcqw.floquet import (
     effective_hamiltonian,
     fcqw_step_operator,
     level_spacing_stats,
+    onsite_phases,
     predicted_chiral_eigenphases,
     quasi_energy_phases,
     quasi_energy_spectrum,
@@ -44,7 +45,7 @@ from fcqw import floquet
 from fcqw.floquet import _shift_gauge
 from fcqw.harness import _circular_set_distance
 from fcqw.observables import site_density_exact
-from fcqw.statevec import cnot, h, one_hot_state, rz
+from fcqw.statevec import basis_state, cnot, h, rz
 
 
 def momentum_operator(k: float, W: float = 0.0) -> complex:
@@ -61,7 +62,7 @@ def _reduce_dense(circuit: Circuit) -> np.ndarray:
     rows = [1 << i for i in range(L)]
     m = np.empty((L, L), dtype=complex)
     for i in range(L):
-        m[:, i] = simulate(circuit, one_hot_state(L, i)).amplitudes[rows]
+        m[:, i] = simulate(circuit, basis_state(L, 1 << i)).amplitudes[rows]
         assert abs(1.0 - np.sum(np.abs(m[:, i]) ** 2)) <= 1e-12
     return m
 
@@ -86,7 +87,7 @@ class TestReduction:
         assert np.max(np.abs(op.matrix - expected)) < 1e-12
         full = np.array(
             [
-                simulate(build_onsite_layer(profile), one_hot_state(4, i)).amplitudes[
+                simulate(build_onsite_layer(profile), basis_state(4, 1 << i)).amplitudes[
                     [1, 2, 4, 8]
                 ]
                 for i in range(4)
@@ -151,7 +152,7 @@ class TestReduction:
         profile = PotentialProfile.random_symmetric(L, 1.0, np.random.default_rng(7))
         op = fcqw_step_operator(L, profile)
         marginal = np.abs(np.linalg.matrix_power(op.matrix, t)[:, 2]) ** 2
-        state = simulate(build_fcqw_walk(L, profile, t), one_hot_state(L, 2))
+        state = simulate(build_fcqw_walk(L, profile, t), basis_state(L, 1 << 2))
         assert np.max(np.abs(site_density_exact(state).p - marginal)) < 1e-10
 
 
@@ -208,7 +209,7 @@ class TestWinding:
 
 class TestSpectrum:
     def test_shift_eigenphases_are_quarter_circle(self):
-        op = SingleParticleOperator(shift_matrix(4, "left"))
+        op = SingleParticleOperator(shift_matrix(4).T)
         spec = quasi_energy_spectrum(op)
         expected = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
         assert np.max(np.abs(spec.eigenphases - expected)) < 1e-12
@@ -537,20 +538,30 @@ def _schur_log(u: np.ndarray) -> np.ndarray:
     return 0.5 * (hmat + hmat.conj().T)
 
 
-class TestShiftGauge:
-    """A walk step U = S diag(d) is e^{i phi} G S G^+, and -i log U follows."""
+def _shift(L, chirality):
+    """The right cyclic shift, or its transpose, the left one."""
+    return shift_matrix(L) if chirality == "right" else shift_matrix(L).T
 
-    @pytest.mark.parametrize("chirality", ["right", "left"])
+
+def _step_matrix(L, profile, chirality):
+    """A walk step's matrix: the shift times the profile's onsite phases."""
+    if chirality == "right":
+        return fcqw_step_operator(L, profile).matrix
+    return _shift(L, chirality) * np.exp(1j * onsite_phases(profile.u, profile.W))
+
+
+class TestShiftGauge:
+    """A right-walk step U = S diag(d) is e^{i phi} G S G^+, and -i log U
+    follows; a left step goes through Schur under the same branch-cut rules."""
+
     @pytest.mark.parametrize("L", [2, 3, 8, 40])
-    def test_step_is_gauged_uniform_shift(self, L, chirality):
-        sites = slice(None) if chirality == "right" else slice(None, None, -1)
+    def test_step_is_gauged_uniform_shift(self, L):
         for profile in sample_disorder_profiles(DisorderEnsemble(5, W=4.0, seed=L), L):
-            u = fcqw_step_operator(L, profile, chirality).matrix
-            phi, g = _shift_gauge(u[sites, sites])
-            g = g[sites]
-            assert g[0 if chirality == "right" else L - 1] == 1.0
+            u = fcqw_step_operator(L, profile).matrix
+            phi, g = _shift_gauge(u)
+            assert g[0] == 1.0
             assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-12
-            rebuilt = np.exp(1j * phi) * (g[:, np.newaxis] * shift_matrix(L, chirality) * g.conj())
+            rebuilt = np.exp(1j * phi) * (g[:, np.newaxis] * shift_matrix(L) * g.conj())
             assert np.max(np.abs(rebuilt - u)) < 1e-12
 
     @pytest.mark.parametrize(
@@ -565,17 +576,26 @@ class TestShiftGauge:
     def test_matches_schur_log_over_ensemble(self, chirality):
         for L, W in ((40, 4.0), (9, 1.0), (16, 0.0)):
             for profile in sample_disorder_profiles(DisorderEnsemble(20, W=W, seed=7), L):
-                op = fcqw_step_operator(L, profile, chirality)
+                op = SingleParticleOperator(_step_matrix(L, profile, chirality))
                 hmat = effective_hamiltonian(op)
                 assert np.max(np.abs(hmat - _schur_log(op.matrix))) < 1e-12
                 assert np.max(np.abs(scipy.linalg.expm(1j * hmat) - op.matrix)) < 1e-12
+
+    @pytest.mark.parametrize("W", [0.0, 1.0, 4.0])
+    @pytest.mark.parametrize("L", [3, 9, 16])
+    def test_left_step_from_circuit_takes_schur(self, L, W):
+        for profile in sample_disorder_profiles(DisorderEnsemble(5, W=W, seed=L), L):
+            op = reduce_to_single_particle(build_fcqw_step(L, profile, "left"))
+            assert _shift_gauge(op.matrix) is None
+            hmat = effective_hamiltonian(op)
+            assert np.max(np.abs(scipy.linalg.expm(1j * hmat) - op.matrix)) < 1e-12
 
     @pytest.mark.parametrize("chirality", ["right", "left"])
     def test_eigenvalue_at_minus_one_gives_plus_pi(self, chirality):
         # angles summing to zero: the spectrum is that of the bare shift,
         # 1, -i, -1, i, so one eigenvalue is -1
         d = np.exp(1j * np.array([0.5, -1.25, 2.0, -1.25]))
-        u = shift_matrix(4, chirality) * d
+        u = _shift(4, chirality) * d
         hmat = effective_hamiltonian(SingleParticleOperator(u))
         energies = np.linalg.eigvalsh(hmat)
         assert abs(energies[-1] - np.pi) < 1e-12
@@ -587,19 +607,18 @@ class TestShiftGauge:
         # phi = 1e-10, so the k = 2 eigenphase is 1e-10 past -pi
         d = np.array([np.exp(4e-10j), 1.0, 1.0, 1.0])
         with pytest.raises(BranchCutError):
-            effective_hamiltonian(SingleParticleOperator(shift_matrix(4, chirality) * d))
+            effective_hamiltonian(SingleParticleOperator(_shift(4, chirality) * d))
 
 
 class TestLoopReferences:
     """The index-assigned operators equal their per-entry loop versions."""
 
     @pytest.mark.parametrize("L", [1, 2, 3, 8])
-    @pytest.mark.parametrize("chirality", ["right", "left"])
-    def test_shift_matrix(self, L, chirality):
+    def test_shift_matrix(self, L):
         ref = np.zeros((L, L), dtype=complex)
         for i in range(L):
-            ref[(i + (1 if chirality == "right" else -1)) % L, i] = 1.0
-        assert np.array_equal(shift_matrix(L, chirality), ref)
+            ref[(i + 1) % L, i] = 1.0
+        assert np.array_equal(shift_matrix(L), ref)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 8])
     @pytest.mark.parametrize("periodic", [False, True])

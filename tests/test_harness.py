@@ -629,6 +629,34 @@ class TestCli:
         assert main(["run", str(write_config(tmp_path, data))]) == 3
         assert (outdir / "keep.txt").read_text() == "kept"
 
+    def test_rerun_clears_the_earlier_runs_files(self, tmp_path, monkeypatch, capsys):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "keep.txt").write_text("kept")
+        first = {"kind": "chiral_propagation", "L": 8, "steps": [2, 5], "W": 0.0,
+                 "output_dir": str(outdir)}
+        second = {**first, "steps": [3], "W": 1.0}
+        assert main(["run", str(write_config(tmp_path, first))]) == 0
+        assert main(["run", str(write_config(tmp_path, second))]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["run", str(write_config(tmp_path, {**second, "output_dir": str(fresh)}))]) == 0
+        expected = sorted([p.name for p in fresh.iterdir()] + ["keep.txt"])
+        assert sorted(p.name for p in outdir.iterdir()) == expected
+        # a crash in that dir leaves no checks.json for ``fcqw check`` to pass
+        monkeypatch.setattr("fcqw.harness.build_fcqw_walk", _crash)
+        assert main(["run", str(write_config(tmp_path, first))]) == 3
+        assert main(["check", str(outdir)]) == 1
+        assert (outdir / "keep.txt").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["run", "emit-qasm"])
+    def test_unwritable_output_dir_is_a_config_error(self, tmp_path, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file")
+        path = write_config(tmp_path, chiral_config(tmp_path, output_dir=str(blocker)))
+        assert main([command, str(path)]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert blocker.read_text() == "a file"
+
     def test_crash_during_emit_qasm_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("fcqw.harness.build_fcqw_walk", _crash)
         data = {"kind": "chiral_propagation", "L": 4, "steps": [1],

@@ -821,9 +821,11 @@ class TestPostProcessingBenefit:
 
 
 class TestShotResult:
-    def test_counts_must_sum_to_shots(self):
-        with pytest.raises(ValueError):
-            ShotResult({2: 3}, 10, 2)
+    def test_shots_is_the_sum_of_counts(self):
+        result = ShotResult({2: 3, 1: 7}, 2)
+        assert result.shots == 10
+        result.counts[0] = 5
+        assert result.shots == 15
 
 
 class TestDecaySweep:

@@ -15,7 +15,6 @@ from fcqw.observables import (
 from fcqw.statevec import (
     StateVector,
     basis_state,
-    one_hot_state,
     index_to_bitstring,
 )
 from test_statevec import bitstring_to_index, sample_bitstrings
@@ -24,7 +23,7 @@ from test_statevec import bitstring_to_index, sample_bitstrings
 def _shots(bit_counts: dict[str, int]) -> ShotResult:
     """A ShotResult from counts keyed by bitstring (site 0 first), all of one length."""
     counts = {bitstring_to_index(bits): n for bits, n in bit_counts.items()}
-    return ShotResult(counts, sum(bit_counts.values()), len(next(iter(bit_counts))))
+    return ShotResult(counts, len(next(iter(bit_counts))))
 
 
 def _per_character_density(bit_counts: dict[str, int], shots: int, weight) -> np.ndarray:
@@ -41,7 +40,7 @@ def _per_character_density(bit_counts: dict[str, int], shots: int, weight) -> np
 
 class TestExactDensity:
     def test_one_hot(self):
-        d = site_density_exact(one_hot_state(8, 3))
+        d = site_density_exact(basis_state(8, 1 << 3))
         assert np.array_equal(d.p, np.eye(8)[3])
         assert not d.normalized
 
@@ -77,7 +76,7 @@ class TestCountDensity:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            site_density_counts(ShotResult({1: 3, 4: 2}, 5, 2), 2)
+            site_density_counts(ShotResult({1: 3, 4: 2}, 2), 2)
 
     @pytest.mark.parametrize("L", [2, 8, 20])
     def test_bit_operations_match_per_character_loop(self, L):
@@ -165,7 +164,7 @@ class TestIpr:
         for W in (0.0, 1.0, 2.0, 3.0, 4.0):
             profile = PotentialProfile.box(L, W)
             for t in range(1, 9):
-                state = simulate(build_fcqw_walk(L, profile, t), one_hot_state(L, 0))
+                state = simulate(build_fcqw_walk(L, profile, t), basis_state(L, 1 << 0))
                 value = ipr(post_process(site_density_exact(state)))
                 assert abs(value - 1.0) < 1e-12
 
@@ -174,7 +173,7 @@ class TestPeakAmplitude:
     def test_ideal_walk_peak_is_unity(self):
         L, t = 8, 5
         state = simulate(
-            build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), t), one_hot_state(L, 0)
+            build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), t), basis_state(L, 1 << 0)
         )
         d = post_process(site_density_exact(state))
         assert abs(peak_amplitude(d, t % L) - 1.0) < 1e-12

@@ -15,7 +15,6 @@ from fcqw.statevec import (
     h,
     hy,
     index_to_bitstring,
-    one_hot_state,
     rz,
     sample_index,
     swap,
@@ -151,7 +150,7 @@ class TestGateInstruction:
             GateInstruction("x", (0,))
 
     def test_out_of_range_target_raises_on_apply(self):
-        state = one_hot_state(2, 0)
+        state = basis_state(2, 1 << 0)
         with pytest.raises(IndexError):
             apply_gate(state, h(5))
 
@@ -175,7 +174,7 @@ class TestApplyGate:
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-12
 
     def test_input_state_is_not_mutated(self):
-        state = one_hot_state(2, 0)
+        state = basis_state(2, 1 << 0)
         before = state.amplitudes.copy()
         apply_gate(state, h(0))
         assert np.array_equal(state.amplitudes, before)
@@ -265,12 +264,12 @@ class TestSwapAsCnots:
 
 class TestOneHotState:
     def test_site_zero_of_four(self):
-        state = one_hot_state(4, 0)
+        state = basis_state(4, 1 << 0)
         assert abs(state.amplitudes[bitstring_to_index("1000")] - 1.0) == 0.0
         assert np.sum(np.abs(state.amplitudes)) == 1.0
 
     def test_walk_initial_state_is_single_site(self):
-        state = one_hot_state(8, 0)
+        state = basis_state(8, 1 << 0)
         probs = np.abs(state.amplitudes) ** 2
         assert probs[1 << 0] == 1.0
         assert np.sum(probs) == 1.0
@@ -278,12 +277,12 @@ class TestOneHotState:
     def test_ipr_of_one_hot_is_one(self):
         from fcqw.observables import ipr, post_process, site_density_exact
 
-        value = ipr(post_process(site_density_exact(one_hot_state(6, 2))))
+        value = ipr(post_process(site_density_exact(basis_state(6, 1 << 2))))
         assert value == 1.0
 
     def test_site_out_of_range(self):
         with pytest.raises(IndexError):
-            one_hot_state(4, 4)
+            basis_state(4, 1 << 4)
 
 
 class TestSampling:
@@ -307,7 +306,7 @@ class TestSampling:
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
-            sample_bitstrings(one_hot_state(2, 0), 0, seed=0)
+            sample_bitstrings(basis_state(2, 1 << 0), 0, seed=0)
 
     def test_draws_follow_row_rng(self):
         state = random_state(np.random.default_rng(4), 3)
