@@ -35,7 +35,6 @@ from .floquet import (
     chiral_momentum_family,
     chiral_step_matrices,
     level_spacing_stats,
-    onsite_phases,
     predicted_chiral_eigenphases,
     quasi_energy_phases,
     reduce_to_single_particle,
@@ -57,8 +56,14 @@ from .observables import (
 from .qasm import emit_qasm3
 from .statevec import MAX_QUBITS, derived_seed
 
-#: largest |W| or time: :func:`_point_key` keys one at 1e-3 resolution as an integer
-_POINT_LIMIT = 1e300
+#: largest |x| of a real field (W, W_values, times, J, custom_u).  Every number
+#: the run path forms is a product of at most three such factors and L; the
+#: largest, an energy bound (Gershgorin) times a time, is at most
+#: (4|J| + (L + 2)|W| max|u|) t <= (L + 6) 1e270, finite for any L below 1e38
+_REAL_LIMIT = 1e90
+#: largest count (L, steps, values, trotter_n, realizations, sweep_seeds, shots):
+#: the largest 32-bit stream key, so distinct walk steps key distinct streams
+_COUNT_LIMIT = 2**32 - 1
 
 
 class ConfigError(ValueError):
@@ -115,16 +120,16 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_finite_real(value, limit: float = math.inf) -> bool:
+def _is_finite_real(value) -> bool:
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
-        return math.isfinite(value) and abs(value) <= limit
+        return math.isfinite(value) and abs(value) <= _REAL_LIMIT
     except OverflowError:  # an integer past the float range
         return False
 
 
-def _int_in(value, lo: int, hi: float = math.inf) -> bool:
+def _int_in(value, lo: int, hi: float = _COUNT_LIMIT) -> bool:
     return _is_integer(value) and lo <= value <= hi
 
 
@@ -142,7 +147,7 @@ def _noise_spec(noise_data, seed) -> NoiseSpec:
     noise_data.setdefault("seed", seed)
     bad = [k for k in ("p_cnot", "p_1q", "p_readout")
            if k in noise_data and not (_is_finite_real(noise_data[k]) and 0 <= noise_data[k] <= 1)]
-    if not _int_in(noise_data["seed"], 0):
+    if not _int_in(noise_data["seed"], 0, math.inf):  # SeedSequence entropy
         bad.append("seed")
     if bad:
         raise ConfigError("invalid noise values", bad)
@@ -163,7 +168,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     missing = sorted(k for k in required if k not in data)
     if missing:
         raise ConfigError(f"missing required fields for kind {kind!r}", missing)
-    if not _int_in(data.get("seed", 0), 0):  # SeedSequence entropy
+    if not _int_in(data.get("seed", 0), 0, math.inf):  # SeedSequence entropy
         raise ConfigError("invalid field values", ["seed"])
 
     kwargs = dict(data)
@@ -172,14 +177,25 @@ def validate_config(data: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**kwargs)
 
     problems = []
+    if cfg.method not in ("auto", "statevector", "single_particle"):
+        problems.append("method")
+    elif cfg.method == "single_particle" and cfg.noise is not None:
+        problems.append("method")  # the exact propagator takes no noise
+    elif cfg.kind == "disorder_spectra":
+        cfg.method = "single_particle"  # L x L operators, no circuit
+    elif cfg.method == "auto":  # circuits, but the exact L x L propagator
+        # for a noiseless XY chain past L = 12
+        exact = (cfg.kind == "nonchiral_localization" and cfg.noise is None
+                 and _is_integer(cfg.L) and cfg.L > 12)
+        cfg.method = "single_particle" if exact else "statevector"
     if not _int_in(cfg.L, 2):  # a walk, a chain and level spacings need two sites
         problems.append("L")
-    elif cfg.L > MAX_QUBITS and _method(cfg) == "statevector" and cfg.axis == "steps_at_fixed_L":
+    elif cfg.L > MAX_QUBITS and cfg.method == "statevector" and cfg.axis == "steps_at_fixed_L":
         problems.append("L")  # an L-qubit circuit; the size axis sets its widths by `values`
     if not _int_in(cfg.realizations, 1):
         problems.append("realizations")
-    for name, limit in (("W", _POINT_LIMIT), ("J", math.inf)):
-        if not _is_finite_real(getattr(cfg, name), limit):
+    for name in ("W", "J"):
+        if not _is_finite_real(getattr(cfg, name)):
             problems.append(name)
     if cfg.profile not in ("uniform", "box", "custom"):
         problems.append("profile")
@@ -194,7 +210,7 @@ def validate_config(data: dict) -> ExperimentConfig:
             problems.append("noise")  # the sweep measures decay under noise
         if cfg.axis not in SWEEP_AXES:
             problems.append("axis")
-        lo, hi = (2, MAX_QUBITS) if cfg.axis == "size_with_t_equals_L" else (0, math.inf)
+        lo, hi = (2, MAX_QUBITS) if cfg.axis == "size_with_t_equals_L" else (0, _COUNT_LIMIT)
         if not _nonempty_list(cfg.values, lambda v: _int_in(v, lo, hi)):
             problems.append("values")
         elif len(set(cfg.values)) < len(cfg.values):
@@ -212,72 +228,28 @@ def validate_config(data: dict) -> ExperimentConfig:
         problems.append("sweep_seeds")
     if not _int_in(cfg.trotter_n, 1):
         problems.append("trotter_n")
-    if cfg.method not in ("auto", "statevector", "single_particle"):
-        problems.append("method")
-    elif cfg.method == "single_particle" and cfg.noise is not None:
-        problems.append("method")  # the exact propagator takes no noise
-    # a bound kept from seeding each shot with one spawn-key word; rows of
-    # one PCG64 stream need none, but a run keeps arrays sized by it
-    if not _int_in(cfg.shots, 1, 1 << 32):
+    if not _int_in(cfg.shots, 1):
         problems.append("shots")
     if not isinstance(cfg.output_dir, str):
         problems.append("output_dir")
-    points = (
-        ("steps", lambda t: _int_in(t, 0)),
-        ("times", lambda t: _is_finite_real(t, _POINT_LIMIT) and t >= 0),
-        ("W_values", lambda w: _is_finite_real(w, _POINT_LIMIT)),
+    points = (  # a walk step keys its stream as itself, distinct under the count range
+        ("steps", lambda t: _int_in(t, 0), int),
+        ("times", lambda t: _is_finite_real(t) and t >= 0, _stream_key),
+        ("W_values", _is_finite_real, _stream_key),
     )
-    for name, ok in points:
+    for name, ok, key in points:
         if name not in keys:
             continue
         values = getattr(cfg, name)
         if not _nonempty_list(values, ok):
             problems.append(name)
-        elif len({_point_key(v) for v in values}) < len(values):
+        elif len({key(v) for v in values}) < len(values):
             problems.append(name)  # two points would share a noise stream
         elif name == "W_values" and len({_wtag(v) for v in values}) < len(values):
             problems.append(name)  # two W values would write the same files
     if problems:
         raise ConfigError("invalid field values", problems)
-    overflowing = _overflowing(cfg)
-    if overflowing:
-        raise ConfigError("an rz angle, onsite phase, hopping term or E t overflows", overflowing)
     return cfg
-
-
-def _overflowing(cfg: ExperimentConfig) -> list[str]:
-    """The fields of a valid config whose values make an rz angle, an onsite
-    phase, an XY hopping term or an exact XY point's ``E t`` non-finite.
-    The kinds without W values have no profile to check: disorder draws
-    |u| <= 1."""
-    if not math.isfinite(2.0 * cfg.J):
-        return ["J"]
-    W_values, xs = _sweep(cfg)
-    custom = ["custom_u"] if cfg.profile == "custom" else []
-    exact = _method(cfg) == "single_particle"  # the exact XY H's diagonal: onsite phases
-    trotter = cfg.kind == "nonchiral_localization" and not exact
-    dts = np.array(xs, dtype=float) / cfg.trotter_n  # build_xy_trotter's t / n
-    top = 0.0  # the largest |onsite phase| or |rz angle|
-    with np.errstate(over="ignore", invalid="ignore"):
-        for W in W_values:
-            u = _profile_for(cfg, W).u
-            terms = onsite_phases(u, W) if exact else 2.0 * W * u  # phases or rz angles
-            if not np.isfinite(terms).all():
-                return custom  # |W| <= 1e300 and |u| <= 1 for the other profiles
-            if trotter and not np.isfinite(np.outer(terms, dts)).all():
-                return ["W_values", *custom, "times"]
-            top = max(top, float(np.abs(terms).max()))
-        if trotter and not np.isfinite(-2.0 * cfg.J * dts).all():
-            return ["J", "times"]
-    # an exact point's energies: |E| <= 4|J| + top (hops of -2J to two
-    # neighbours, Gershgorin), and e^{-i E t} needs a finite E t; a disorder
-    # step is t = 1 with |onsite phase| <= L |W|, as |u| <= 1
-    if cfg.kind == "disorder_spectra" and not math.isfinite(4.0 * abs(cfg.J) + cfg.L * abs(cfg.W)):
-        return ["J"]
-    if exact and cfg.kind == "nonchiral_localization" and not math.isfinite(
-            (4.0 * abs(cfg.J) + top) * max(xs)):
-        return ["J", "times"]
-    return []
 
 
 def load_config(path) -> ExperimentConfig:
@@ -304,9 +276,10 @@ def _profile_for(cfg: ExperimentConfig, W: float) -> PotentialProfile:
     return PotentialProfile.uniform(cfg.L, W)
 
 
-def _point_key(value: float) -> int:
-    """A W value or time as it enters a noise-stream key: 1e-3 resolution."""
-    return int(round(value * 1000))
+def _stream_key(value: float) -> int:
+    """A W value or time as it keys a noise stream: at 1e-3 resolution,
+    masked to 32 bits as :func:`derived_seed` masks every key."""
+    return round(value * 1000) & 0xFFFFFFFF
 
 
 def _wtag(W: float) -> str:
@@ -331,17 +304,6 @@ def _check(name: str, passed, detail: str) -> dict:
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _method(cfg: ExperimentConfig) -> str:
-    """The resolved ``method``: ``statevector`` for a walk; ``auto`` takes
-    the exact L x L propagator for a noiseless XY chain past L = 12."""
-    if cfg.kind == "disorder_spectra":
-        return "single_particle"  # L x L operators, no circuit
-    if cfg.method != "auto":  # only nonchiral_localization takes the key
-        return cfg.method
-    exact = cfg.kind == "nonchiral_localization" and cfg.noise is None and cfg.L > 12
-    return "single_particle" if exact else "statevector"
-
-
 def _sweep(cfg: ExperimentConfig) -> tuple[list[float], list]:
     """The W values and the steps or times measured at each; the kinds
     without circuit points (spectra, amplitude scaling) have no W values."""
@@ -353,7 +315,7 @@ def _sweep(cfg: ExperimentConfig) -> tuple[list[float], list]:
 def _point_circuit(cfg: ExperimentConfig, profile: PotentialProfile, x) -> Circuit | None:
     """The circuit of a measured point: the x-step walk, or the trotterized
     XY chain evolved to time x; None where the exact propagator replaces it."""
-    if _method(cfg) == "single_particle":
+    if cfg.method == "single_particle":
         return None
     if cfg.kind == "nonchiral_localization":
         return build_xy_trotter(cfg.L, profile, TrotterConfig(cfg.J, float(x), cfg.trotter_n))
@@ -365,7 +327,7 @@ def _qasm_name(cfg: ExperimentConfig, W: float, x) -> str | None:
     walk point has one, a Trotter sweep one for its latest time."""
     if cfg.kind != "nonchiral_localization":
         return f"circuit_{_wtag(W)}_t{x}.qasm"
-    latest = _method(cfg) == "statevector" and x == max(cfg.times)
+    latest = cfg.method == "statevector" and x == max(cfg.times)
     return f"circuit_{_wtag(W)}.qasm" if latest else None
 
 
@@ -387,8 +349,8 @@ def _measure(cfg: ExperimentConfig, profile: PotentialProfile, circuit: Circuit 
         else:
             op = reduce_to_single_particle(circuit)
         return SiteDistribution(np.abs(op.matrix[:, cfg.start_site]) ** 2), None
-    step_key = _point_key(x) if cfg.kind == "nonchiral_localization" else x
-    seed = derived_seed(cfg.noise.seed, step_key, _point_key(W))
+    step_key = _stream_key(x) if cfg.kind == "nonchiral_localization" else x
+    seed = derived_seed(cfg.noise.seed, step_key, _stream_key(W))
     result = run_noisy(circuit, 1 << cfg.start_site, replace(cfg.noise, seed=seed), cfg.shots)
     return site_density_counts(result, cfg.L), result
 
@@ -490,7 +452,7 @@ def _walk_checks(cfg: ExperimentConfig, summaries: list, mitigations: list) -> l
 def _chain_checks(cfg: ExperimentConfig, summaries: list, _mitigations) -> list[dict]:
     if cfg.noise is not None or len(cfg.W_values) < 2:
         return []
-    if _method(cfg) == "statevector":
+    if cfg.method == "statevector":
         # a coarse step is a different Floquet system (the potential phase
         # aliases), so the continuum-confinement bars only apply when the
         # trotterization resolves the dynamics
@@ -664,8 +626,11 @@ def run_experiment(cfg: ExperimentConfig, output_dir=None) -> Path:
 
 def emit_experiment_qasm(cfg: ExperimentConfig, output_dir=None) -> list[Path]:
     """Write only the QASM files ``run_experiment`` writes, from the same
-    circuits; the kinds without circuit points write none."""
+    circuits; the kinds without circuit points write none.  A run's result
+    dir is refused: its manifest would not describe the added files."""
     outdir = Path(output_dir or cfg.output_dir or f"results/{cfg.kind}")
+    if (outdir / "manifest.json").exists():
+        raise ConfigError(f"{outdir} holds a run's result dir", ["output_dir"])
     W_values, points = _sweep(cfg)
     with _output_dir(outdir):
         return [

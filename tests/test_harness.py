@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,63 @@ class TestValidation:
             with pytest.raises(ConfigError) as err:
                 validate_config(dict(robustness, W_values=bad))
             assert err.value.fields == ["W_values"]
+
+    @pytest.mark.parametrize(
+        "kind, name, values",
+        [
+            ("chiral_robustness", "W_values", [0.0, 4294967.296]),
+            ("chiral_robustness", "W_values", [-0.001, 4294967.295]),
+            ("nonchiral_localization", "times", [0.1, 0.1 + 4294967.296]),
+        ],
+        ids=["W_0_and_2^32/1000", "W_-0.001_and_(2^32-1)/1000", "times_0.1_apart_by_2^32/1000"],
+    )
+    def test_points_sharing_a_masked_stream_key_rejected(self, tmp_path, capsys, kind, name, values):
+        # derived_seed keys a stream by each key mod 2^32: these two points
+        # would read one and the same noise stream
+        points = {"steps": [2, 3]} if kind == "chiral_robustness" else {"times": [0.1]}
+        data = {"kind": kind, "L": 6, **points, "W_values": [0.0],
+                "noise": {"p_cnot": 0.05, "p_readout": 0.02}, "shots": 500, "seed": 3,
+                "output_dir": str(tmp_path / "out")}
+        validate_config({**data, name: [values[0], values[0] + 1.0]})
+        data[name] = values
+        with pytest.raises(ConfigError) as err:
+            validate_config(data)
+        assert err.value.fields == [name]
+        assert main(["run", str(write_config(tmp_path, data))]) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "base, key",
+        [("exact", "L"), ("chiral", "steps"), ("scaling", "values"), ("trotter", "trotter_n"),
+         ("spectra", "realizations"), ("scaling", "sweep_seeds"), ("noisy", "shots")],
+    )
+    def test_count_fields_stop_at_the_largest_stream_key(self, tmp_path, capsys, base, key):
+        data = {
+            "exact": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
+                      "W_values": [0.0], "method": "single_particle"},
+            "chiral": {"kind": "chiral_propagation", "L": 4, "steps": [1]},
+            "noisy": {"kind": "chiral_propagation", "L": 4, "steps": [1],
+                      "noise": {"p_cnot": 0.01}},
+            "trotter": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
+                        "W_values": [0.0], "method": "statevector"},
+            "spectra": {"kind": "disorder_spectra", "L": 4, "W": 1.0, "realizations": 3},
+            "scaling": {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "L": 4,
+                        "values": [1, 2, 3], "noise": {"p_cnot": 0.01}},
+        }[base]
+        data = {**data, "output_dir": str(tmp_path / "out")}
+
+        def with_count(n):
+            return {**data, key: [1, 2, n] if key == "values" else [n] if key == "steps" else n}
+
+        validate_config(with_count(2**32 - 1))  # validated only: no run of that size
+        for n in (2**32, 10**40):
+            with pytest.raises(ConfigError) as err:
+                validate_config(with_count(n))
+            assert err.value.fields == [key]
+        assert main(["run", str(write_config(tmp_path, with_count(10**40)))]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -201,15 +259,15 @@ class TestValidation:
         "extra, fields",
         [
             ({"method": "statevector", "W_values": [1e300], "times": [1e300]},
-             ["W_values", "times"]),
+             ["times", "W_values"]),
             ({"method": "statevector", "profile": "custom", "custom_u": [1e300, 0, 0, 0],
-              "times": [1e300], "W_values": [1.0]}, ["W_values", "custom_u", "times"]),
+              "times": [1e300], "W_values": [1.0]}, ["custom_u", "times"]),
             ({"method": "statevector", "J": 1e300, "times": [1e300]}, ["J", "times"]),
             ({"method": "single_particle", "profile": "custom",
               "custom_u": [1e308, 1e308, 0, 0]}, ["custom_u"]),
-            ({"method": "single_particle", "J": 8e307}, ["J", "times"]),
+            ({"method": "single_particle", "J": 8e307}, ["J"]),
             ({"method": "single_particle", "W_values": [1e300], "times": [1e300]},
-             ["J", "times"]),
+             ["times", "W_values"]),
         ],
         ids=["trotter_onsite_angle", "trotter_custom_angle", "trotter_hop_angle",
              "exact_onsite_phase", "exact_energy_bound", "exact_phase_times_t"],
@@ -220,16 +278,24 @@ class TestValidation:
             validate_config({**data, **extra})
         assert err.value.fields == fields
 
-    def test_huge_finite_phases_still_run(self, tmp_path, capsys):
-        data = {"kind": "chiral_propagation", "L": 4, "steps": [1], "W": 1e300,
+    def test_values_at_the_bound_run(self, tmp_path, capsys):
+        data = {"kind": "chiral_propagation", "L": 4, "steps": [1], "W": 1e90,
                 "output_dir": str(tmp_path / "out")}
         assert main(["run", str(write_config(tmp_path, data))]) == 0
         capsys.readouterr()
-        # 4|J| + max|onsite phase| bounds the energies: finite up to |J| < 4.49e307
-        exact = {"kind": "nonchiral_localization", "L": 4, "times": [0.1], "W_values": [0.0],
-                 "method": "single_particle", "J": 4e307}
-        validate_config(exact)
-        validate_config(dict(exact, method="statevector", times=[1e300], J=1.0))
+        # every real at the bound: the energy bound times the time is finite
+        exact = {"kind": "nonchiral_localization", "L": 4, "times": [1e90], "W_values": [-1e90],
+                 "profile": "custom", "custom_u": [0.0, 1e90, 0.0, -1e90],
+                 "method": "single_particle", "J": 1e90}
+        for method in ("single_particle", "statevector"):
+            outdir = tmp_path / method
+            config = dict(exact, method=method, output_dir=str(outdir))
+            assert main(["run", str(write_config(tmp_path, config))]) in (0, 1)
+            assert _csv_cells_finite(outdir)
+        capsys.readouterr()
+        with pytest.raises(ConfigError) as err:
+            validate_config(dict(exact, J=math.nextafter(1e90, math.inf)))
+        assert err.value.fields == ["J"]
 
     def test_overflowing_exact_propagator_rejected(self, tmp_path, capsys):
         # every density of this run was nan, and it recorded no check
@@ -255,6 +321,72 @@ class TestValidation:
         cfg = load_config(write_config(tmp_path, chiral_config(tmp_path)))
         assert isinstance(cfg, ExperimentConfig)
         assert cfg.W == 2.0
+
+
+#: boundary values of the config fuzz: signed zero, the smallest subnormal,
+#: the real range's ends and the next float past it, floats near and past the
+#: float range, and values of the wrong type
+FUZZ_VALUES = [0, -0.0, 5e-324, 1e90, -1e90, math.nextafter(1e90, math.inf), 1e300, 1.7e308,
+               10**400, True, "1", None, [], math.nan]
+FUZZ_NOISE = {"p_cnot": 0.05, "p_1q": 0.01, "p_readout": 0.02}
+#: one small valid config per run path; the fuzz mutates each numeric field
+FUZZ_BASES = {
+    "walk": {"kind": "chiral_propagation", "L": 4, "steps": [1, 2], "W": 1.0,
+             "profile": "custom", "custom_u": [0.0, 1.0, 0.0, 0.0], "start_site": 1},
+    "noisy_robustness": {"kind": "chiral_robustness", "L": 4, "steps": [1, 2],
+                         "W_values": [0.0, 1.0], "profile": "custom",
+                         "custom_u": [0.0, 1.0, 0.0, 0.0], "noise": FUZZ_NOISE, "shots": 30},
+    "trotter": {"kind": "nonchiral_localization", "L": 4, "times": [0.1, 0.5],
+                "W_values": [0.0, 2.0], "J": 1.0, "trotter_n": 2, "method": "statevector"},
+    "noisy_trotter": {"kind": "nonchiral_localization", "L": 4, "times": [0.5],
+                      "W_values": [0.0, 2.0], "profile": "custom",
+                      "custom_u": [0.0, 1.0, 0.0, 0.0], "noise": FUZZ_NOISE, "shots": 20},
+    "exact": {"kind": "nonchiral_localization", "L": 4, "times": [0.1, 0.5],
+              "W_values": [0.0, 2.0], "J": 1.0, "profile": "custom",
+              "custom_u": [0.0, 1.0, 0.0, 0.0], "method": "single_particle"},
+    "spectra": {"kind": "disorder_spectra", "L": 4, "W": 1.0, "J": 1.0, "realizations": 3},
+    "scaling": {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "L": 4,
+                "values": [1, 2, 3], "sweep_seeds": 1, "noise": FUZZ_NOISE, "shots": 30},
+}
+_FUZZ_FIELDS = ("L", "steps", "times", "W", "W_values", "custom_u", "J", "trotter_n",
+                "realizations", "values", "sweep_seeds", "shots", "start_site", "seed")
+
+
+def _csv_cells_finite(outdir) -> bool:
+    for path in outdir.glob("*.csv"):
+        with open(path) as fh:
+            for row in list(csv.reader(fh))[1:]:
+                for cell in row:
+                    try:
+                        if not math.isfinite(float(cell)):
+                            return False
+                    except ValueError:  # a label such as a model name
+                        pass
+    return True
+
+
+class TestBoundaryFuzz:
+    @pytest.mark.parametrize("base", sorted(FUZZ_BASES))
+    def test_one_field_at_a_boundary_never_crashes(self, tmp_path, capsys, base):
+        # every mutation fails validation (2) or runs to completion (0 or 1)
+        # with finite CSVs; a list field gets the value at a seeded position
+        data = FUZZ_BASES[base]
+        validate_config(data)
+        rng = np.random.default_rng(7)
+        fields = [k for k in _FUZZ_FIELDS if k in data or k == "seed"]
+        fields += [f"noise.{k}" for k in data.get("noise", {})] + ["noise.seed"] * ("noise" in data)
+        for case, (key, value) in enumerate((k, v) for k in fields for v in FUZZ_VALUES):
+            mutated = json.loads(json.dumps(data))
+            target, name = (mutated["noise"], key[6:]) if key.startswith("noise.") else (mutated, key)
+            if isinstance(target.get(name), list):
+                target[name][rng.integers(len(target[name]))] = value
+            else:
+                target[name] = value
+            outdir = tmp_path / str(case)
+            code = main(["run", str(write_config(tmp_path, dict(mutated, output_dir=str(outdir))))])
+            assert code in (0, 1, 2), (key, value, capsys.readouterr().err)
+            assert code == 2 or _csv_cells_finite(outdir), (key, value)
+            capsys.readouterr()
 
 
 class TestContentHash:
@@ -438,6 +570,18 @@ class TestNonchiralLocalization:
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0]["checks.json"])["all_passed"]
         assert len(outputs[0]) == (1 if method == "single_particle" else 3)
+
+    @pytest.mark.parametrize("L, method", [(8, "statevector"), (14, "single_particle")])
+    def test_manifest_records_the_resolved_method(self, tmp_path, L, method):
+        # without `method`, a noiseless chain past L = 12 takes the exact propagator
+        data = {"kind": "nonchiral_localization", "L": L, "times": [0.5], "W_values": [0.0, 6.0],
+                "profile": "box", "start_site": 3, "output_dir": "loc"}
+        manifests = []
+        for config in (data, dict(data, method=method)):
+            outdir = run_experiment(validate_config(config), tmp_path / str(len(config)))
+            manifests.append(json.loads((outdir / "manifest.json").read_text()))
+        assert manifests[0]["config"]["method"] == method
+        assert manifests[0]["content_hash"] == manifests[1]["content_hash"]
 
     def test_statevector_method_writes_qasm(self, tmp_path):
         cfg = validate_config(
@@ -664,6 +808,20 @@ class TestCli:
         assert main(["emit-qasm", str(write_config(tmp_path, data))]) == 3
         assert capsys.readouterr().err.startswith("error: run crashed: ValueError")
         assert not (tmp_path / "x").exists()
+
+    def test_emit_qasm_refuses_a_run_result_dir(self, tmp_path, capsys):
+        # the manifest would not describe the added QASM files
+        outdir = tmp_path / "out"
+        first = {"kind": "chiral_propagation", "L": 8, "steps": [2, 5], "W": 0.0,
+                 "output_dir": str(outdir)}
+        assert main(["run", str(write_config(tmp_path, first))]) == 0
+        capsys.readouterr()
+        before = file_bytes(outdir)
+        second = write_config(tmp_path, {**first, "steps": [3], "W": 1.0})
+        assert main(["emit-qasm", str(second)]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert file_bytes(outdir) == before
+        assert main(["check", str(outdir)]) == 0
 
     def test_bad_config_emit_qasm_exit_code(self, tmp_path, capsys):
         # config errors come from validation, before any emission
