@@ -33,7 +33,7 @@ for W in (0.0, 4.0):
         state = simulate(walk, basis_state(L, 1 << START))
         density = post_process(site_density_exact(state))
         print(f"\nafter t = {steps} steps (expected site {(START + steps) % L + 1}):")
-        for site, p in enumerate(density.p, start=1):
+        for site, p in enumerate(density, start=1):
             print(f"  site {site}: {p:6.3f} {bar(p)}")
 
 print("\nThe distribution never notices the barrier: the onsite layer is")

@@ -30,9 +30,10 @@ ensemble = DisorderEnsemble(realizations=5, W=W, seed=7)
 print(f"\ndisorder at strength W = {W}, L = {L}:")
 print(f"{'realization':>11} | {'chiral spacing var':>18} | {'nonchiral spacing var':>21}")
 for r, profile in enumerate(sample_disorder_profiles(ensemble, L)):
-    chiral = level_spacing_stats(quasi_energy_phases(fcqw_step_operator(L, profile).matrix))
-    nonchiral = level_spacing_stats(quasi_energy_phases(xy_step_operator(L, profile).matrix))
-    print(f"{r:>11} | {chiral.spacing_variance:>18.3e} | {nonchiral.spacing_variance:>21.3e}")
+    # level_spacing_stats gives (mean, variance, min); index 1 is the variance
+    chiral = level_spacing_stats(quasi_energy_phases(fcqw_step_operator(L, profile).matrix))[1]
+    nonchiral = level_spacing_stats(quasi_energy_phases(xy_step_operator(L, profile).matrix))[1]
+    print(f"{r:>11} | {chiral:>18.3e} | {nonchiral:>21.3e}")
 
 profile = sample_disorder_profiles(DisorderEnsemble(1, W, seed=3), L)[0]
 phases = quasi_energy_phases(fcqw_step_operator(L, profile).matrix)

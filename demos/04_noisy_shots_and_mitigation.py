@@ -35,7 +35,7 @@ discarded = restricted_site_density_counts(result, L)
 
 print(f"{shots} shots of the noisy {steps}-step walk (ideal peak = 1.0):")
 print(f"  mean occupation at the ballistic site : {peak_amplitude(raw, target):.4f}")
-print(f"  total measured particle number        : {np.sum(raw.p):.3f} (drifts above 1)")
+print(f"  total measured particle number        : {np.sum(raw):.3f} (drifts above 1)")
 print(f"  single-particle shots only, unscaled  : {peak_amplitude(discarded, target):.4f}")
 print(f"  all sectors, renormalized             : {peak_amplitude(mitigated, target):.4f}")
 

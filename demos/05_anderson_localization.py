@@ -9,7 +9,6 @@ import numpy as np
 
 from fcqw import (
     PotentialProfile,
-    SiteDistribution,
     TrotterConfig,
     build_xy_trotter,
     emit_qasm3,
@@ -29,7 +28,7 @@ for W in (0.0, 3.0, 6.0):
     iprs = []
     for t in times:
         op = xy_step_operator(L, profile, J=1.0, t=t)
-        density = post_process(SiteDistribution(np.abs(op.matrix[:, start]) ** 2))
+        density = post_process(np.abs(op.matrix[:, start]) ** 2)
         iprs.append(ipr(density))
     series[W] = iprs
 for i, t in enumerate(times):
@@ -39,8 +38,8 @@ print("\nprobability past the barrier at t = 2.0:")
 beyond = [i for i in range(L) if i not in (1, 2, 6, 7) and i not in (3, 4, 5)]
 for W in (0.0, 6.0):
     op = xy_step_operator(L, PotentialProfile.box(L, W), J=1.0, t=2.0)
-    density = post_process(SiteDistribution(np.abs(op.matrix[:, start]) ** 2))
-    print(f"  W = {W}: {float(np.sum(density.p[beyond])):.4f}")
+    density = post_process(np.abs(op.matrix[:, start]) ** 2)
+    print(f"  W = {W}: {float(np.sum(density[beyond])):.4f}")
 
 circuit = build_xy_trotter(8, PotentialProfile.box(8, 6.0), TrotterConfig(1.0, 2.0, 2))
 print(f"\nthe device-style trotterized circuit for L=8, t=2.0, n=2 has "

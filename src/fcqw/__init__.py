@@ -26,8 +26,6 @@ from .floquet import (
     BranchCutError,
     DisorderEnsemble,
     GridResolutionError,
-    LevelSpacingStats,
-    QuasiEnergySpectrum,
     SingleParticleOperator,
     chiral_momentum_family,
     effective_hamiltonian,
@@ -47,7 +45,6 @@ from .floquet import (
 )
 from .noise import NoiseSpec, ShotResult, amplitude_decay_sweep, run_noisy
 from .observables import (
-    SiteDistribution,
     ipr,
     peak_amplitude,
     post_process,

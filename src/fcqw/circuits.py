@@ -44,7 +44,6 @@ class Circuit:
 
     num_qubits: int
     instructions: tuple[GateInstruction, ...]
-    label: str = ""
 
     def __post_init__(self):
         if not 1 <= self.num_qubits <= MAX_QUBITS:
@@ -140,13 +139,13 @@ def build_hopping_ladder(L: int, chirality: str = "right") -> Circuit:
         raise ValueError(f"chirality must be one of {CHIRALITIES}, got {chirality!r}")
     order = range(L - 2, -1, -1) if chirality == "right" else range(L - 1)
     gates = [swap(i, i + 1) for i in order]
-    return Circuit(L, tuple(gates), label=f"hopping_{chirality}")
+    return Circuit(L, tuple(gates))
 
 
 def build_onsite_layer(profile: PotentialProfile) -> Circuit:
     """One rz(2 W u_i) per site; a diagonal layer."""
     gates = [rz(i, 2.0 * profile.W * profile.u[i]) for i in range(profile.num_sites)]
-    return Circuit(profile.num_sites, tuple(gates), label="onsite")
+    return Circuit(profile.num_sites, tuple(gates))
 
 
 def build_fcqw_step(L: int, profile: PotentialProfile, chirality: str = "right") -> Circuit:
@@ -154,7 +153,7 @@ def build_fcqw_step(L: int, profile: PotentialProfile, chirality: str = "right")
     _check_profile(L, profile)
     onsite = build_onsite_layer(profile)
     ladder = build_hopping_ladder(L, chirality)
-    return Circuit(L, onsite.instructions + ladder.instructions, label="fcqw_step")
+    return Circuit(L, onsite.instructions + ladder.instructions)
 
 
 def build_fcqw_walk(
@@ -164,7 +163,7 @@ def build_fcqw_walk(
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     step = build_fcqw_step(L, profile, chirality)
-    return Circuit(L, step.instructions * steps, label=f"fcqw_t{steps}")
+    return Circuit(L, step.instructions * steps)
 
 
 def build_xy_trotter(
@@ -198,7 +197,7 @@ def build_xy_trotter(
             rep += [*basis, c, hop, c, *basis]
     rep += [rz(i, 2.0 * profile.W * profile.u[i] * dt)
             for i in range(L) if profile.W * profile.u[i] != 0.0]
-    return Circuit(L, tuple(rep) * cfg.n, label=f"xy_trotter_n{cfg.n}")
+    return Circuit(L, tuple(rep) * cfg.n)
 
 
 def lower_swaps(circuit: Circuit) -> Circuit:
@@ -211,7 +210,7 @@ def lower_swaps(circuit: Circuit) -> Circuit:
     triples = {t: swap_as_cnots(*t) for t in swaps}
     gates = [c for g in circuit.instructions
              for c in (triples[g.targets] if g.kind == "swap" else (g,))]
-    return Circuit(circuit.num_qubits, tuple(gates), label=circuit.label)
+    return Circuit(circuit.num_qubits, tuple(gates))
 
 
 @dataclass(eq=False)

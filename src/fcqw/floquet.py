@@ -1,6 +1,7 @@
 """Single-particle (one-excitation sector) analysis: L x L Floquet
 operators, quasi-energy spectra under disorder, the winding number, and
-the effective Hamiltonian -i log U."""
+the effective Hamiltonian -i log U.  Spectra and spacing statistics are
+plain numpy arrays."""
 from __future__ import annotations
 
 import csv
@@ -43,21 +44,6 @@ class SingleParticleOperator:
         if dev >= UNITARITY_TOL:
             raise ValueError(f"matrix is not unitary: max |U+U - I| = {dev:g}")
         self.matrix = m
-
-
-@dataclass
-class QuasiEnergySpectrum:
-    """Eigenphases in [0, 2pi), ascending, with column-matched eigenvectors."""
-
-    eigenphases: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass
-class LevelSpacingStats:
-    mean_spacing: np.ndarray
-    spacing_variance: np.ndarray
-    min_spacing: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -266,8 +252,10 @@ def _phases_0_2pi(eigenvalues: np.ndarray) -> np.ndarray:
     return phases
 
 
-def quasi_energy_spectrum(op: SingleParticleOperator) -> QuasiEnergySpectrum:
-    """Eigenphases in [0, 2pi) ascending with orthonormal eigenvectors.
+def quasi_energy_spectrum(op: SingleParticleOperator) -> tuple[np.ndarray, np.ndarray]:
+    """``(phases, vectors)``: eigenphases in [0, 2pi) ascending and the
+    orthonormal eigenvectors as the matching columns, as ``np.linalg.eigh``
+    returns them.
 
     Schur decomposition of the (normal) unitary gives an orthonormal
     eigenbasis even for degenerate phases; forming those Schur vectors is
@@ -284,7 +272,7 @@ def quasi_energy_spectrum(op: SingleParticleOperator) -> QuasiEnergySpectrum:
         return (round(float(phases[j]), 12), vec_key)
 
     order = sorted(range(len(phases)), key=sort_key)
-    return QuasiEnergySpectrum(phases[order], q[:, order])
+    return phases[order], q[:, order]
 
 
 def _cpu_count() -> int:
@@ -304,7 +292,7 @@ def quasi_energy_phases(matrices: np.ndarray) -> np.ndarray:
     balancing changes nothing, and it then runs the same Hessenberg
     reduction and QR iterations on the eigenvalues as the Schur decomposition
     in :func:`quasi_energy_spectrum`, whose Schur vectors never feed back into
-    them: up to L = 123 the phases equal its ``eigenphases`` bit for bit, at
+    them: up to L = 123 the two give the same phases bit for bit, at
     about half the cost (from L = 124 LAPACK takes other paths for the two,
     and they agree to about 1e-14).  See :func:`xy_step_phases` for the XY
     chain.
@@ -326,17 +314,15 @@ def quasi_energy_phases(matrices: np.ndarray) -> np.ndarray:
     return np.sort(_phases_0_2pi(values.reshape(m.shape[:-1])), axis=-1)
 
 
-def level_spacing_stats(eigenphases: np.ndarray) -> LevelSpacingStats:
-    """Circular nearest-neighbour spacing statistics along the last axis."""
+def level_spacing_stats(eigenphases: np.ndarray) -> np.ndarray:
+    """Circular nearest-neighbour spacing statistics along the last axis:
+    (..., L) -> (..., 3), the mean, variance and minimum of the spacings."""
     phases = np.sort(eigenphases, axis=-1)
     if phases.shape[-1] < 2:
         raise ValueError("need at least two eigenphases for spacings")
     spacings = np.diff(phases, axis=-1, append=phases[..., :1] + 2.0 * np.pi)
-    return LevelSpacingStats(
-        mean_spacing=np.mean(spacings, axis=-1),
-        spacing_variance=np.var(spacings, axis=-1),
-        min_spacing=np.min(spacings, axis=-1),
-    )
+    return np.stack(
+        [np.mean(spacings, axis=-1), np.var(spacings, axis=-1), np.min(spacings, axis=-1)], axis=-1)
 
 
 def predicted_chiral_eigenphases(u: np.ndarray, W: float) -> np.ndarray:

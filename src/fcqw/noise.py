@@ -330,7 +330,8 @@ def amplitude_decay_sweep(
         for k in range(n_seeds):
             seed = derived_seed(spec.seed, int(x), k)
             result = run_noisy(circuit, 1 << start_site, replace(spec, seed=seed), shots)
-            density = post_process(site_density_counts(result, size))
-            amps.append(peak_amplitude(density, target))
+            raw = site_density_counts(result, size)
+            # no shot saw the particle: a zero peak, which the run's checks reject
+            amps.append(peak_amplitude(post_process(raw), target) if raw.any() else 0.0)
         rows.append((int(x), float(np.mean(amps))))
     return rows

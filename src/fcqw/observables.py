@@ -1,10 +1,8 @@
 """Measured quantities: per-site occupation densities from exact states or
 shot counts, the all-sector normalization that mitigates incoherent
 bit-flip noise, the inverse participation ratio, and the wave-packet peak
-amplitude."""
+amplitude.  A density is a plain (L,) float array, site i at index i."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,32 +11,16 @@ from .statevec import StateVector
 _NORM_TOL = 1e-9
 
 
-@dataclass
-class SiteDistribution:
-    """Per-site values p_i; ``normalized`` marks a proper distribution."""
-
-    p: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float).ravel()
-
-    @property
-    def num_sites(self) -> int:
-        return len(self.p)
-
-
-def site_density_exact(state: StateVector) -> SiteDistribution:
+def site_density_exact(state: StateVector) -> np.ndarray:
     """Occupation expectation per site: p_i = sum over basis states with
     bit i set of |amplitude|^2.  Unnormalized (sums to the particle number)."""
     probs = np.abs(state.amplitudes) ** 2
     L = state.num_qubits
     idx = np.arange(len(probs))
-    p = np.array([probs[(idx >> i) & 1 == 1].sum() for i in range(L)])
-    return SiteDistribution(p, normalized=False)
+    return np.array([probs[(idx >> i) & 1 == 1].sum() for i in range(L)])
 
 
-def _count_sites(result, L: int, weight: int | None) -> SiteDistribution:
+def _count_sites(result, L: int, weight: int | None) -> np.ndarray:
     """Per-site frequency over the outcomes of the given Hamming weight
     (all of them for None), divided by the total shot count."""
     if result.num_qubits != L:
@@ -50,44 +32,42 @@ def _count_sites(result, L: int, weight: int | None) -> SiteDistribution:
     bits = index[:, None] >> np.arange(L) & 1
     if weight is not None:
         count = count * (bits.sum(axis=1) == weight)
-    return SiteDistribution(count @ bits / result.shots, normalized=False)
+    return count @ bits / result.shots
 
 
-def site_density_counts(result, L: int) -> SiteDistribution:
+def site_density_counts(result, L: int) -> np.ndarray:
     """Occupation frequency per site from measured counts (unnormalized)."""
     return _count_sites(result, L, None)
 
 
-def restricted_site_density_counts(result, L: int, weight: int = 1) -> SiteDistribution:
-    """Per-site frequency keeping only outcomes of the given Hamming
-    weight, still divided by the total shot count (discard, don't rescale).
-    This is the unmitigated baseline the all-sector normalization is
-    compared against."""
-    return _count_sites(result, L, weight)
+def restricted_site_density_counts(result, L: int) -> np.ndarray:
+    """Per-site frequency keeping only the one-particle outcomes, still
+    divided by the total shot count (discard, don't rescale).  This is the
+    unmitigated baseline the all-sector normalization is compared against."""
+    return _count_sites(result, L, 1)
 
 
-def post_process(raw: SiteDistribution) -> SiteDistribution:
+def post_process(raw) -> np.ndarray:
     """Normalize over all particle-number sectors: P_i = p_i / sum_j p_j."""
-    total = float(np.sum(raw.p))
+    p = np.asarray(raw, dtype=float)
+    total = float(np.sum(p))
     if total <= 0.0:
         raise ValueError("cannot normalize an all-zero site density")
-    return SiteDistribution(raw.p / total, normalized=True)
+    return p / total
 
 
-def ipr(dist: SiteDistribution) -> float:
+def ipr(p: np.ndarray) -> float:
     """Inverse participation ratio sum_i p_i^2 of a normalized distribution;
     1 when fully localized, 1/L when uniform."""
-    if not dist.normalized or abs(float(np.sum(dist.p)) - 1.0) > _NORM_TOL:
+    if abs(float(np.sum(p)) - 1.0) > _NORM_TOL:
         raise ValueError("ipr requires a normalized site distribution")
-    return float(np.sum(dist.p**2))
+    return float(np.sum(p**2))
 
 
-def peak_amplitude(dist: SiteDistribution, expected_site: int) -> float:
+def peak_amplitude(p: np.ndarray, expected_site: int) -> float:
     """Value of the distribution at the ballistic position.  The caller
     supplies the expected site ((start + t) mod L for the chiral walk), so
     noise cannot move the probe with the argmax."""
-    if not 0 <= expected_site < dist.num_sites:
-        raise IndexError(
-            f"site {expected_site} out of range for {dist.num_sites} sites"
-        )
-    return float(dist.p[expected_site])
+    if not 0 <= expected_site < len(p):
+        raise IndexError(f"site {expected_site} out of range for {len(p)} sites")
+    return float(p[expected_site])

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +390,28 @@ class TestBoundaryFuzz:
             capsys.readouterr()
 
 
+ZERO_NOISE = {"p_cnot": 1.0, "p_1q": 0.0, "p_readout": 0.0}
+#: at seed 0 every shot of some point reads the empty register, one config per kind
+ZERO_PARTICLE_CASES = {
+    "walk": {"kind": "chiral_propagation", "steps": [1]},
+    "robustness": {"kind": "chiral_robustness", "steps": [1], "W_values": [0.0, 1.0]},
+    "scaling": {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "values": [1, 2, 3]},
+    "trotter": {"kind": "nonchiral_localization", "times": [1.0], "W_values": [0.0, 1.0],
+                "noise": dict(ZERO_NOISE, p_1q=1.0)},
+}
+
+
+class TestZeroParticlePoints:
+    @pytest.mark.parametrize("case", sorted(ZERO_PARTICLE_CASES))
+    def test_point_without_a_particle_completes(self, tmp_path, capsys, case):
+        # a point no shot saw the particle at reads 0, it does not crash the run
+        data = {"L": 2, "noise": ZERO_NOISE, "shots": 1, "seed": 0,
+                "output_dir": str(tmp_path / "out"), **ZERO_PARTICLE_CASES[case]}
+        code = main(["run", str(write_config(tmp_path, data))])
+        assert code in (0, 1), capsys.readouterr().err
+        assert _csv_cells_finite(tmp_path / "out")
+
+
 class TestContentHash:
     def test_stable_and_sensitive(self, tmp_path):
         cfg = validate_config(chiral_config(tmp_path))
@@ -730,6 +753,19 @@ class TestCheckResultDir:
 
 def _crash(*args, **kwargs):
     raise ValueError("circuit construction failed")
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[c.stem for c in SHIPPED_CONFIGS])
+    def test_runs_checks_and_emits_its_qasm(self, tmp_path, capsys, config):
+        run_dir, emit_dir = tmp_path / "run", tmp_path / "emit"
+        assert main(["run", str(config), "--output-dir", str(run_dir)]) == 0
+        assert main(["check", str(run_dir)]) == 0
+        assert main(["emit-qasm", str(config), "--output-dir", str(emit_dir)]) == 0
+        assert file_bytes(emit_dir) == file_bytes(run_dir, "circuit_*.qasm")
 
 
 class TestCli:

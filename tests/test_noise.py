@@ -785,8 +785,8 @@ class TestErrorModel:
         result = run_noisy(circuit, 1, spec, shots=2000)
         density = site_density_counts(result, 4)
         # site 0 starts occupied, others empty; all should move toward 1/2
-        assert 0.4 < density.p[0] < 0.6
-        assert all(0.4 < p < 0.6 for p in density.p[1:])
+        assert 0.4 < density[0] < 0.6
+        assert all(0.4 < p < 0.6 for p in density[1:])
 
     def test_peak_amplitude_monotone_in_each_probability(self):
         circuit, start, target = walk_setup(L=8, t=6)

@@ -94,7 +94,7 @@ def parse_qasm3(text: str) -> Circuit:
         raise QasmParseError(1, "empty program")
     if num_qubits is None:
         raise QasmParseError(1, "missing qubit declaration")
-    return Circuit(num_qubits, tuple(gates), label="parsed")
+    return Circuit(num_qubits, tuple(gates))
 
 
 def _make(line_no: int, build, *args) -> GateInstruction:
