@@ -28,8 +28,6 @@ from .statevec import (
 #: walls flank the three-site well 3..5 used by the localization runs.
 BOX_SITES = (1, 2, 6, 7)
 
-CHIRALITIES = ("right", "left")
-
 UNITARITY_TOL = 1e-10
 
 #: Hamming weight of each block basis index b = bit(q0) + 2 * bit(q1)
@@ -126,20 +124,15 @@ def _check_profile(L: int, profile: PotentialProfile) -> None:
         )
 
 
-def build_hopping_ladder(L: int, chirality: str = "right") -> Circuit:
+def build_hopping_ladder(L: int) -> Circuit:
     """Nearest-neighbour SWAP ladder composing to a one-site cyclic shift.
 
-    ``right`` applies pairs (L-2,L-1), ..., (1,2), (0,1) so occupations move
-    i -> i+1 (mod L); ``left`` applies them ascending, moving i -> i-1.
-    The periodic wrap needs no long-range SWAP.
+    Pairs (L-2,L-1), ..., (1,2), (0,1) in that order move occupations
+    i -> i+1 (mod L); the periodic wrap needs no long-range SWAP.
     """
     if L < 2:
         raise ValueError(f"hopping ladder needs L >= 2, got {L}")
-    if chirality not in CHIRALITIES:
-        raise ValueError(f"chirality must be one of {CHIRALITIES}, got {chirality!r}")
-    order = range(L - 2, -1, -1) if chirality == "right" else range(L - 1)
-    gates = [swap(i, i + 1) for i in order]
-    return Circuit(L, tuple(gates))
+    return Circuit(L, tuple(swap(i, i + 1) for i in range(L - 2, -1, -1)))
 
 
 def build_onsite_layer(profile: PotentialProfile) -> Circuit:
@@ -148,21 +141,19 @@ def build_onsite_layer(profile: PotentialProfile) -> Circuit:
     return Circuit(profile.num_sites, tuple(gates))
 
 
-def build_fcqw_step(L: int, profile: PotentialProfile, chirality: str = "right") -> Circuit:
+def build_fcqw_step(L: int, profile: PotentialProfile) -> Circuit:
     """One Floquet period: the onsite layer acts first, then the SWAP ladder."""
     _check_profile(L, profile)
     onsite = build_onsite_layer(profile)
-    ladder = build_hopping_ladder(L, chirality)
+    ladder = build_hopping_ladder(L)
     return Circuit(L, onsite.instructions + ladder.instructions)
 
 
-def build_fcqw_walk(
-    L: int, profile: PotentialProfile, steps: int, chirality: str = "right"
-) -> Circuit:
+def build_fcqw_walk(L: int, profile: PotentialProfile, steps: int) -> Circuit:
     """``steps`` repetitions of the Floquet step."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    step = build_fcqw_step(L, profile, chirality)
+    step = build_fcqw_step(L, profile)
     return Circuit(L, step.instructions * steps)
 
 

@@ -55,10 +55,10 @@ from .observables import (
 from .qasm import emit_qasm3
 from .statevec import MAX_QUBITS, derived_seed
 
-#: largest |x| of a real field (W, W_values, times, J, custom_u).  Every number
-#: the run path forms is a product of at most three such factors and L; the
-#: largest, an energy bound (Gershgorin) times a time, is at most
-#: (4|J| + (L + 2)|W| max|u|) t <= (L + 6) 1e270, finite for any L below 1e38
+#: largest |x| of a real field (W, W_values, times, J).  Every number the run
+#: path forms is a product of at most two such factors, a site pattern
+#: (|u| <= 1) and L; the largest, an energy bound (Gershgorin) times a time,
+#: is at most (4|J| + (L + 2)|W|) t <= (L + 6) 1e180, finite for any L below 1e128
 _REAL_LIMIT = 1e90
 #: largest count (L, steps, values, trotter_n, realizations, sweep_seeds, shots):
 #: the largest 32-bit stream key, so distinct walk steps key distinct streams
@@ -81,10 +81,8 @@ class ExperimentConfig:
     times: list[float] = field(default_factory=list)
     W: float = 0.0
     W_values: list[float] = field(default_factory=list)
-    profile: str = "uniform"  # uniform | box | custom
-    custom_u: list[float] = field(default_factory=list)
+    profile: str = "uniform"  # uniform | box
     start_site: int = 0
-    chirality: str = "right"
     J: float = 1.0
     trotter_n: int = 2
     method: str = "auto"  # auto | statevector | single_particle
@@ -101,13 +99,11 @@ class ExperimentConfig:
 _COMMON_KEYS = {"kind", "L", "seed", "output_dir", "noise", "shots"}
 #: kind -> (its own keys, the keys a config of it must give)
 _KIND_KEYS = {
-    "chiral_propagation": (
-        {"steps", "W", "profile", "custom_u", "start_site", "chirality"}, {"L", "steps"}),
+    "chiral_propagation": ({"steps", "W", "profile", "start_site"}, {"L", "steps"}),
     "chiral_robustness": (
-        {"steps", "W_values", "profile", "custom_u", "start_site", "chirality"},
-        {"L", "steps", "W_values"}),
+        {"steps", "W_values", "profile", "start_site"}, {"L", "steps", "W_values"}),
     "nonchiral_localization": (
-        {"times", "W_values", "profile", "custom_u", "start_site", "J", "trotter_n", "method"},
+        {"times", "W_values", "profile", "start_site", "J", "trotter_n", "method"},
         {"L", "times", "W_values"}),
     "disorder_spectra": ({"W", "realizations", "J"}, {"L", "W", "realizations"}),
     "amplitude_scaling": ({"axis", "values", "start_site", "sweep_seeds"}, {"axis", "values"}),
@@ -136,21 +132,17 @@ def _nonempty_list(value, ok) -> bool:
     return isinstance(value, list) and len(value) > 0 and all(ok(v) for v in value)
 
 
-def _noise_spec(noise_data, seed) -> NoiseSpec:
-    if not isinstance(noise_data, dict):
+def _noise_spec(noise, seed: int) -> NoiseSpec:
+    """The noise block's probabilities; the config's ``seed`` seeds its streams."""
+    if not isinstance(noise, dict):
         raise ConfigError("noise must be an object", ["noise"])
-    bad = sorted(set(noise_data) - {"p_cnot", "p_1q", "p_readout", "seed"})
+    bad = sorted(set(noise) - {"p_cnot", "p_1q", "p_readout"})
     if bad:
         raise ConfigError("unknown noise keys", bad)
-    noise_data = dict(noise_data)
-    noise_data.setdefault("seed", seed)
-    bad = [k for k in ("p_cnot", "p_1q", "p_readout")
-           if k in noise_data and not (_is_finite_real(noise_data[k]) and 0 <= noise_data[k] <= 1)]
-    if not _int_in(noise_data["seed"], 0, math.inf):  # SeedSequence entropy
-        bad.append("seed")
+    bad = [k for k, p in noise.items() if not (_is_finite_real(p) and 0 <= p <= 1)]
     if bad:
         raise ConfigError("invalid noise values", bad)
-    return NoiseSpec(**noise_data)
+    return NoiseSpec(**noise, seed=seed)
 
 
 def validate_config(data: dict) -> ExperimentConfig:
@@ -182,6 +174,8 @@ def validate_config(data: dict) -> ExperimentConfig:
         problems.append("method")  # the exact propagator takes no noise
     elif cfg.kind == "disorder_spectra":
         cfg.method = "single_particle"  # L x L operators, no circuit
+        if cfg.noise is not None:
+            problems.append("noise")  # the operators are noiseless
     elif cfg.method == "auto":  # circuits, but the exact L x L propagator
         # for a noiseless XY chain past L = 12
         exact = (cfg.kind == "nonchiral_localization" and cfg.noise is None
@@ -196,14 +190,10 @@ def validate_config(data: dict) -> ExperimentConfig:
     for name in ("W", "J"):
         if not _is_finite_real(getattr(cfg, name)):
             problems.append(name)
-    if cfg.profile not in ("uniform", "box", "custom"):
+    if cfg.profile not in ("uniform", "box"):
         problems.append("profile")
     elif cfg.profile == "box" and _is_integer(cfg.L) and cfg.L <= max(BOX_SITES):
         problems.append("profile")
-    if cfg.profile == "custom" and not (
-        _nonempty_list(cfg.custom_u, _is_finite_real) and len(cfg.custom_u) == cfg.L
-    ):
-        problems.append("custom_u")
     if cfg.kind == "amplitude_scaling":
         if cfg.noise is None:
             problems.append("noise")  # the sweep measures decay under noise
@@ -221,8 +211,6 @@ def validate_config(data: dict) -> ExperimentConfig:
         sites = min(cfg.values) if cfg.axis == "size_with_t_equals_L" else cfg.L
         if not _int_in(cfg.start_site, 0, sites - 1):
             problems.append("start_site")
-    if cfg.chirality not in ("right", "left"):
-        problems.append("chirality")
     if not _int_in(cfg.sweep_seeds, 1):
         problems.append("sweep_seeds")
     if not _int_in(cfg.trotter_n, 1):
@@ -246,6 +234,8 @@ def validate_config(data: dict) -> ExperimentConfig:
             problems.append(name)  # two points would share a noise stream
         elif name == "W_values" and len({_wtag(v) for v in values}) < len(values):
             problems.append(name)  # two W values would write the same files
+        elif name == "W_values" and len(values) < 2:
+            problems.append(name)  # the kind's check compares two W values
     if problems:
         raise ConfigError("invalid field values", problems)
     return cfg
@@ -270,8 +260,6 @@ def content_hash(config: dict) -> str:
 def _profile_for(cfg: ExperimentConfig, W: float) -> PotentialProfile:
     if cfg.profile == "box":
         return PotentialProfile.box(cfg.L, W)
-    if cfg.profile == "custom":
-        return PotentialProfile(np.array(cfg.custom_u), W)
     return PotentialProfile.uniform(cfg.L, W)
 
 
@@ -318,7 +306,7 @@ def _point_circuit(cfg: ExperimentConfig, profile: PotentialProfile, x) -> Circu
         return None
     if cfg.kind == "nonchiral_localization":
         return build_xy_trotter(cfg.L, profile, TrotterConfig(cfg.J, float(x), cfg.trotter_n))
-    return build_fcqw_walk(cfg.L, profile, x, cfg.chirality)
+    return build_fcqw_walk(cfg.L, profile, x)
 
 
 def _qasm_name(cfg: ExperimentConfig, W: float, x) -> str | None:
@@ -354,35 +342,25 @@ def _measure(cfg: ExperimentConfig, profile: PotentialProfile, circuit: Circuit 
     return site_density_counts(result, cfg.L), result
 
 
-def _beyond_barrier(profile: PotentialProfile) -> list[int]:
-    """Sites outside a box barrier: neither a wall nor in the well, which
-    lies strictly between the first two wall segments.  No walls, no barrier."""
-    walls = [i for i, v in enumerate(profile.u) if v != 0.0]
-    if not walls:
-        return []
-    gaps = [(a, b) for a, b in zip(walls, walls[1:]) if b > a + 1]
-    well = range(gaps[0][0] + 1, gaps[0][1]) if gaps else range(0)
-    return [i for i in range(profile.num_sites) if i not in walls and i not in well]
-
-
 def _run_points(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
     """The walk and XY-chain kinds: for each W and each step or time,
     measure the point, post-process it, and write its site rows, its
     summary row and its QASM file if it has one."""
     walk = cfg.kind != "nonchiral_localization"
     W_values, points = _sweep(cfg)
+    beyond = []  # the sites past the box's walls; a uniform profile has no barrier
+    if cfg.profile == "box":
+        beyond = [*range(BOX_SITES[0]), *range(BOX_SITES[-1] + 1, cfg.L)]
     summaries, mitigations = [], []
     for W in W_values:
         profile = _profile_for(cfg, W)
-        beyond = _beyond_barrier(profile)
         site_rows, summary_rows, mitigation_rows = [], [], []
         for x in points:
             circuit = _point_circuit(cfg, profile, x)
             raw, result = _measure(cfg, profile, circuit, W, x)
             seen = raw.any()  # else no shot saw the particle: every cell reads 0
             density = post_process(raw) if seen else raw
-            shift = (x if cfg.chirality == "right" else -x) if walk else 0
-            peak_site = (cfg.start_site + shift) % cfg.L
+            peak_site = (cfg.start_site + x) % cfg.L if walk else cfg.start_site
             site_rows += [(x, site + 1, p) for site, p in enumerate(density.tolist())]
             row = (x, ipr(density) if seen else 0.0, peak_amplitude(density, peak_site))
             summary_rows.append(row if walk else (*row, float(np.sum(density[beyond]))))
@@ -432,7 +410,7 @@ def _walk_checks(cfg: ExperimentConfig, summaries: list, mitigations: list) -> l
                     "post-processed peak vs weight-1-restricted peak per step",
                 )
             )
-    if cfg.kind == "chiral_robustness" and cfg.noise is not None and len(W_values) >= 2:
+    if cfg.kind == "chiral_robustness" and cfg.noise is not None:
         last = steps.index(max(steps))
         _, ipr0, peak0 = summaries[0][last]
         _, ipr1, peak1 = summaries[-1][last]
@@ -449,7 +427,7 @@ def _walk_checks(cfg: ExperimentConfig, summaries: list, mitigations: list) -> l
 
 
 def _chain_checks(cfg: ExperimentConfig, summaries: list, _mitigations) -> list[dict]:
-    if cfg.noise is not None or len(cfg.W_values) < 2:
+    if cfg.noise is not None:
         return []
     if cfg.method == "statevector":
         # a coarse step is a different Floquet system (the potential phase

@@ -39,6 +39,7 @@ from fcqw.observables import (
     site_density_exact,
 )
 from fcqw.statevec import basis_state
+from test_circuits import build_left_step
 
 NONCHIRAL_TIMES = [0.1, 0.48, 0.86, 1.24, 1.62, 2.0]
 
@@ -272,7 +273,8 @@ def test_criterion_10_oracle_equivalence():
             W = float(rng.uniform(0.0, 4.0))
             profile = PotentialProfile.random_symmetric(L, W, rng)
             if variant % 2 == 0:
-                circuit = build_fcqw_step(L, profile, chirality=("right", "left")[variant % 4 == 2])
+                build = build_left_step if variant % 4 == 2 else build_fcqw_step
+                circuit = build(L, profile)
             else:
                 cfg = TrotterConfig(float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.1, 0.8)), int(rng.integers(1, 4)))
                 circuit = build_xy_trotter(L, profile, cfg)

@@ -4,7 +4,6 @@ import scipy.linalg
 
 from fcqw import circuits
 from fcqw.circuits import (
-    CHIRALITIES,
     Block,
     Circuit,
     PotentialProfile,
@@ -34,6 +33,13 @@ from fcqw.statevec import (
 )
 
 
+def build_left_step(L, profile):
+    """A left-walk step, built here since no config takes one: the onsite
+    layer, then the SWAP ladder ascending, moving occupations i -> i-1."""
+    ladder = tuple(swap(i, i + 1) for i in range(L - 1))
+    return Circuit(L, build_onsite_layer(profile).instructions + ladder)
+
+
 def compose_swaps_by_hand(L, pairs):
     """Oracle: track where each site's occupation ends up, pure python."""
     position = list(range(L))  # position[s] = current site of the particle that started at s
@@ -44,19 +50,19 @@ def compose_swaps_by_hand(L, pairs):
 
 class TestHoppingLadder:
     def test_right_order_is_descending(self):
-        circ = build_hopping_ladder(4, "right")
+        circ = build_hopping_ladder(4)
         assert [g.targets for g in circ.instructions] == [(2, 3), (1, 2), (0, 1)]
 
     def test_right_shift_moves_one_hot_up(self):
         # oracle: compose the three swap permutations by hand
         pairs = [(2, 3), (1, 2), (0, 1)]
         assert compose_swaps_by_hand(4, pairs) == [1, 2, 3, 0]
-        circ = build_hopping_ladder(4, "right")
+        circ = build_hopping_ladder(4)
         out = simulate(circ, basis_state(4, 1 << 0))
         assert abs(out.amplitudes[1 << 1] - 1.0) == 0.0
 
     def test_left_matrix_is_down_shift(self):
-        op = reduce_to_single_particle(build_hopping_ladder(4, "left"))
+        op = reduce_to_single_particle(build_left_step(4, PotentialProfile.uniform(4, 0.0)))
         expected = np.array(
             [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], dtype=complex
         )
@@ -65,7 +71,7 @@ class TestHoppingLadder:
     def test_cyclic_period(self):
         L = 8
         state = basis_state(L, 1 << 0)
-        circ = build_hopping_ladder(L, "right")
+        circ = build_hopping_ladder(L)
         for _ in range(L):
             state = simulate(circ, state)
         assert abs(state.amplitudes[1 << 0] - 1.0) < 1e-12
@@ -282,7 +288,7 @@ def fusion_cases():
     for L in (3, 5):
         profile = PotentialProfile.random_symmetric(L, 2.0, rng)
         walk = build_fcqw_walk(L, profile, 2)
-        cases += [walk, lower_swaps(walk), build_fcqw_walk(L, profile, 1, "left")]
+        cases += [walk, lower_swaps(walk), build_left_step(L, profile)]
         cases += [build_xy_trotter(L, profile, TrotterConfig(1.0, 0.7, 2), periodic=p)
                   for p in (False, True)]
     cases += [Circuit(3, (h(1),)), Circuit(3, (cnot(0, 1), rz(2, 0.3), cnot(0, 1)))]
@@ -387,8 +393,9 @@ def identity_cases():
     cases = {}
     for L, W in ((3, 0.0), (5, 1.3), (8, 0.0), (8, 2.1)):
         profile = PotentialProfile.random_symmetric(L, W, rng)  # W = 0: rz(+-0.0)
-        for chirality in CHIRALITIES:
-            walk = build_fcqw_walk(L, profile, 3, chirality)
+        left = build_left_step(L, profile)
+        for chirality, walk in (("right", build_fcqw_walk(L, profile, 3)),
+                                ("left", Circuit(L, left.instructions * 3))):
             cases[f"walk_{chirality}_L{L}_W{W}"] = walk
             cases[f"lowered_walk_{chirality}_L{L}_W{W}"] = lower_swaps(walk)
     profiles = {"uniform": PotentialProfile.uniform, "box": PotentialProfile.box,

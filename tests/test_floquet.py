@@ -46,6 +46,7 @@ from fcqw.floquet import _shift_gauge
 from fcqw.harness import _circular_set_distance
 from fcqw.observables import site_density_exact
 from fcqw.statevec import basis_state, cnot, h, rz
+from test_circuits import build_left_step
 
 
 def momentum_operator(k: float, W: float = 0.0) -> complex:
@@ -68,15 +69,6 @@ def _reduce_dense(circuit: Circuit) -> np.ndarray:
 
 
 class TestReduction:
-    def test_left_step_is_down_shift_permutation(self):
-        op = reduce_to_single_particle(
-            build_fcqw_step(4, PotentialProfile.uniform(4, 0.0), chirality="left")
-        )
-        expected = np.array(
-            [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]], dtype=complex
-        )
-        assert np.max(np.abs(op.matrix - expected)) < 1e-14
-
     def test_onsite_layer_reduction_includes_empty_branch_phases(self):
         # The rz empty-branch factor e^{-i W u_k} from every other site rides
         # along, so the diagonal is exp(i W (2 u_j - sum u)), verified here
@@ -115,7 +107,7 @@ class TestReduction:
         rng = np.random.default_rng(11)
         for L in (2, 3, 6, 10):
             profile = PotentialProfile.random_symmetric(L, 3.0, rng)
-            circuits = [build_fcqw_step(L, profile, c) for c in ("right", "left")]
+            circuits = [build_fcqw_step(L, profile), build_left_step(L, profile)]
             # swaps lowered to cnot(i, j) cnot(j, i) cnot(i, j) reverse a
             # two-qubit gate against its block's qubit order
             circuits.append(lower_swaps(circuits[0]))
@@ -581,7 +573,7 @@ class TestShiftGauge:
     @pytest.mark.parametrize("L", [3, 9, 16])
     def test_left_step_from_circuit_takes_schur(self, L, W):
         for profile in sample_disorder_profiles(DisorderEnsemble(5, W=W, seed=L), L):
-            op = reduce_to_single_particle(build_fcqw_step(L, profile, "left"))
+            op = reduce_to_single_particle(build_left_step(L, profile))
             assert _shift_gauge(op.matrix) is None
             hmat = effective_hamiltonian(op)
             assert np.max(np.abs(scipy.linalg.expm(1j * hmat) - op.matrix)) < 1e-12

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from fcqw import floquet
 from fcqw.cli import main
 from fcqw.floquet import save_matrix_csv
 from fcqw.harness import (
+    _COMMON_KEYS,
+    _KIND_KEYS,
     ConfigError,
     ExperimentConfig,
     check_result_dir,
@@ -79,7 +82,8 @@ class TestValidation:
             validate_config(robustness)
         assert err.value.fields == ["W_values"]
         localization = {
-            "kind": "nonchiral_localization", "L": 8, "times": [0.1, 0.1004], "W_values": [0.0],
+            "kind": "nonchiral_localization", "L": 8, "times": [0.1, 0.1004],
+            "W_values": [0.0, 1.0],
         }
         with pytest.raises(ConfigError) as err:
             validate_config(localization)
@@ -103,7 +107,7 @@ class TestValidation:
         # derived_seed keys a stream by each key mod 2^32: these two points
         # would read one and the same noise stream
         points = {"steps": [2, 3]} if kind == "chiral_robustness" else {"times": [0.1]}
-        data = {"kind": kind, "L": 6, **points, "W_values": [0.0],
+        data = {"kind": kind, "L": 6, **points, "W_values": [0.0, 1.0],
                 "noise": {"p_cnot": 0.05, "p_readout": 0.02}, "shots": 500, "seed": 3,
                 "output_dir": str(tmp_path / "out")}
         validate_config({**data, name: [values[0], values[0] + 1.0]})
@@ -123,12 +127,12 @@ class TestValidation:
     def test_count_fields_stop_at_the_largest_stream_key(self, tmp_path, capsys, base, key):
         data = {
             "exact": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
-                      "W_values": [0.0], "method": "single_particle"},
+                      "W_values": [0.0, 1.0], "method": "single_particle"},
             "chiral": {"kind": "chiral_propagation", "L": 4, "steps": [1]},
             "noisy": {"kind": "chiral_propagation", "L": 4, "steps": [1],
                       "noise": {"p_cnot": 0.01}},
             "trotter": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
-                        "W_values": [0.0], "method": "statevector"},
+                        "W_values": [0.0, 1.0], "method": "statevector"},
             "spectra": {"kind": "disorder_spectra", "L": 4, "W": 1.0, "realizations": 3},
             "scaling": {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "L": 4,
                         "values": [1, 2, 3], "noise": {"p_cnot": 0.01}},
@@ -178,6 +182,8 @@ class TestValidation:
             ("localization", "times", [], "times"),
             ("localization", "W_values", [], "W_values"),
             ("robustness", "W_values", [], "W_values"),
+            ("localization", "W_values", [6.0], "W_values"),
+            ("robustness", "W_values", [6.0], "W_values"),
             ("robustness", "W_values", [1234567.0, 1234568.0], "W_values"),
             ("robustness", "W_values", [1e306], "W_values"),
             ("localization", "times", [1e306], "times"),
@@ -186,7 +192,6 @@ class TestValidation:
             ("noisy", "seed", -1, "seed"),
             ("chiral", "start_site", 1.5, "start_site"),
             ("chiral", "profile", "box", "profile"),
-            ("custom", "custom_u", ["a", 0, 0, 0], "custom_u"),
             ("scaling", "sweep_seeds", 0, "sweep_seeds"),
             ("chiral", "output_dir", 5, "output_dir"),
             ("chiral", "noise", 5, "noise"),
@@ -195,7 +200,6 @@ class TestValidation:
             ("scaling", "values", [1, 1, 2, 3], "values"),
             ("scaling", "values", [2], "values"),
             ("scaling", "values", [2, 4], "values"),
-            ("custom", "custom_u", [1e308, 0, 0, 0], "custom_u"),
             ("exact", "J", 1e308, "J"),
             ("trotter", "J", 1e308, "J"),
             ("spectra", "J", 1e308, "J"),
@@ -203,29 +207,36 @@ class TestValidation:
             ("spectra", "J", 8e307, "J"),
             ("noisy", "W", 10**400, "W"),
             ("localization", "times", [10**400], "times"),
-            ("custom", "custom_u", [10**400, 0, 0, 0], "custom_u"),
             ("chiral", "noise", {"p_cnot": 10**400}, "p_cnot"),
             ("noisy", "shots", 0, "shots"),
             ("noisy", "shots", -1, "shots"),
             ("noisy", "shots", 2**32 + 1, "shots"),
             ("noisy", "seed", 2.5, "seed"),
-            ("chiral", "noise", {"p_cnot": 0.01, "seed": -1}, "seed"),
+            ("spectra", "noise", {"p_cnot": 0.5}, "noise"),
+            ("chiral", "chirality", "right", "chirality"),
+            ("chiral", "chirality", "left", "chirality"),
+            ("chiral", "custom_u", [0.0, 1.0, 0.0, 0.0], "custom_u"),
+            ("chiral", "profile", "custom", "profile"),
+            ("noisy", "noise", {"p_cnot": 0.01, "seed": 0}, "seed"),
         ],
         ids=[
             "L_string", "L_30", "L_1", "shots_2.5", "trotter_n_2.5", "steps_negative",
             "steps_duplicate", "steps_empty", "values_string", "values_1.5", "times_empty",
             "W_values_empty_localization", "W_values_empty_robustness",
+            "W_values_one_localization", "W_values_one_robustness",
             "W_values_sharing_a_file_tag", "W_values_past_the_key_range",
             "times_past_the_key_range", "W_past_the_key_range",
             "method_single_particle_with_noise", "seed_negative", "start_site_1.5",
-            "box_profile_at_L4", "custom_u_string", "sweep_seeds_0", "output_dir_number",
+            "box_profile_at_L4", "sweep_seeds_0", "output_dir_number",
             "noise_not_an_object", "noise_probability_string", "scaling_without_noise",
-            "values_duplicate", "values_one_point", "values_two_points", "rz_angle_overflows",
+            "values_duplicate", "values_one_point", "values_two_points",
             "hopping_overflows_exact", "hopping_overflows_trotter", "hopping_overflows_spectra",
             "J_past_the_float_range", "spectra_energy_bound_overflows",
             "W_past_the_float_range", "times_past_the_float_range",
-            "custom_u_past_the_float_range", "noise_probability_past_the_float_range",
-            "shots_0", "shots_negative", "shots_past_2^32", "seed_2.5", "noise_seed_negative",
+            "noise_probability_past_the_float_range",
+            "shots_0", "shots_negative", "shots_past_2^32", "seed_2.5",
+            "spectra_with_noise", "chirality_right", "chirality_left", "custom_u",
+            "profile_custom", "noise_seed",
         ],
     )
     def test_field_rejected(self, tmp_path, capsys, base, key, value, field):
@@ -233,16 +244,14 @@ class TestValidation:
         data = {
             "chiral": {"kind": "chiral_propagation", "L": 4, "steps": [1]},
             "noisy": {"kind": "chiral_propagation", "L": 4, "steps": [1], "noise": noise},
-            "custom": {"kind": "chiral_propagation", "L": 4, "steps": [1], "W": 10.0,
-                       "profile": "custom", "custom_u": [0.0, 1.0, 0.0, 0.0]},
-            "robustness": {"kind": "chiral_robustness", "L": 4, "steps": [1], "W_values": [0.0],
-                           "noise": noise},
+            "robustness": {"kind": "chiral_robustness", "L": 4, "steps": [1],
+                           "W_values": [0.0, 1.0], "noise": noise},
             "localization": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
-                             "W_values": [0.0], "noise": noise},
+                             "W_values": [0.0, 1.0], "noise": noise},
             "exact": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
-                      "W_values": [0.0], "method": "single_particle"},
+                      "W_values": [0.0, 1.0], "method": "single_particle"},
             "trotter": {"kind": "nonchiral_localization", "L": 4, "times": [0.1],
-                        "W_values": [0.0], "method": "statevector"},
+                        "W_values": [0.0, 1.0], "method": "statevector"},
             "spectra": {"kind": "disorder_spectra", "L": 4, "W": 1.0, "realizations": 3},
             "scaling": {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "L": 4,
                         "values": [1, 2, 3], "noise": noise},
@@ -261,20 +270,17 @@ class TestValidation:
         [
             ({"method": "statevector", "W_values": [1e300], "times": [1e300]},
              ["times", "W_values"]),
-            ({"method": "statevector", "profile": "custom", "custom_u": [1e300, 0, 0, 0],
-              "times": [1e300], "W_values": [1.0]}, ["custom_u", "times"]),
             ({"method": "statevector", "J": 1e300, "times": [1e300]}, ["J", "times"]),
-            ({"method": "single_particle", "profile": "custom",
-              "custom_u": [1e308, 1e308, 0, 0]}, ["custom_u"]),
+            ({"method": "single_particle", "W_values": [0.0, 1e308]}, ["W_values"]),
             ({"method": "single_particle", "J": 8e307}, ["J"]),
             ({"method": "single_particle", "W_values": [1e300], "times": [1e300]},
              ["times", "W_values"]),
         ],
-        ids=["trotter_onsite_angle", "trotter_custom_angle", "trotter_hop_angle",
+        ids=["trotter_onsite_angle", "trotter_hop_angle",
              "exact_onsite_phase", "exact_energy_bound", "exact_phase_times_t"],
     )
     def test_overflowing_products_name_their_fields(self, extra, fields):
-        data = {"kind": "nonchiral_localization", "L": 4, "times": [0.1], "W_values": [0.0]}
+        data = {"kind": "nonchiral_localization", "L": 4, "times": [0.1], "W_values": [0.0, 1.0]}
         with pytest.raises(ConfigError) as err:
             validate_config({**data, **extra})
         assert err.value.fields == fields
@@ -285,9 +291,8 @@ class TestValidation:
         assert main(["run", str(write_config(tmp_path, data))]) == 0
         capsys.readouterr()
         # every real at the bound: the energy bound times the time is finite
-        exact = {"kind": "nonchiral_localization", "L": 4, "times": [1e90], "W_values": [-1e90],
-                 "profile": "custom", "custom_u": [0.0, 1e90, 0.0, -1e90],
-                 "method": "single_particle", "J": 1e90}
+        exact = {"kind": "nonchiral_localization", "L": 4, "times": [1e90],
+                 "W_values": [1.0, -1e90], "method": "single_particle", "J": 1e90}
         for method in ("single_particle", "statevector"):
             outdir = tmp_path / method
             config = dict(exact, method=method, output_dir=str(outdir))
@@ -301,7 +306,7 @@ class TestValidation:
     def test_overflowing_exact_propagator_rejected(self, tmp_path, capsys):
         # every density of this run was nan, and it recorded no check
         data = {"kind": "nonchiral_localization", "L": 8, "J": 1e200, "method": "single_particle",
-                "W_values": [0.0], "times": [1e200], "output_dir": str(tmp_path / "out")}
+                "W_values": [0.0, 1.0], "times": [1e200], "output_dir": str(tmp_path / "out")}
         with pytest.raises(ConfigError) as err:
             validate_config(data)
         assert err.value.fields == ["J", "times"]
@@ -310,7 +315,8 @@ class TestValidation:
         assert not (tmp_path / "out").exists()
 
     def test_circuit_width_cap_applies_only_to_circuit_runs(self):
-        exact = {"kind": "nonchiral_localization", "L": 30, "times": [0.1], "W_values": [0.0]}
+        exact = {"kind": "nonchiral_localization", "L": 30, "times": [0.1],
+                 "W_values": [0.0, 1.0]}
         assert validate_config(dict(exact, method="single_particle")).L == 30
         assert validate_config({"kind": "disorder_spectra", "L": 30, "W": 1.0,
                                 "realizations": 1}).L == 30
@@ -324,6 +330,29 @@ class TestValidation:
         assert cfg.W == 2.0
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_key_table() -> dict:
+    """Row label -> (required keys, optional keys) of the README's key table."""
+    text = README.read_text(encoding="utf-8")
+    body = re.search(r"^\| kind +\| required keys .*\n\|[- |]+\n((?:\|.*\n)+)", text, re.M)
+    table = {}
+    for line in body.group(1).splitlines():
+        label, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        table[label.strip("`")] = tuple(set(re.findall(r"`(\w+)`", cell)) for cell in cells)
+    return table
+
+
+class TestReadmeKeyTable:
+    def test_table_lists_each_kinds_keys(self):
+        # the docs cannot go stale when a key is added to or dropped from a kind
+        table = readme_key_table()
+        assert table.pop("every kind") == ({"kind"}, _COMMON_KEYS - {"kind"})
+        assert table == {kind: (required, keys - required)
+                         for kind, (keys, required) in _KIND_KEYS.items()}
+
+
 #: boundary values of the config fuzz: signed zero, the smallest subnormal,
 #: the real range's ends and the next float past it, floats near and past the
 #: float range, and values of the wrong type
@@ -332,24 +361,20 @@ FUZZ_VALUES = [0, -0.0, 5e-324, 1e90, -1e90, math.nextafter(1e90, math.inf), 1e3
 FUZZ_NOISE = {"p_cnot": 0.05, "p_1q": 0.01, "p_readout": 0.02}
 #: one small valid config per run path; the fuzz mutates each numeric field
 FUZZ_BASES = {
-    "walk": {"kind": "chiral_propagation", "L": 4, "steps": [1, 2], "W": 1.0,
-             "profile": "custom", "custom_u": [0.0, 1.0, 0.0, 0.0], "start_site": 1},
+    "walk": {"kind": "chiral_propagation", "L": 4, "steps": [1, 2], "W": 1.0, "start_site": 1},
     "noisy_robustness": {"kind": "chiral_robustness", "L": 4, "steps": [1, 2],
-                         "W_values": [0.0, 1.0], "profile": "custom",
-                         "custom_u": [0.0, 1.0, 0.0, 0.0], "noise": FUZZ_NOISE, "shots": 30},
+                         "W_values": [0.0, 1.0], "noise": FUZZ_NOISE, "shots": 30},
     "trotter": {"kind": "nonchiral_localization", "L": 4, "times": [0.1, 0.5],
                 "W_values": [0.0, 2.0], "J": 1.0, "trotter_n": 2, "method": "statevector"},
     "noisy_trotter": {"kind": "nonchiral_localization", "L": 4, "times": [0.5],
-                      "W_values": [0.0, 2.0], "profile": "custom",
-                      "custom_u": [0.0, 1.0, 0.0, 0.0], "noise": FUZZ_NOISE, "shots": 20},
+                      "W_values": [0.0, 2.0], "noise": FUZZ_NOISE, "shots": 20},
     "exact": {"kind": "nonchiral_localization", "L": 4, "times": [0.1, 0.5],
-              "W_values": [0.0, 2.0], "J": 1.0, "profile": "custom",
-              "custom_u": [0.0, 1.0, 0.0, 0.0], "method": "single_particle"},
+              "W_values": [0.0, 2.0], "J": 1.0, "method": "single_particle"},
     "spectra": {"kind": "disorder_spectra", "L": 4, "W": 1.0, "J": 1.0, "realizations": 3},
     "scaling": {"kind": "amplitude_scaling", "axis": "steps_at_fixed_L", "L": 4,
                 "values": [1, 2, 3], "sweep_seeds": 1, "noise": FUZZ_NOISE, "shots": 30},
 }
-_FUZZ_FIELDS = ("L", "steps", "times", "W", "W_values", "custom_u", "J", "trotter_n",
+_FUZZ_FIELDS = ("L", "steps", "times", "W", "W_values", "J", "trotter_n",
                 "realizations", "values", "sweep_seeds", "shots", "start_site", "seed")
 
 
@@ -375,7 +400,7 @@ class TestBoundaryFuzz:
         validate_config(data)
         rng = np.random.default_rng(7)
         fields = [k for k in _FUZZ_FIELDS if k in data or k == "seed"]
-        fields += [f"noise.{k}" for k in data.get("noise", {})] + ["noise.seed"] * ("noise" in data)
+        fields += [f"noise.{k}" for k in data.get("noise", {})]
         for case, (key, value) in enumerate((k, v) for k in fields for v in FUZZ_VALUES):
             mutated = json.loads(json.dumps(data))
             target, name = (mutated["noise"], key[6:]) if key.startswith("noise.") else (mutated, key)
@@ -423,10 +448,9 @@ class TestContentHash:
 
 
 class TestChiralPropagation:
-    @pytest.mark.parametrize("chirality", ["right", "left"])
-    def test_noiseless_run_produces_expected_artifacts(self, tmp_path, chirality):
+    def test_noiseless_run_produces_expected_artifacts(self, tmp_path):
         # the checks score each step's peak on the site the walk moved to
-        cfg = validate_config(chiral_config(tmp_path, chirality=chirality))
+        cfg = validate_config(chiral_config(tmp_path))
         outdir = run_experiment(cfg)
         assert (outdir / "manifest.json").exists()
         assert (outdir / "checks.json").exists()
@@ -435,15 +459,14 @@ class TestChiralPropagation:
         report = json.loads((outdir / "checks.json").read_text())
         assert report["all_passed"]
 
-    @pytest.mark.parametrize("chirality, direction", [("right", 1), ("left", -1)])
-    def test_site_csv_has_unit_probability_at_ballistic_site(self, tmp_path, chirality, direction):
-        cfg = validate_config(chiral_config(tmp_path, chirality=chirality))
+    def test_site_csv_has_unit_probability_at_ballistic_site(self, tmp_path):
+        cfg = validate_config(chiral_config(tmp_path))
         outdir = run_experiment(cfg)
         with open(outdir / "site_density_W2.csv") as fh:
             rows = list(csv.DictReader(fh))
         # sites are labelled 1..L in reports; start site 0 -> label 1
         for t in (2, 5, 8):
-            expected_label = (0 + direction * t) % 8 + 1
+            expected_label = (0 + t) % 8 + 1
             peak = [
                 r for r in rows if int(r["step"]) == t and int(r["site"]) == expected_label
             ]
@@ -559,11 +582,10 @@ class TestNonchiralLocalization:
         cfg = validate_config(
             {
                 "kind": "nonchiral_localization",
-                "L": 6,
+                "L": 8,
                 "times": [1.0, 2.0],
                 "W_values": [0.0, 6.0],
-                "profile": "custom",
-                "custom_u": [0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                "profile": "box",
                 "start_site": 3,
                 "method": "statevector",
                 "trotter_n": 2,
@@ -610,11 +632,10 @@ class TestNonchiralLocalization:
         cfg = validate_config(
             {
                 "kind": "nonchiral_localization",
-                "L": 6,
+                "L": 8,
                 "times": [0.3, 0.9],
-                "W_values": [0.0],
-                "profile": "custom",
-                "custom_u": [0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                "W_values": [0.0, 6.0],
+                "profile": "box",
                 "start_site": 3,
                 "method": "statevector",
                 "seed": 0,
@@ -881,8 +902,7 @@ GOLDEN_CASES = {
     },
     "chiral_robustness": {
         "kind": "chiral_robustness", "L": 5, "steps": [2, 3], "W_values": [0.0, 2.5],
-        "profile": "custom", "custom_u": [0.0, 1.0, 0.5, 0.0, 0.0], "chirality": "left",
-        "noise": GOLDEN_NOISE, "shots": 300, "seed": 5,
+        "profile": "uniform", "noise": GOLDEN_NOISE, "shots": 300, "seed": 5,
     },
     "nonchiral_statevector": {
         "kind": "nonchiral_localization", "L": 8, "times": [0.5, 1.0], "W_values": [0.0, 6.0],
@@ -890,8 +910,8 @@ GOLDEN_CASES = {
     },
     "nonchiral_statevector_noisy": {
         "kind": "nonchiral_localization", "L": 4, "times": [0.3, 0.6], "W_values": [0.0, 2.0],
-        "profile": "custom", "custom_u": [0.0, 1.0, 0.0, 0.0], "start_site": 1,
-        "method": "statevector", "noise": GOLDEN_NOISE, "shots": 40, "seed": 7,
+        "profile": "uniform", "start_site": 1, "method": "statevector", "noise": GOLDEN_NOISE,
+        "shots": 40, "seed": 7,
     },
     "nonchiral_single_particle": {
         "kind": "nonchiral_localization", "L": 8, "times": [0.5, 2.0], "W_values": [0.0, 6.0],
@@ -910,17 +930,20 @@ GOLDEN_CASES = {
 }
 
 #: first 16 hex digits of the SHA-256 of every file ``run_experiment`` writes
-#: for each case, recorded before the harness was restructured; the left
-#: walk's summary, mitigation and checks files since its peaks are scored on
-#: the site it moves to, and the shipped spectra's checks.json since the
-#: analytic shift sums the wrapped onsite phases (detail 9.770e-15 -> 1.776e-15)
+#: for each case, recorded before the harness was restructured; the shipped
+#: spectra's checks.json since the analytic shift sums the wrapped onsite
+#: phases (detail 9.770e-15 -> 1.776e-15).  The data files of
+#: chiral_robustness and nonchiral_statevector_noisy were recorded on their
+#: uniform-profile configs by the code that still took left walks and custom
+#: profiles; the walk and chain cases' manifest.json since their configs
+#: lost those two keys
 GOLDEN_DIGESTS = {
     "chiral_noiseless": {
         "checks.json": "397b189836e33fa3",
         "circuit_W2_t1.qasm": "85665059758fbbef",
         "circuit_W2_t4.qasm": "eb4f21b3fdf1e3f8",
         "circuit_W2_t8.qasm": "14b8bf301545dde3",
-        "manifest.json": "f6bc2abf04cd7e6f",
+        "manifest.json": "1f420d181a7e0b30",
         "site_density_W2.csv": "e8646e115e94387e",
         "summary_W2.csv": "ee55416c5cdca37f",
     },
@@ -928,30 +951,30 @@ GOLDEN_DIGESTS = {
         "checks.json": "d9e2fdb99361919d",
         "circuit_W1.5_t2.qasm": "97e49c90b4094af2",
         "circuit_W1.5_t5.qasm": "8a015fd6fa1d0d50",
-        "manifest.json": "a6dfbe37299b430a",
+        "manifest.json": "b677c0e0180e983b",
         "mitigation_W1.5.csv": "766e8212babc82f5",
         "site_density_W1.5.csv": "497163ef3d1bbf1a",
         "summary_W1.5.csv": "bb5d34b497578197",
     },
     "chiral_robustness": {
-        "checks.json": "9c51bbcc2202153b",
-        "circuit_W0_t2.qasm": "09a910432b7842d7",
-        "circuit_W0_t3.qasm": "8f6bffa86a200d08",
-        "circuit_W2.5_t2.qasm": "9eca5c84fb6baf30",
-        "circuit_W2.5_t3.qasm": "84dd6fe5398882fa",
-        "manifest.json": "de46ffa570a4766b",
-        "mitigation_W0.csv": "f2cb17bf03c34daf",
-        "mitigation_W2.5.csv": "2540d191e515deab",
-        "site_density_W0.csv": "28382b5250f206c4",
-        "site_density_W2.5.csv": "92284020aa22f68a",
-        "summary_W0.csv": "9a1b3b278845ddc5",
-        "summary_W2.5.csv": "8cb23f1ed785c9d3",
+        "checks.json": "3064f58f87678f27",
+        "circuit_W0_t2.qasm": "7d0d20382550c0e8",
+        "circuit_W0_t3.qasm": "66f239d46c9b2bb1",
+        "circuit_W2.5_t2.qasm": "6a3f3bbeba432395",
+        "circuit_W2.5_t3.qasm": "66f908c8a0ff2bd8",
+        "manifest.json": "c47532c76d5ee336",
+        "mitigation_W0.csv": "12ae6e0ed0d6287f",
+        "mitigation_W2.5.csv": "b67fcea74072fa5c",
+        "site_density_W0.csv": "6f6be8913dcb29b0",
+        "site_density_W2.5.csv": "aaad72ac32a4c501",
+        "summary_W0.csv": "fc4cdd9a8a21ea6a",
+        "summary_W2.5.csv": "ab190609bce3e2d8",
     },
     "nonchiral_statevector": {
         "checks.json": "757600c6219bd936",
         "circuit_W0.qasm": "36271aaa2e6d154e",
         "circuit_W6.qasm": "40ad24ada72d7d97",
-        "manifest.json": "58d837e49fd12891",
+        "manifest.json": "c316855bdb952767",
         "site_density_W0.csv": "3d36574147629cb2",
         "site_density_W6.csv": "2262c0b1259c9210",
         "summary_W0.csv": "9945b537c3810117",
@@ -960,16 +983,16 @@ GOLDEN_DIGESTS = {
     "nonchiral_statevector_noisy": {
         "checks.json": "667587569208c7bb",
         "circuit_W0.qasm": "3212ea8a469c3d69",
-        "circuit_W2.qasm": "1fea7f3743ecfca0",
-        "manifest.json": "14049aff1533e3ae",
+        "circuit_W2.qasm": "a9363c067a503d47",
+        "manifest.json": "b5d12902f1492950",
         "site_density_W0.csv": "35902e234a9b6559",
-        "site_density_W2.csv": "f19ddd097fae57c6",
-        "summary_W0.csv": "83e0b10da824bcaa",
-        "summary_W2.csv": "b21d6cd2d1c0faff",
+        "site_density_W2.csv": "e9e0af32f45654f3",
+        "summary_W0.csv": "c7df3753acc31f4a",
+        "summary_W2.csv": "9a406b7241cd1333",
     },
     "nonchiral_single_particle": {
         "checks.json": "2ccba98b6b0fac43",
-        "manifest.json": "a945fd062a79602d",
+        "manifest.json": "535e43e43436550e",
         "site_density_W0.csv": "8b965a66f6a4b516",
         "site_density_W6.csv": "93fc0bfd0536a4c9",
         "summary_W0.csv": "027b90f559503cf8",
