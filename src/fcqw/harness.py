@@ -219,10 +219,14 @@ def validate_config(data: dict) -> ExperimentConfig:
         problems.append("shots")
     if not isinstance(cfg.output_dir, str):
         problems.append("output_dir")
-    points = (  # a walk step keys its stream as itself, distinct under the count range
+    # the key of each point's noise stream, if the run draws any; a walk step
+    # keys its stream as itself, distinct under the count range, and also
+    # tags its QASM file, so two equal steps are rejected without noise too
+    stream_key = _stream_key if cfg.noise is not None else None
+    points = (
         ("steps", lambda t: _int_in(t, 0), int),
-        ("times", lambda t: _is_finite_real(t) and t >= 0, _stream_key),
-        ("W_values", _is_finite_real, _stream_key),
+        ("times", lambda t: _is_finite_real(t) and t >= 0, stream_key),
+        ("W_values", _is_finite_real, stream_key),
     )
     for name, ok, key in points:
         if name not in keys:
@@ -230,7 +234,7 @@ def validate_config(data: dict) -> ExperimentConfig:
         values = getattr(cfg, name)
         if not _nonempty_list(values, ok):
             problems.append(name)
-        elif len({key(v) for v in values}) < len(values):
+        elif key and len({key(v) for v in values}) < len(values):
             problems.append(name)  # two points would share a noise stream
         elif name == "W_values" and len({_wtag(v) for v in values}) < len(values):
             problems.append(name)  # two W values would write the same files

@@ -27,25 +27,33 @@ one faulty row.
 
 Determinism: shot s of a point reads row s of one stream, words
 [s * width, (s + 1) * width) of ``np.random.PCG64(seed)``, in a fixed
-order (error flags, Pauli codes of the flagged gates, the measurement
-uniform, readout flips), ``width`` words being room for all of them (see
-below).  So an outcome depends only on the seed, s, the circuit and the
-noise, and a shorter run's shots are a prefix of a longer run's.  With
-all probabilities zero a row is one word: shot s's uniform is
+order (the gap words of each gate class, Pauli codes of the flagged gates,
+the measurement uniform, readout flips), ``width`` words being room for
+all of them (see below).  So an outcome depends only on the seed, s, the
+circuit and the noise, and a shorter run's shots are a prefix of a longer
+run's.  With all probabilities zero a row is one word: shot s's uniform is
 ``np.random.default_rng(seed).random(shots)[s]``, exactly what the
 noiseless reference sampler ``sample_bitstrings`` in the tests draws.
 
-Stream decoding: both paths draw a chunk of rows with one ``random_raw``
-call and decode its draws with whole-array operations, bit for bit as a
-``Generator`` reading the row makes them.  A uniform is ``(x >> 11)
-2^-53``, so ``u < p`` is an integer compare; a Pauli code is a Lemire draw
-on the 32-bit halves after the flags, low half first; the measurement
-starts on the next whole word.  A row holds room for far more flagged
-gates than the probabilities make likely (``_pauli_words``), not one per
-gate.  A shot with more, or with a rejected Lemire draw (probability
-2^-32 each), is read again through a ``Generator`` on the stream advanced
-to its row, which reads on past the row's end: such a shot, about 1e-9 of
-shots, shares words with shot s + 1.
+Stream decoding: faults are drawn per gate class, the CNOTs at p_cnot and
+all other gates at p_1q, by skipping to the next fault as Stim does for
+low-rate noise.  A gap word's 53-bit uniform u = 1 - (x >> 11) 2^-53, in
+(0, 1], gives ``floor(log(u) / log1p(-p))`` unflagged gates of the class
+before its next flagged one; so p = 1 flags every gate, and a class at
+p = 0 draws nothing.  The flagged gates of both classes are merged in gate
+order.  A Pauli code is then a Lemire draw on the 32-bit halves after the
+gap words, low half first, one per flagged gate in gate order; the
+measurement starts on the next whole word.  Both paths draw a chunk of
+rows with one ``random_raw`` call and decode its draws with whole-array
+operations, bit for bit as a ``Generator`` reading the row makes them.  A
+row holds room for far more flagged gates than the probabilities make
+likely (``_room``), not one per gate: that many gap words per class, and
+Pauli words for that many codes.  A shot whose class is not done by the end
+of its gap room, with more flagged gates than its Pauli room, or with a
+rejected Lemire draw (probability 2^-32 each), is read again through a
+``Generator`` on the stream advanced to its row, which reads on past the
+room's end: such a shot, about 1e-9 of shots, shares words with shot
+s + 1.
 """
 from __future__ import annotations
 
@@ -150,53 +158,109 @@ def _rejected(m: np.ndarray) -> np.ndarray:
     return (m & 0xFFFFFFFF) == 0
 
 
-def _pauli_words(probs: np.ndarray) -> int:
-    """Words read per shot for its Pauli draws, two a word: room for the
-    mean number of flagged gates plus 6 sd plus 6, at most one per gate; a
-    Poisson count passes that with probability below 1e-9 at any mean."""
+def _room(probs: np.ndarray) -> int:
+    """Flagged gates a row has room for among gates flagged with
+    probabilities ``probs``: the mean plus 6 sd plus 6, at most one per
+    gate with p > 0; a Poisson count reaches that with probability below
+    1e-9 at any mean."""
+    probs = probs[probs > 0.0]
     mean, var = probs.sum(), (probs * (1.0 - probs)).sum()
-    return (min(len(probs), math.ceil(mean + 6.0 * math.sqrt(var) + 6.0)) + 1) // 2
+    return min(len(probs), math.ceil(mean + 6.0 * math.sqrt(var) + 6.0))
 
 
-def _read_streams(seed: int, shots: int, probs: np.ndarray, cnots: np.ndarray,
-                  p_readout: float, L: int):
-    """The draws of shots ``0 .. shots - 1`` (see "Stream decoding" above):
-    arrays (shot, gate, code) of the flagged gates in shot then gate order
-    with their Pauli codes (1-15 after a CNOT, 1-3 otherwise), and per shot
-    the measurement uniform and the readout flip mask."""
-    n = len(probs) if np.any(probs > 0.0) else 0
-    readout = L if p_readout > 0.0 else 0
-    pauli = _pauli_words(probs[:n])
-    width = n + pauli + 1 + readout
-    below = np.ceil(probs[:n] * 2.0**53).astype(np.uint64)
-    ro_below = math.ceil(p_readout * 2.0**53)
+def _pauli_words(probs: np.ndarray) -> int:
+    """Words read per shot for its Pauli draws, two a word."""
+    return (_room(probs) + 1) // 2
+
+
+def _positions(u: np.ndarray, p: float, n: int) -> np.ndarray:
+    """Positions in a class of n gates flagged at p that the uniforms
+    ``u`` (in (0, 1], along the last axis) reach: cumulative sums of
+    gap + 1, minus 1, as floats; a gap past the class is cut to n."""
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
+    with np.errstate(over="ignore"):  # a tiny p's gap may be inf before the cut
+        gaps = np.minimum(np.floor(np.log(u) / log_q), n)
+    return np.cumsum(gaps + 1.0, axis=-1) - 1.0
+
+
+def _replay(rng: np.random.Generator, classes, choices: np.ndarray, readout: int,
+            p_readout: float):
+    """One shot's draws as ``rng``, at its row, reads them: each class's
+    room of gap words and past it as many as reach the class's last gate,
+    a Pauli code per flagged gate in gate order, the measurement uniform
+    and the readout flip mask."""
+    flagged = []
+    for idx, p, room in classes:
+        u = 1.0 - rng.random(room)
+        while (pos := _positions(u, p, len(idx)))[-1] < len(idx) - 1:
+            u = np.append(u, 1.0 - rng.random())
+        flagged.extend(idx[pos[pos < len(idx)].astype(np.int64)])
+    flagged.sort()
+    codes = [rng.integers(1, 1 + int(choices[j])) for j in flagged]
+    draws = rng.random(1 + readout)
+    return flagged, codes, draws[0], (draws[1:] < p_readout) @ (1 << np.arange(readout))
+
+
+def _read_streams(spec: NoiseSpec, shots: int, cnots: np.ndarray, L: int):
+    """The draws of shots ``0 .. shots - 1`` of the gates (``cnots`` marks
+    the CNOTs) under ``spec`` (see "Stream decoding" above): arrays (shot,
+    gate, code) of the flagged gates in shot then gate order with their
+    Pauli codes (1-15 after a CNOT, 1-3 otherwise), and per shot the
+    measurement uniform and the readout flip mask."""
+    probs = np.where(cnots, spec.p_cnot, spec.p_1q)
+    # (gate indices, p, room of gap words) of each class that draws
+    classes = [(idx, p, _room(probs[idx])) for idx, p in (
+        (np.flatnonzero(cnots), spec.p_cnot), (np.flatnonzero(~cnots), spec.p_1q))
+        if p > 0.0 and len(idx)]
+    gap_words = sum(room for _, _, room in classes)
+    pauli = _pauli_words(probs)
+    readout = L if spec.p_readout > 0.0 else 0
+    width = gap_words + pauli + 1 + readout
+    ro_below = math.ceil(spec.p_readout * 2.0**53)
     choices = np.where(cnots, 15, 3).astype(np.uint64)
     weights = 1 << np.arange(readout)
     rows = max(1, _CHUNK_WORDS // width)
-    stream = np.random.PCG64(seed)
+    stream = np.random.PCG64(spec.seed)
     parts = []
     for c in range(0, shots, rows):
         raw = stream.random_raw(min(rows, shots - c) * width).reshape(-1, width)
         here = np.arange(len(raw))
-        shot, gate = divmod(np.flatnonzero((raw[:, :n] >> 11) < below), n)
+        shot, gate, over, first = [here[:0]], [here[:0]], [], 0
+        for idx, p, room in classes:
+            pos = _positions(1.0 - (raw[:, first:first + room] >> 11) * 2.0**-53, p, len(idx))
+            first += room
+            over.append(np.flatnonzero(pos[:, -1] < len(idx) - 1))
+            hit = pos < len(idx)
+            shot.append(np.nonzero(hit)[0])
+            gate.append(idx[pos[hit].astype(np.int64)])
+        shot, gate = np.concatenate(shot), np.concatenate(gate)
+        order = np.argsort(shot * len(cnots) + gate, kind="stable")  # merge the classes
+        shot, gate = shot[order], gate[order]
         k = np.bincount(shot, minlength=len(raw))
         rank = np.arange(len(shot)) - (np.cumsum(k) - k)[shot]
         # an overflowing shot reads words in range here and is replayed below
-        word = np.minimum(rank // 2, pauli) + n
+        word = np.minimum(rank // 2, pauli) + gap_words
         half = raw[shot, word] >> (rank % 2 * 32).astype(np.uint64) & 0xFFFFFFFF
         m = half * choices[gate]
         code = (m >> 32) + 1
-        at = np.minimum((k + 1) // 2, pauli) + n
+        at = np.minimum((k + 1) // 2, pauli) + gap_words
         u = (raw[here, at] >> 11) * 2.0**-53
         flips = ((raw[here[:, None], at[:, None] + 1 + np.arange(readout)] >> 11)
                  < ro_below) @ weights
-        for s in np.union1d(shot[_rejected(m)], np.flatnonzero((k + 1) // 2 > pauli)):
-            rng = np.random.Generator(np.random.PCG64(seed).advance(int(c + s) * width))
-            rng.random(n)
-            mine = shot == s
-            code[mine] = [rng.integers(1, 1 + int(choices[j])) for j in gate[mine]]
-            draws = rng.random(1 + readout)
-            u[s], flips[s] = draws[0], (draws[1:] < p_readout) @ weights
+        replayed = np.unique(np.concatenate(
+            over + [shot[_rejected(m)], np.flatnonzero((k + 1) // 2 > pauli)]))
+        if len(replayed):
+            keep = ~np.isin(shot, replayed)
+            shot, gate, code = [shot[keep]], [gate[keep]], [code[keep]]
+            for s in replayed:
+                rng = np.random.Generator(np.random.PCG64(spec.seed).advance(int(c + s) * width))
+                flagged, codes, u[s], flips[s] = _replay(
+                    rng, classes, choices, readout, spec.p_readout)
+                shot.append(np.full(len(flagged), s))
+                gate.append(np.array(flagged, dtype=np.int64))
+                code.append(np.array(codes, dtype=np.uint64))
+            order = np.argsort(np.concatenate(shot), kind="stable")
+            shot, gate, code = (np.concatenate(a)[order] for a in (shot, gate, code))
         parts.append((shot + c, gate, code, u, flips))
     return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -249,10 +313,10 @@ def run_noisy(
     one kernel call per fused block, with the faulty shots evolved together
     as rows of one batch, each a copy of the clean trajectory after its
     first fault's block, corrected for each fault.  Both paths read the
-    same decoded streams: the per-gate error flags (skipped when both gate
-    probabilities are zero), one Pauli draw per flagged gate in order, one
-    uniform for the measurement, and the readout flips (skipped when
-    p_readout is zero).
+    same decoded streams: the gap draws of each gate class (skipped for a
+    class whose probability is zero), one Pauli draw per flagged gate in
+    order, one uniform for the measurement, and the readout flips (skipped
+    when p_readout is zero).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -262,9 +326,7 @@ def run_noisy(
     gates = lowered.instructions
     L = lowered.num_qubits
     cnots = np.array([g.kind == "cnot" for g in gates], dtype=bool)
-    gate_probs = np.where(cnots, spec.p_cnot, spec.p_1q)
-    shot, gate, code, u, flips = _read_streams(
-        spec.seed, shots, gate_probs, cnots, spec.p_readout, L)
+    shot, gate, code, u, flips = _read_streams(spec, shots, cnots, L)
     if all(g.kind in INDEX_KINDS for g in gates):
         masks, clean = _fault_table(gates, L, start)
         index = np.full(shots, clean, dtype=np.int64)

@@ -77,13 +77,15 @@ class TestValidation:
         assert cfg.noise.seed == 42
 
     def test_points_sharing_a_noise_stream_key_rejected(self, tmp_path):
-        robustness = {"kind": "chiral_robustness", "L": 8, "steps": [2], "W_values": [1.0, 1.0004]}
+        noise = {"p_cnot": 0.01}
+        robustness = {"kind": "chiral_robustness", "L": 8, "steps": [2], "W_values": [1.0, 1.0004],
+                      "noise": noise}
         with pytest.raises(ConfigError) as err:
             validate_config(robustness)
         assert err.value.fields == ["W_values"]
         localization = {
             "kind": "nonchiral_localization", "L": 8, "times": [0.1, 0.1004],
-            "W_values": [0.0, 1.0],
+            "W_values": [0.0, 1.0], "noise": noise,
         }
         with pytest.raises(ConfigError) as err:
             validate_config(localization)
@@ -93,6 +95,30 @@ class TestValidation:
             with pytest.raises(ConfigError) as err:
                 validate_config(dict(robustness, W_values=bad))
             assert err.value.fields == ["W_values"]
+
+    @pytest.mark.parametrize("name, values", [
+        ("W_values", [1.0, 1.0004]),
+        ("W_values", [1e30, 2e30]),
+        ("W_values", [0.0, 4294967.296]),
+        ("times", [0.1, 0.1004]),
+    ])
+    def test_noiseless_points_may_share_a_stream_key(self, tmp_path, name, values):
+        # without a noise block no point keys a stream
+        data = {
+            "W_values": {"kind": "chiral_robustness", "L": 8, "steps": [2]},
+            "times": {"kind": "nonchiral_localization", "L": 8, "W_values": [0.0, 1.0]},
+        }[name]
+        data = {**data, name: values, "output_dir": str(tmp_path / "out")}
+        assert getattr(validate_config(data), name) == values
+        # it runs to the end; the localization bars fail at so short a time
+        assert main(["run", str(write_config(tmp_path, data))]) in (0, 1)
+
+    def test_noiseless_w_values_sharing_a_file_tag_rejected(self):
+        robustness = {"kind": "chiral_robustness", "L": 8, "steps": [2],
+                      "W_values": [1234567.0, 1234568.0]}  # both tag as W1.23457e+06
+        with pytest.raises(ConfigError) as err:
+            validate_config(robustness)
+        assert err.value.fields == ["W_values"]
 
     @pytest.mark.parametrize(
         "kind, name, values",
@@ -936,7 +962,10 @@ GOLDEN_CASES = {
 #: chiral_robustness and nonchiral_statevector_noisy were recorded on their
 #: uniform-profile configs by the code that still took left walks and custom
 #: profiles; the walk and chain cases' manifest.json since their configs
-#: lost those two keys
+#: lost those two keys.  The data files of the noisy cases (and the
+#: checks.json of chiral_robustness and amplitude_scaling, whose details
+#: print sampled values) since faults are drawn as geometric gaps per gate
+#: class instead of one flag word per gate
 GOLDEN_DIGESTS = {
     "chiral_noiseless": {
         "checks.json": "397b189836e33fa3",
@@ -952,23 +981,23 @@ GOLDEN_DIGESTS = {
         "circuit_W1.5_t2.qasm": "97e49c90b4094af2",
         "circuit_W1.5_t5.qasm": "8a015fd6fa1d0d50",
         "manifest.json": "b677c0e0180e983b",
-        "mitigation_W1.5.csv": "766e8212babc82f5",
-        "site_density_W1.5.csv": "497163ef3d1bbf1a",
-        "summary_W1.5.csv": "bb5d34b497578197",
+        "mitigation_W1.5.csv": "8155647fd2cbd764",
+        "site_density_W1.5.csv": "e536c12cbf905cbe",
+        "summary_W1.5.csv": "ecd2e7ad8832e637",
     },
     "chiral_robustness": {
-        "checks.json": "3064f58f87678f27",
+        "checks.json": "c33522b52980aabb",
         "circuit_W0_t2.qasm": "7d0d20382550c0e8",
         "circuit_W0_t3.qasm": "66f239d46c9b2bb1",
         "circuit_W2.5_t2.qasm": "6a3f3bbeba432395",
         "circuit_W2.5_t3.qasm": "66f908c8a0ff2bd8",
         "manifest.json": "c47532c76d5ee336",
-        "mitigation_W0.csv": "12ae6e0ed0d6287f",
-        "mitigation_W2.5.csv": "b67fcea74072fa5c",
-        "site_density_W0.csv": "6f6be8913dcb29b0",
-        "site_density_W2.5.csv": "aaad72ac32a4c501",
-        "summary_W0.csv": "fc4cdd9a8a21ea6a",
-        "summary_W2.5.csv": "ab190609bce3e2d8",
+        "mitigation_W0.csv": "9c806d7d2ea073af",
+        "mitigation_W2.5.csv": "c51350636bdac761",
+        "site_density_W0.csv": "bc4558bfffcb9d33",
+        "site_density_W2.5.csv": "817555067c7f87c5",
+        "summary_W0.csv": "49b1e16a72b0c7fb",
+        "summary_W2.5.csv": "147f3b73a58652d3",
     },
     "nonchiral_statevector": {
         "checks.json": "757600c6219bd936",
@@ -985,10 +1014,10 @@ GOLDEN_DIGESTS = {
         "circuit_W0.qasm": "3212ea8a469c3d69",
         "circuit_W2.qasm": "a9363c067a503d47",
         "manifest.json": "b5d12902f1492950",
-        "site_density_W0.csv": "35902e234a9b6559",
-        "site_density_W2.csv": "e9e0af32f45654f3",
-        "summary_W0.csv": "c7df3753acc31f4a",
-        "summary_W2.csv": "9a406b7241cd1333",
+        "site_density_W0.csv": "82e2619d7c165716",
+        "site_density_W2.csv": "cc7f687f5b853f3c",
+        "summary_W0.csv": "b646d0526915582e",
+        "summary_W2.csv": "69c3066ec5c59f86",
     },
     "nonchiral_single_particle": {
         "checks.json": "2ccba98b6b0fac43",
@@ -1011,8 +1040,8 @@ GOLDEN_DIGESTS = {
         "spectra.csv": "7f4e0c7b0a6775c1",
     },
     "amplitude_scaling": {
-        "checks.json": "c6c89f27f00f4bf5",
-        "decay.csv": "a6971d4ed34d6dc9",
+        "checks.json": "69b2f813703838f7",
+        "decay.csv": "b9fd4aeebdb3e202",
         "manifest.json": "9fa6749869c54388",
     },
 }

@@ -13,6 +13,8 @@ from fcqw.circuits import (
     lower_swaps,
     simulate,
 )
+import math
+
 import fcqw.noise as noise_mod
 from fcqw.noise import (
     _PAULI_OPS,
@@ -69,12 +71,40 @@ def with_h(circuit, q=0):
 ZERO_NOISE = NoiseSpec(0.0, 0.0, 0.0, seed=0)
 
 
-def stream_width(probs, p_readout, L):
-    """Words in a shot's row, as ``_read_streams`` sizes them: the flags
-    (none when every probability is zero), the Pauli room, the measurement
-    word and the readout words (none when p_readout is zero)."""
-    n = len(probs) if np.any(probs > 0) else 0
-    return n + noise_mod._pauli_words(probs[:n]) + 1 + (L if p_readout > 0 else 0)
+def gate_classes(cnots, spec):
+    """(gate indices, p) of the two gate classes: the CNOTs, then the rest."""
+    return ((np.flatnonzero(cnots), spec.p_cnot), (np.flatnonzero(~np.asarray(cnots)), spec.p_1q))
+
+
+def stream_width(cnots, spec, L):
+    """Words in a shot's row, as ``_read_streams`` sizes them: the gap room
+    of each class (none when its probability is zero), the Pauli room, the
+    measurement word and the readout words (none when p_readout is zero)."""
+    probs = np.where(cnots, spec.p_cnot, spec.p_1q)
+    gaps = sum(noise_mod._room(np.full(len(idx), p)) for idx, p in gate_classes(cnots, spec)
+               if p > 0 and len(idx))
+    return gaps + noise_mod._pauli_words(probs) + 1 + (L if spec.p_readout > 0 else 0)
+
+
+def read_flags(rng, cnots, spec):
+    """Reference gap reader: the gates that a ``Generator`` at a shot's row
+    flags, one word at a time, class by class.  A word u = 1 - random()
+    skips floor(log u / log1p(-p)) gates of its class before flagging one;
+    a class reads its whole room of words, and past the room one more at a
+    time until it has reached its last gate."""
+    flagged = []
+    for idx, p in gate_classes(cnots, spec):
+        if p == 0.0 or not len(idx):
+            continue
+        room = list(rng.random(noise_mod._room(np.full(len(idx), p))))
+        log_q = math.log1p(-p) if p < 1.0 else -math.inf
+        pos = -1
+        while pos < len(idx) - 1:
+            x = room.pop(0) if room else rng.random()
+            pos += 1 + int(min(np.floor(np.log(1.0 - x) / log_q), len(idx)))
+            if pos < len(idx):
+                flagged.append(int(idx[pos]))
+    return sorted(flagged)
 
 
 def count_pcg64(monkeypatch):
@@ -144,19 +174,20 @@ class TestDeterminism:
                 1,
                 NoiseSpec(p_cnot=3e-3, p_1q=1e-3, p_readout=1e-2, seed=2024),
                 300,
-                {"000000": 10, "000010": 2, "000100": 2, "001000": 1, "001010": 1,
-                 "010000": 1, "010100": 1, "100000": 230, "100001": 6, "100010": 7,
-                 "100011": 1, "100100": 10, "100101": 1, "100110": 1, "101000": 9,
-                 "101001": 3, "110000": 10, "110001": 1, "110010": 2, "111000": 1},
+                {"000000": 7, "000010": 1, "000100": 1, "000110": 2, "000111": 1,
+                 "001001": 1, "001100": 1, "010000": 1, "011000": 1, "100000": 221,
+                 "100001": 8, "100010": 7, "100011": 2, "100100": 10, "100101": 1,
+                 "100110": 3, "101000": 15, "101010": 1, "110000": 8, "110001": 2,
+                 "110010": 2, "110100": 2, "111000": 2},
             ),
             (
                 build_xy_trotter(4, PotentialProfile.uniform(4, 1.0), TrotterConfig(1.0, 0.6, 2)),
                 2,
                 NoiseSpec(p_cnot=1e-2, p_1q=2e-3, p_readout=1e-2, seed=2025),
                 200,
-                {"0000": 10, "0001": 32, "0010": 9, "0011": 1, "0100": 4, "0101": 2,
-                 "0110": 1, "0111": 1, "1000": 115, "1001": 9, "1010": 4, "1100": 8,
-                 "1101": 1, "1110": 3},
+                {"0000": 11, "0001": 32, "0010": 10, "0011": 2, "0100": 6, "0101": 5,
+                 "0110": 2, "0111": 1, "1000": 107, "1001": 7, "1010": 9, "1011": 3,
+                 "1100": 3, "1101": 1, "1110": 1},
             ),
         ],
         ids=["classical_walk_L6", "statevector_trotter_L4"],
@@ -170,12 +201,12 @@ def _replay_counts(circuit, start_index, spec, shots):
     lowered circuit, flipping bits at each fault, on each shot's row."""
     gates = lower_swaps(circuit).instructions
     L = circuit.num_qubits
-    probs = np.array([spec.p_cnot if g.kind == "cnot" else spec.p_1q for g in gates])
-    width = stream_width(probs, spec.p_readout, L)
+    cnots = np.array([g.kind == "cnot" for g in gates])
+    width = stream_width(cnots, spec, L)
     indices = []
     for s in range(shots):
         rng = row_rng(spec.seed, s, width)
-        flagged = set(np.flatnonzero(rng.random(len(gates)) < probs).tolist())
+        flagged = set(read_flags(rng, cnots, spec))
         index = start_index
         for j, g in enumerate(gates):
             if g.kind == "cnot":
@@ -236,14 +267,13 @@ def _per_shot_counts(circuit, start, spec, shots):
     lowered = lower_swaps(circuit)
     gates = lowered.instructions
     L = lowered.num_qubits
-    probs = np.array([spec.p_cnot if g.kind == "cnot" else spec.p_1q for g in gates])
-    draw_flags = bool(np.any(probs > 0.0))
+    cnots = np.array([g.kind == "cnot" for g in gates])
     weights = 1 << np.arange(L, dtype=np.int64)
-    width = stream_width(probs, spec.p_readout, L)
+    width = stream_width(cnots, spec, L)
     initial = basis_state(L, start)
 
     def flagged(rng):
-        return (rng.random(len(gates)) < probs).nonzero()[0] if draw_flags else ()
+        return read_flags(rng, cnots, spec)
 
     def paulis(rng, g):
         if g.kind == "cnot":
@@ -262,8 +292,8 @@ def _per_shot_counts(circuit, start, spec, shots):
     for s in range(shots):
         rng = row_rng(spec.seed, s, width)
         first = flagged(rng)
-        if len(first):
-            faulty.append((int(first[0]), s))
+        if first:
+            faulty.append((first[0], s))
         else:
             indices[s] = readout(rng, sample_index(clean, rng.random()))
     prefix = initial.amplitudes.copy()
@@ -406,54 +436,62 @@ class TestFaultCorrection:
         assert checked > 100
 
 
-def _generator_draws(rngs, probs, cnots, p_readout, L):
+def _generator_draws(rngs, cnots, spec, L):
     """What each shot's ``Generator`` draws, in the decoder's layout:
     (shot, gate, code) of the flagged gates, then the measurement uniforms
     and the readout flip masks."""
     shot, gate, code, u, flips = [], [], [], [], []
     for s, rng in enumerate(rngs):
-        flagged = np.flatnonzero(rng.random(len(probs)) < probs) if np.any(probs > 0) else []
-        for j in flagged:
+        for j in read_flags(rng, cnots, spec):
             shot.append(s)
             gate.append(j)
             code.append(rng.integers(1, 16 if cnots[j] else 4))
-        if p_readout > 0:
+        if spec.p_readout > 0:
             draws = rng.random(1 + L)
             u.append(draws[0])
-            flips.append(sum(1 << q for q in range(L) if draws[1 + q] < p_readout))
+            flips.append(sum(1 << q for q in range(L) if draws[1 + q] < spec.p_readout))
         else:
             u.append(rng.random())
             flips.append(0)
     return shot, gate, code, u, flips
 
 
-#: (flag probability, is a CNOT) per gate; 0 and 1 fix which gates draw a
-#: Pauli code, so the runs of 1-5 draws leave a buffered half when odd
+#: (is a CNOT per gate, p_cnot, p_1q, p_readout); classes at 0 and 1 fix
+#: which gates draw a Pauli code, so the runs of 1-5 draws leave a buffered
+#: half when odd
 DECODE_CASES = {
-    "flag_edges": ([0.0, 2.0**-53, 0.007, 0.5, 1.0] * 6, [True, False, True] * 10, 0.3),
-    "one_cnot": ([1.0], [True], 0.2),
-    "two_mixed": ([1.0, 0.0, 1.0], [True, True, False], 0.2),
-    "three_1q": ([1.0, 1.0, 0.0, 1.0], [False] * 4, 0.5),
-    "four_mixed": ([1.0, 1.0, 1.0, 1.0, 0.0], [True, False, False, True, True], 0.1),
-    "five_mixed": ([1.0] * 5 + [0.0], [False, True, True, False, True, False], 0.9),
-    "no_readout": ([1.0, 0.5, 1.0], [True, False, False], 0.0),
-    "no_flags": ([0.0] * 7, [True] * 7, 0.2),
+    "flag_edges": ([True, False, True] * 10, 2.0**-53, 7e-3, 0.3),
+    "half_and_one": ([True, False, True] * 10, 0.5, 1.0, 0.3),
+    "high": ([True, False, False, True] * 10, 0.3, 0.1, 0.05),
+    "cnots_only": ([True] * 6, 0.4, 0.2, 0.1),
+    "one_cnot": ([True], 1.0, 0.0, 0.2),
+    "two_mixed": ([True, False], 1.0, 1.0, 0.2),
+    "three_1q": ([False, True, False, False], 0.0, 1.0, 0.5),
+    "four_mixed": ([True, False, False, True], 1.0, 1.0, 0.1),
+    "five_mixed": ([False, True, True, False, True], 1.0, 1.0, 0.9),
+    "no_readout": ([True, False, False], 1.0, 0.5, 0.0),
+    "no_flags": ([True] * 7, 0.0, 0.0, 0.2),
 }
+
+
+def decode_case(case, seed):
+    cnots, p_cnot, p_1q, p_readout = DECODE_CASES[case]
+    return np.array(cnots), NoiseSpec(p_cnot, p_1q, p_readout, seed=seed)
 
 
 class TestReadStreams:
     @pytest.mark.parametrize("case", DECODE_CASES)
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1], ids=["0", "2^32", "2^64+1"])
     def test_equals_generator_draws(self, monkeypatch, seed, case):
-        probs, cnots, p_readout = (np.array(x) for x in DECODE_CASES[case])
+        cnots, spec = decode_case(case, seed)
         L, shots = 5, 150
-        width = stream_width(probs, p_readout, L)
+        width = stream_width(cnots, spec, L)
         rngs = (row_rng(seed, s, width) for s in range(shots))
-        expected = _generator_draws(rngs, probs, cnots, p_readout, L)
+        expected = _generator_draws(rngs, cnots, spec, L)
         for chunk in (None, 1, 7):  # one chunk, one shot per chunk, several
             if chunk is not None:
                 monkeypatch.setattr(noise_mod, "_CHUNK_WORDS", chunk * width)
-            got = _read_streams(seed, shots, probs, cnots, float(p_readout), L)
+            got = _read_streams(spec, shots, cnots, L)
             for name, ours, ref in zip(("shot", "gate", "code", "u", "flips"), got, expected):
                 assert np.array_equal(ours, np.array(ref, dtype=ours.dtype)), (name, chunk)
 
@@ -477,7 +515,7 @@ def _state_with_output(out_index, lo, inc=12345 << 1 | 1):
 
 class TestRejectedDraw:
     def test_zero_low_half_is_replayed(self, monkeypatch):
-        # one CNOT flagged for sure: word 0 is its flag, word 1 its Pauli draw
+        # one CNOT flagged for sure: word 0 is its gap, word 1 its Pauli draw
         high = 0xDEADBEEF
         crafted = _state_with_output(1, high << 32)
 
@@ -498,12 +536,11 @@ class TestRejectedDraw:
         assert code == (high * 15 >> 32) + 1
         assert state["state"]["state"] == high << 32 and state["has_uint32"] == 0
 
-        probs, cnots, L = np.array([1.0]), np.array([True]), 3
-        expected = _generator_draws(
-            [np.random.Generator(CraftedPCG64(0))], probs, cnots, 0.4, L)
+        cnots, spec, L = np.array([True]), NoiseSpec(1.0, 0.0, 0.4, seed=0), 3
+        expected = _generator_draws([np.random.Generator(CraftedPCG64(0))], cnots, spec, L)
         monkeypatch.setattr(np.random, "PCG64", CraftedPCG64)
         built = count_pcg64(monkeypatch)
-        got = _read_streams(0, 1, probs, cnots, 0.4, L)
+        got = _read_streams(spec, 1, cnots, L)
         assert len(built) == 2  # the stream and one replay
         for ours, ref in zip(got, expected):
             assert np.array_equal(ours, np.array(ref, dtype=ours.dtype))
@@ -532,8 +569,11 @@ class TestPauliRegion:
         monkeypatch.setattr(noise_mod, "_CHUNK_WORDS", 1)  # one row per draw
         circuit, start, _ = walk_setup(L=8, t=8)
         run_noisy(circuit, start, NoiseSpec(seed=4), 500)
-        n = len(lower_swaps(circuit))  # 232 gates, about 1.2 flagged per shot
-        assert set(widths) == {n + 7 + 1 + 8}  # was n + 116 + 1 + 8
+        # 232 gates, about 1.2 flagged per shot: 14 gap words for the 168
+        # CNOTs, 7 for the 64 rz, 7 Pauli, 1 measurement and 8 readout words;
+        # one flag word per gate made it 232 + 7 + 1 + 8
+        assert len(lower_swaps(circuit)) == 232
+        assert set(widths) == {14 + 7 + 7 + 1 + 8}
 
     @pytest.mark.parametrize("probs", [
         "shipped_walk",
@@ -541,11 +581,12 @@ class TestPauliRegion:
         np.full(40, 0.3),
         np.full(2000, 0.001),
         np.full(5000, 0.02),
-        np.array(DECODE_CASES["flag_edges"][0]),
+        np.array([0.0, 2.0**-53, 0.007, 0.5, 1.0] * 6),
     ], ids=["shipped_walk", "232_at_0.05", "40_at_0.3", "2000_at_0.001", "5000_at_0.02",
             "flag_edges"])
     def test_room_overflows_below_1e_9(self, probs):
-        # the exact law of a shot's flagged-gate count, a sum of Bernoullis
+        # the exact law of a shot's flagged-gate count, a sum of Bernoullis;
+        # a class's gap room runs out only if its flagged count reaches it
         if isinstance(probs, str):
             circuit, _, _ = walk_setup(L=8, t=8)
             spec = NoiseSpec(seed=0)
@@ -558,9 +599,11 @@ class TestPauliRegion:
             law[0] *= 1.0 - p
         room = 2 * noise_mod._pauli_words(probs)
         assert law[room + 1:].sum() < 1e-9
+        assert law[noise_mod._room(probs):].sum() < 1e-9
 
     def test_room_is_at_most_one_half_word_per_gate(self):
         assert noise_mod._pauli_words(np.zeros(0)) == 0
+        assert noise_mod._room(np.zeros(5)) == 0  # a gate at p = 0 is never flagged
         for n in range(1, 41):
             assert noise_mod._pauli_words(np.ones(n)) == (n + 1) // 2  # never overflows
             # mean + 6 sd + 6 is 6.2 to 7.3 here: room for 8 gates once there are 7
@@ -570,13 +613,13 @@ class TestPauliRegion:
     @pytest.mark.parametrize("case", DECODE_CASES)
     def test_overflowing_shots_are_replayed(self, monkeypatch, case, pauli):
         monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: pauli)
-        probs, cnots, p_readout = (np.array(x) for x in DECODE_CASES[case])
         L, shots, seed = 5, 150, 9
-        width = stream_width(probs, p_readout, L)
+        cnots, spec = decode_case(case, seed)
+        width = stream_width(cnots, spec, L)
         expected = _generator_draws(
-            (row_rng(seed, s, width) for s in range(shots)), probs, cnots, p_readout, L)
+            (row_rng(seed, s, width) for s in range(shots)), cnots, spec, L)
         built = count_pcg64(monkeypatch)
-        got = _read_streams(seed, shots, probs, cnots, float(p_readout), L)
+        got = _read_streams(spec, shots, cnots, L)
         for name, ours, ref in zip(("shot", "gate", "code", "u", "flips"), got, expected):
             assert np.array_equal(ours, np.array(ref, dtype=ours.dtype)), name
         flagged = np.bincount(np.array(expected[0], dtype=int), minlength=shots)
@@ -597,6 +640,68 @@ class TestPauliRegion:
         assert run_noisy(circuit, start, spec, shots=300).counts == expected
 
 
+class TestGapSampler:
+    CNOTS = np.array([True, False, False, True, True] * 8)
+
+    @pytest.mark.parametrize("p_cnot, p_1q", [(0.3, 1.0), (1.0, 0.3), (0.3, 0.3)])
+    def test_flag_frequencies_match_p(self, p_cnot, p_1q):
+        shots = 20_000
+        spec = NoiseSpec(p_cnot, p_1q, 0.0, seed=61)
+        shot, gate, *_ = _read_streams(spec, shots, self.CNOTS, 3)
+        flags = np.zeros((shots, len(self.CNOTS)))
+        flags[shot, gate] = 1.0
+        p = np.where(self.CNOTS, p_cnot, p_1q)
+        sure = p == 1.0
+        assert np.all(flags[:, sure] == 1.0)
+        z = (flags.mean(axis=0) - p)[~sure] / np.sqrt(p * (1 - p) / shots)[~sure]
+        assert np.all(np.abs(z) < 4), z
+        # and pairwise independent, within a class and across the two
+        pp = np.outer(p, p)[np.ix_(~sure, ~sure)]
+        joint = (flags[:, ~sure].T @ flags[:, ~sure]) / shots
+        off = ~np.eye(len(pp), dtype=bool)
+        z = (joint - pp)[off] / np.sqrt(pp * (1 - pp) / shots)[off]
+        assert np.all(np.abs(z) < 5), np.abs(z).max()
+
+    @pytest.mark.parametrize("p_cnot, p_1q", [(0.0, 0.0), (0.0, 0.4), (0.4, 0.0)])
+    def test_zero_probability_flags_nothing(self, p_cnot, p_1q):
+        spec = NoiseSpec(p_cnot, p_1q, 0.1, seed=62)
+        _, gate, *_ = _read_streams(spec, 2000, self.CNOTS, 3)
+        zero = np.where(self.CNOTS, p_cnot, p_1q) == 0.0
+        assert not zero[gate].any()
+        assert len(gate) > 1000 or zero.all()
+
+    @pytest.mark.parametrize("case", DECODE_CASES)
+    def test_forced_gap_overflow_equals_generator_draws(self, monkeypatch, case):
+        # a room of one gap word (and one Pauli word): a class is done after
+        # it only if its first gap passes its last gate
+        monkeypatch.setattr(noise_mod, "_room", lambda probs: 1)
+        L, shots, seed = 5, 150, 10
+        cnots, spec = decode_case(case, seed)
+        width = stream_width(cnots, spec, L)
+        expected = _generator_draws(
+            (row_rng(seed, s, width) for s in range(shots)), cnots, spec, L)
+        built = count_pcg64(monkeypatch)
+        got = _read_streams(spec, shots, cnots, L)
+        for name, ours, ref in zip(("shot", "gate", "code", "u", "flips"), got, expected):
+            assert np.array_equal(ours, np.array(ref, dtype=ours.dtype)), name
+        if sum(cnots) > 1 and spec.p_cnot > 0.0:
+            assert len(built) > 1  # replays beside the stream
+
+    @pytest.mark.parametrize("kind", ["classical", "statevector"])
+    def test_forced_gap_overflow_keeps_counts(self, monkeypatch, kind):
+        monkeypatch.setattr(noise_mod, "_room", lambda probs: 1)
+        spec = NoiseSpec(**HIGH_NOISE, seed=42)
+        if kind == "classical":
+            circuit, start, _ = walk_setup(L=6, t=6, W=0.7)
+            expected = _replay_counts(circuit, start, spec, 300)
+        else:
+            circuit, start, _ = _trotter_case(4)
+            expected = _per_shot_counts(circuit, start, spec, 300)
+        built = count_pcg64(monkeypatch)
+        assert run_noisy(circuit, start, spec, shots=300).counts == expected
+        assert len(built) > 100  # most shots overflow and are replayed
+
+
 def _streams_equal(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
 
@@ -604,13 +709,12 @@ def _streams_equal(a, b):
 class TestStreamContract:
     """Shot s reads words [s * width, (s + 1) * width) of PCG64(seed)."""
 
-    PROBS = np.array([0.05, 0.01, 0.3, 0.0, 0.02] * 8)
     CNOTS = np.array([True, False, True, True, False] * 8)
 
     def test_shorter_run_is_a_prefix(self):
-        L, seed = 6, 17
-        long = _read_streams(seed, 7000, self.PROBS, self.CNOTS, 0.05, L)
-        short = _read_streams(seed, 5000, self.PROBS, self.CNOTS, 0.05, L)
+        L, spec = 6, NoiseSpec(0.05, 0.02, 0.05, seed=17)
+        long = _read_streams(spec, 7000, self.CNOTS, L)
+        short = _read_streams(spec, 5000, self.CNOTS, L)
         shot, gate, code, u, flips = long
         kept = shot < 5000
         assert _streams_equal(short, (shot[kept], gate[kept], code[kept], u[:5000], flips[:5000]))
@@ -619,19 +723,20 @@ class TestStreamContract:
     def test_chunk_size_does_not_matter(self, monkeypatch):
         # a room of one Pauli word overflows on 3 or more flagged gates,
         # here about half the shots; some are the last row of a 7-row chunk
-        probs, cnots = np.array([1.0, 0.5, 0.5, 0.5]), np.array([True, False, True, False])
+        cnots = np.array([True, False, True, False])
         L, shots, seed = 4, 150, 23
+        spec = NoiseSpec(0.75, 0.5, 0.1, seed=seed)
         monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: 1)
-        width = stream_width(probs, 0.1, L)
+        width = stream_width(cnots, spec, L)
         expected = _generator_draws(
-            (row_rng(seed, s, width) for s in range(shots)), probs, cnots, 0.1, L)
+            (row_rng(seed, s, width) for s in range(shots)), cnots, spec, L)
         flagged = np.bincount(np.array(expected[0], dtype=int), minlength=shots)
         over = np.flatnonzero(flagged > 2)
         assert np.any(over % 7 == 6) and over[-1] == shots - 1
         outputs = []
         for rows in (1, 7, shots):
             monkeypatch.setattr(noise_mod, "_CHUNK_WORDS", rows * width)
-            outputs.append(_read_streams(seed, shots, probs, cnots, 0.1, L))
+            outputs.append(_read_streams(spec, shots, cnots, L))
         for got in outputs:
             assert _streams_equal(got, [np.array(r, dtype=g.dtype) for r, g in zip(expected, got)])
 
@@ -650,7 +755,7 @@ class TestStreamContract:
 
     def test_noiseless_uniforms_are_default_rng(self):
         shot, _, _, u, flips = _read_streams(
-            8, 3000, np.zeros(12), np.ones(12, dtype=bool), 0.0, 5)
+            NoiseSpec(0.0, 0.0, 0.0, seed=8), 3000, np.ones(12, dtype=bool), 5)
         assert len(shot) == 0 and not flips.any()
         assert np.array_equal(u, np.random.default_rng(8).random(3000))
 
@@ -688,8 +793,7 @@ class TestCallCount:
             monkeypatch.setattr(noise_mod, "_pauli_words", lambda probs: pauli)
             gates = lower_swaps(circuit).instructions
             cnots = np.array([g.kind == "cnot" for g in gates])
-            probs = np.where(cnots, spec.p_cnot, spec.p_1q)
-            shot = _read_streams(spec.seed, shots, probs, cnots, spec.p_readout, 8)[0]
+            shot = _read_streams(spec, shots, cnots, 8)[0]
             replayed = len(np.unique(shot))
             assert replayed > 1000
         built = count_pcg64(monkeypatch)
@@ -740,8 +844,8 @@ class TestErrorModel:
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1, 2**200, np.int64(7), np.uint64(2**63)],
                              ids=["0", "2^32", "2^64+1", "2^200", "int64", "uint64"])
     def test_good_seed_accepted(self, seed):
-        spec = NoiseSpec(seed=seed)
-        u = _read_streams(spec.seed, 50, np.zeros(3), np.ones(3, dtype=bool), 0.0, 2)[3]
+        spec = NoiseSpec(0.0, 0.0, 0.0, seed=seed)
+        u = _read_streams(spec, 50, np.ones(3, dtype=bool), 2)[3]
         assert np.array_equal(u, np.random.default_rng(int(seed)).random(50))
 
     def test_zero_shots_rejected(self):
