@@ -45,7 +45,7 @@ for index, count in top:
     print(f"  {index_to_bitstring(index, L)}: {count}")
 
 print("\npeak amplitude vs walk length (2000 shots per point):")
-rows = amplitude_decay_sweep("steps_at_fixed_L", spec, range(1, 9), L=L, shots=2000)
+rows = amplitude_decay_sweep([(L, t) for t in range(1, 9)], spec, shots=2000)
 for x, amp in rows:
     print(f"  t = {x}: {amp:.4f}")
 slope = np.polyfit([x for x, _ in rows], np.log([a for _, a in rows]), 1)[0]

@@ -16,7 +16,7 @@ import math
 import numbers
 import shutil
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +44,10 @@ from .floquet import (
     xy_step_operator,
     xy_step_phases,
 )
-from .noise import SWEEP_AXES, NoiseSpec, amplitude_decay_sweep, run_noisy
-from .observables import (
-    ipr,
-    peak_amplitude,
-    post_process,
-    restricted_site_density_counts,
-    site_density_counts,
-)
+from .noise import NoiseSpec, amplitude_decay_sweep, noisy_point
+from .observables import ipr, peak_amplitude, post_process, restricted_site_density_counts
 from .qasm import emit_qasm3
-from .statevec import MAX_QUBITS, derived_seed
+from .statevec import MAX_QUBITS
 
 #: largest |x| of a real field (W, W_values, times, J).  Every number the run
 #: path forms is a product of at most two such factors, a site pattern
@@ -63,6 +57,8 @@ _REAL_LIMIT = 1e90
 #: largest count (L, steps, values, trotter_n, realizations, sweep_seeds, shots):
 #: the largest 32-bit stream key, so distinct walk steps key distinct streams
 _COUNT_LIMIT = 2**32 - 1
+#: the axes of an amplitude_scaling sweep: t at fixed L, or L with t = L
+_SWEEP_AXES = ("steps_at_fixed_L", "size_with_t_equals_L")
 
 
 class ConfigError(ValueError):
@@ -197,7 +193,7 @@ def validate_config(data: dict) -> ExperimentConfig:
     if cfg.kind == "amplitude_scaling":
         if cfg.noise is None:
             problems.append("noise")  # the sweep measures decay under noise
-        if cfg.axis not in SWEEP_AXES:
+        if cfg.axis not in _SWEEP_AXES:
             problems.append("axis")
         lo, hi = (2, MAX_QUBITS) if cfg.axis == "size_with_t_equals_L" else (0, _COUNT_LIMIT)
         if not _nonempty_list(cfg.values, lambda v: _int_in(v, lo, hi)):
@@ -252,7 +248,10 @@ def load_config(path) -> ExperimentConfig:
 
 def resolved_config_dict(cfg: ExperimentConfig) -> dict:
     keys = _COMMON_KEYS | _KIND_KEYS[cfg.kind][0]
-    return {k: v for k, v in asdict(cfg).items() if k in keys}
+    resolved = {k: v for k, v in asdict(cfg).items() if k in keys}
+    if cfg.noise is not None:  # as a config writes it: the config's seed seeds it
+        del resolved["noise"]["seed"]
+    return resolved
 
 
 def content_hash(config: dict) -> str:
@@ -329,21 +328,20 @@ def _write_qasm(outdir: Path, name: str, circuit: Circuit) -> Path:
 
 
 def _measure(cfg: ExperimentConfig, profile: PotentialProfile, circuit: Circuit | None, W, x):
-    """Raw site density of the one-hot start at the point (W, x), and its
-    shot counts (None when noiseless).  A noiseless density is a column of
-    the sector matrix, reduced from ``circuit`` or, without one, the exact
-    XY propagator; a noisy point draws ``cfg.shots`` shots from a stream
-    keyed by the point (a walk step keys as itself)."""
+    """Raw and post-processed site densities of the one-hot start at the
+    point (W, x), and its shot counts (None when noiseless).  A noiseless
+    density is a column of the sector matrix, reduced from ``circuit`` or,
+    without one, the exact XY propagator; a noisy point draws ``cfg.shots``
+    shots from a stream keyed by the point (a walk step keys as itself)."""
     if cfg.noise is None:
         if circuit is None:
             op = xy_step_operator(cfg.L, profile, cfg.J, float(x))
         else:
             op = reduce_to_single_particle(circuit)
-        return np.abs(op.matrix[:, cfg.start_site]) ** 2, None
+        raw = np.abs(op.matrix[:, cfg.start_site]) ** 2
+        return raw, post_process(raw), None
     step_key = _stream_key(x) if cfg.kind == "nonchiral_localization" else x
-    seed = derived_seed(cfg.noise.seed, step_key, _stream_key(W))
-    result = run_noisy(circuit, 1 << cfg.start_site, replace(cfg.noise, seed=seed), cfg.shots)
-    return site_density_counts(result, cfg.L), result
+    return noisy_point(circuit, cfg.start_site, cfg.noise, cfg.shots, step_key, _stream_key(W))
 
 
 def _run_points(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
@@ -361,12 +359,10 @@ def _run_points(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
         site_rows, summary_rows, mitigation_rows = [], [], []
         for x in points:
             circuit = _point_circuit(cfg, profile, x)
-            raw, result = _measure(cfg, profile, circuit, W, x)
-            seen = raw.any()  # else no shot saw the particle: every cell reads 0
-            density = post_process(raw) if seen else raw
+            raw, density, result = _measure(cfg, profile, circuit, W, x)
             peak_site = (cfg.start_site + x) % cfg.L if walk else cfg.start_site
             site_rows += [(x, site + 1, p) for site, p in enumerate(density.tolist())]
-            row = (x, ipr(density) if seen else 0.0, peak_amplitude(density, peak_site))
+            row = (x, ipr(density) if raw.any() else 0.0, peak_amplitude(density, peak_site))
             summary_rows.append(row if walk else (*row, float(np.sum(density[beyond]))))
             if walk and result is not None:
                 restricted = restricted_site_density_counts(result, cfg.L)
@@ -519,22 +515,16 @@ def _circular_set_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _run_amplitude_scaling(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
-    rows = amplitude_decay_sweep(
-        cfg.axis,
-        cfg.noise,
-        cfg.values,
-        L=cfg.L,
-        start_site=cfg.start_site,
-        shots=cfg.shots,
-        n_seeds=cfg.sweep_seeds,
-    )
+    fixed = cfg.axis == "steps_at_fixed_L"
+    walks = [(cfg.L if fixed else t, t) for t in sorted(cfg.values)]
+    rows = amplitude_decay_sweep(walks, cfg.noise, cfg.start_site, cfg.shots, cfg.sweep_seeds)
     write_csv(outdir / "decay.csv", ["x", "mean_peak_amplitude"], rows)
     xs = np.array([x for x, _ in rows], dtype=float)
     amps = np.array([a for _, a in rows])
     if np.any(amps <= 0.0):
         return [_check("amplitudes_positive", False, "zero amplitude point")]
     logs = np.log(amps)
-    if cfg.axis == "steps_at_fixed_L":
+    if fixed:
         r2 = _rsquared(xs, logs)
         detail = f"R^2 of log amplitude vs t: {r2:.4f}"
         return [_check("log_amplitude_linear_in_steps", r2 >= 0.9, detail)]

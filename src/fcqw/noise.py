@@ -76,8 +76,6 @@ from .statevec import (
     sample_index,
 )
 
-SWEEP_AXES = ("steps_at_fixed_L", "size_with_t_equals_L")
-
 #: gate kinds that map basis indices to basis indices, for the fault table
 INDEX_KINDS = ("rz", "cnot")
 
@@ -357,43 +355,33 @@ def run_noisy(
     return ShotResult(dict(Counter(indices)), L)
 
 
-def amplitude_decay_sweep(
-    axis: str,
-    spec: NoiseSpec,
-    values,
-    L: int = 8,
-    start_site: int = 0,
-    shots: int = 2000,
-    n_seeds: int = 1,
-) -> list[tuple[int, float]]:
-    """Mean post-processed peak amplitude of the noisy chiral walk.
+def noisy_point(circuit: Circuit, start_site: int, spec: NoiseSpec, shots: int, *key: int):
+    """Raw and post-processed site densities of ``shots`` shots of the
+    circuit from one particle on ``start_site``, and the shots.  The stream
+    is seeded by spec.seed and the point's ``key`` (``derived_seed``).
+    When no shot saw the particle both densities are zeros, which the
+    run's checks reject."""
+    seed = derived_seed(spec.seed, *key)
+    result = run_noisy(circuit, 1 << start_site, replace(spec, seed=seed), shots)
+    raw = site_density_counts(result, circuit.num_qubits)
+    return raw, post_process(raw) if raw.any() else raw, result
 
-    ``steps_at_fixed_L`` sweeps the step count t at fixed L;
-    ``size_with_t_equals_L`` sweeps the lattice size with t = L.  Each
-    point averages the peak amplitude over ``n_seeds`` independent runs of
-    ``shots`` shots (seeds derived from spec.seed and the point).  Returns
-    (x, mean amplitude) rows sorted by x.
+
+def amplitude_decay_sweep(walks, spec: NoiseSpec, start_site: int = 0, shots: int = 2000,
+                          n_seeds: int = 1) -> list[tuple[int, float]]:
+    """Mean post-processed peak amplitude of the noisy chiral walk, one
+    (t, mean amplitude) row per (L, t) walk in ``walks``, in their order.
+
+    Each walk runs t steps on L sites at W = 0, and averages the peak
+    amplitude over ``n_seeds`` independent runs of ``shots`` shots, seeded
+    by spec.seed, t and the run's index; so walks with equal t share their
+    streams.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    xs = sorted(values)
-    if not xs:
-        raise ValueError("sweep range must be nonempty")
     rows = []
-    for x in xs:
-        if axis == "steps_at_fixed_L":
-            size, steps = L, int(x)
-        else:
-            size, steps = int(x), int(x)
-        profile = PotentialProfile.uniform(size, 0.0)
-        circuit = build_fcqw_walk(size, profile, steps)
+    for size, steps in walks:
+        circuit = build_fcqw_walk(size, PotentialProfile.uniform(size, 0.0), steps)
         target = (start_site + steps) % size
-        amps = []
-        for k in range(n_seeds):
-            seed = derived_seed(spec.seed, int(x), k)
-            result = run_noisy(circuit, 1 << start_site, replace(spec, seed=seed), shots)
-            raw = site_density_counts(result, size)
-            # no shot saw the particle: a zero peak, which the run's checks reject
-            amps.append(peak_amplitude(post_process(raw), target) if raw.any() else 0.0)
-        rows.append((int(x), float(np.mean(amps))))
+        amps = [peak_amplitude(noisy_point(circuit, start_site, spec, shots, steps, k)[1], target)
+                for k in range(n_seeds)]
+        rows.append((steps, float(np.mean(amps))))
     return rows

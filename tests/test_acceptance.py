@@ -237,7 +237,7 @@ def test_criterion_09_scaling_shape():
     # time axis: default-strength noise shows clean exponential decay
     spec_t = NoiseSpec(p_cnot=7e-3, p_1q=3e-4, p_readout=1e-2, seed=0)
     rows = amplitude_decay_sweep(
-        "steps_at_fixed_L", spec_t, range(1, 9), L=8, shots=2000, n_seeds=3
+        [(8, t) for t in range(1, 9)], spec_t, shots=2000, n_seeds=3
     )
     ts = np.array([x for x, _ in rows], dtype=float)
     log_amp_t = np.log([a for _, a in rows])
@@ -249,7 +249,7 @@ def test_criterion_09_scaling_shape():
     # (quadratic in L) error budget
     spec_l = NoiseSpec(p_cnot=1e-3, p_1q=0.0, p_readout=0.0, seed=0)
     rows = amplitude_decay_sweep(
-        "size_with_t_equals_L", spec_l, [4, 6, 8, 10], shots=2000, n_seeds=10
+        [(L, L) for L in (4, 6, 8, 10)], spec_l, shots=2000, n_seeds=10
     )
     sizes = np.array([x for x, _ in rows], dtype=float)
     log_amp_l = np.log([a for _, a in rows])

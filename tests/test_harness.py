@@ -244,6 +244,8 @@ class TestValidation:
             ("chiral", "custom_u", [0.0, 1.0, 0.0, 0.0], "custom_u"),
             ("chiral", "profile", "custom", "profile"),
             ("noisy", "noise", {"p_cnot": 0.01, "seed": 0}, "seed"),
+            ("scaling", "axis", "sideways", "axis"),
+            ("scaling", "values", [], "values"),
         ],
         ids=[
             "L_string", "L_30", "L_1", "shots_2.5", "trotter_n_2.5", "steps_negative",
@@ -262,7 +264,7 @@ class TestValidation:
             "noise_probability_past_the_float_range",
             "shots_0", "shots_negative", "shots_past_2^32", "seed_2.5",
             "spectra_with_noise", "chirality_right", "chirality_left", "custom_u",
-            "profile_custom", "noise_seed",
+            "profile_custom", "noise_seed", "axis_unknown", "values_empty",
         ],
     )
     def test_field_rejected(self, tmp_path, capsys, base, key, value, field):
@@ -753,6 +755,17 @@ class TestAmplitudeScaling:
             rows = list(csv.DictReader(fh))
         assert [int(r["x"]) for r in rows] == [2, 4, 6, 8]
 
+    @pytest.mark.parametrize("axis", ["steps_at_fixed_L", "size_with_t_equals_L"])
+    def test_rows_sorted_by_x(self, tmp_path, axis):
+        cfg = validate_config({"kind": "amplitude_scaling", "L": 4, "axis": axis,
+                               "values": [5, 2, 3], "shots": 20,
+                               "noise": {"p_cnot": 0.0, "p_1q": 0.0, "p_readout": 0.0},
+                               "output_dir": str(tmp_path / "scaling")})
+        with open(run_experiment(cfg) / "decay.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(int(r["x"]), float(r["mean_peak_amplitude"])) for r in rows] == [
+            (2, 1.0), (3, 1.0), (5, 1.0)]
+
     def test_noise_required(self, tmp_path):
         with pytest.raises(ConfigError) as err:  # at validation, before any run
             validate_config(
@@ -813,6 +826,14 @@ class TestShippedConfigs:
         assert main(["check", str(run_dir)]) == 0
         assert main(["emit-qasm", str(config), "--output-dir", str(emit_dir)]) == 0
         assert file_bytes(emit_dir) == file_bytes(run_dir, "circuit_*.qasm")
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[c.stem for c in SHIPPED_CONFIGS])
+    def test_manifest_config_validates_to_itself(self, tmp_path, config):
+        manifest = json.loads((run_experiment(load_config(config), tmp_path)
+                               / "manifest.json").read_text())
+        resolved = resolved_config_dict(validate_config(manifest["config"]))
+        assert resolved == manifest["config"]
+        assert content_hash(resolved) == manifest["content_hash"]
 
 
 class TestCli:
@@ -965,7 +986,8 @@ GOLDEN_CASES = {
 #: lost those two keys.  The data files of the noisy cases (and the
 #: checks.json of chiral_robustness and amplitude_scaling, whose details
 #: print sampled values) since faults are drawn as geometric gaps per gate
-#: class instead of one flag word per gate
+#: class instead of one flag word per gate.  The noisy cases' manifest.json
+#: since the manifest's noise block no longer copies the config's seed
 GOLDEN_DIGESTS = {
     "chiral_noiseless": {
         "checks.json": "397b189836e33fa3",
@@ -980,7 +1002,7 @@ GOLDEN_DIGESTS = {
         "checks.json": "d9e2fdb99361919d",
         "circuit_W1.5_t2.qasm": "97e49c90b4094af2",
         "circuit_W1.5_t5.qasm": "8a015fd6fa1d0d50",
-        "manifest.json": "b677c0e0180e983b",
+        "manifest.json": "161a6fe3452374d8",
         "mitigation_W1.5.csv": "8155647fd2cbd764",
         "site_density_W1.5.csv": "e536c12cbf905cbe",
         "summary_W1.5.csv": "ecd2e7ad8832e637",
@@ -991,7 +1013,7 @@ GOLDEN_DIGESTS = {
         "circuit_W0_t3.qasm": "66f239d46c9b2bb1",
         "circuit_W2.5_t2.qasm": "6a3f3bbeba432395",
         "circuit_W2.5_t3.qasm": "66f908c8a0ff2bd8",
-        "manifest.json": "c47532c76d5ee336",
+        "manifest.json": "ed905050c495c734",
         "mitigation_W0.csv": "9c806d7d2ea073af",
         "mitigation_W2.5.csv": "c51350636bdac761",
         "site_density_W0.csv": "bc4558bfffcb9d33",
@@ -1013,7 +1035,7 @@ GOLDEN_DIGESTS = {
         "checks.json": "667587569208c7bb",
         "circuit_W0.qasm": "3212ea8a469c3d69",
         "circuit_W2.qasm": "a9363c067a503d47",
-        "manifest.json": "b5d12902f1492950",
+        "manifest.json": "72743711f4434f32",
         "site_density_W0.csv": "82e2619d7c165716",
         "site_density_W2.csv": "cc7f687f5b853f3c",
         "summary_W0.csv": "b646d0526915582e",
@@ -1042,7 +1064,7 @@ GOLDEN_DIGESTS = {
     "amplitude_scaling": {
         "checks.json": "69b2f813703838f7",
         "decay.csv": "b9fd4aeebdb3e202",
-        "manifest.json": "9fa6749869c54388",
+        "manifest.json": "68ab466a1b043b0c",
     },
 }
 

@@ -934,28 +934,21 @@ class TestShotResult:
 
 class TestDecaySweep:
     def test_zero_noise_gives_unit_amplitude(self):
-        rows = amplitude_decay_sweep(
-            "steps_at_fixed_L", ZERO_NOISE, [1, 3, 5], L=6, shots=50
-        )
+        rows = amplitude_decay_sweep([(6, t) for t in (1, 3, 5)], ZERO_NOISE, shots=50)
         assert [a for _, a in rows] == [1.0, 1.0, 1.0]
 
     def test_amplitude_non_increasing_in_steps(self):
         spec = NoiseSpec(p_cnot=7e-3, p_1q=3e-4, p_readout=1e-2, seed=2)
         rows = amplitude_decay_sweep(
-            "steps_at_fixed_L", spec, [2, 4, 6, 8], L=8, shots=2000, n_seeds=2
+            [(8, t) for t in (2, 4, 6, 8)], spec, shots=2000, n_seeds=2
         )
         amps = [a for _, a in rows]
         sigma2 = 2 * np.sqrt(0.25 / (2000 * 2))
         assert all(a >= b - sigma2 for a, b in zip(amps, amps[1:]))
 
-    def test_output_sorted_by_x(self):
-        rows = amplitude_decay_sweep("steps_at_fixed_L", ZERO_NOISE, [5, 1, 3], L=4, shots=20)
-        assert [x for x, _ in rows] == [1, 3, 5]
+    def test_rows_follow_the_order_of_the_walks(self):
+        rows = amplitude_decay_sweep([(4, 5), (4, 1), (6, 6), (4, 3)], ZERO_NOISE, shots=20)
+        assert [x for x, _ in rows] == [5, 1, 6, 3]
 
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            amplitude_decay_sweep("sideways", ZERO_NOISE, [1])
-
-    def test_empty_range(self):
-        with pytest.raises(ValueError):
-            amplitude_decay_sweep("steps_at_fixed_L", ZERO_NOISE, [])
+    def test_no_walks_give_no_rows(self):
+        assert amplitude_decay_sweep([], ZERO_NOISE) == []

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fcqw import noise, statevec
+from fcqw import harness, noise, statevec
 from fcqw.circuits import Circuit, PotentialProfile, build_fcqw_walk
 from fcqw.noise import NoiseSpec
 
@@ -53,6 +53,37 @@ def test_run_noisy_span_counts_shots_and_probabilities(perfbench_module, superpo
     assert names == ["noise.run_noisy", "circuits.lower_swaps"] + (
         ["circuits.simulate"] if superposed else [])
     assert rec.spans[0].counts == {"shots": 10, "p_cnot": 0.02, "p_1q": 0.001}
+
+
+NOISE = {"p_cnot": 0.02, "p_1q": 0.001, "p_readout": 0.01}
+
+
+@pytest.mark.parametrize("data, points, sweep", [
+    ({"kind": "chiral_propagation", "L": 4, "steps": [1, 3], "noise": NOISE, "shots": 30},
+     2, False),
+    ({"kind": "amplitude_scaling", "L": 4, "axis": "steps_at_fixed_L", "values": [1, 2, 3],
+      "noise": NOISE, "shots": 20, "sweep_seeds": 2}, 3, True),
+], ids=["chiral_propagation", "amplitude_scaling"])
+def test_noise_spans_nest_under_the_run(perfbench_module, tmp_path, data, points, sweep):
+    # a noisy run, traced as the benchmark traces it: every sampler call
+    # is a run_noisy span inside the run (and the sweep), with its shots
+    spans = perfbench_module("spans")
+    cfg = harness.validate_config(data)
+    with spans.Recorder().installed() as rec:
+        harness.run_experiment(cfg, tmp_path)
+
+    def ancestors(i):
+        names = []
+        while (i := rec.spans[i].parent) >= 0:
+            names.append(rec.spans[i].name)
+        return names
+
+    noisy = [i for i, s in enumerate(rec.spans) if s.name == "noise.run_noisy"]
+    for i in noisy:
+        assert "harness.run_experiment" in ancestors(i)
+        assert ("noise.amplitude_decay_sweep" in ancestors(i)) == sweep
+    shots = sum(rec.spans[i].counts["shots"] for i in noisy)
+    assert shots == cfg.shots * points * cfg.sweep_seeds
 
 
 @pytest.mark.parametrize("tiny", [True, False], ids=["tiny", "full"])
