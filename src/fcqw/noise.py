@@ -40,20 +40,22 @@ all other gates at p_1q, by skipping to the next fault as Stim does for
 low-rate noise.  A gap word's 53-bit uniform u = 1 - (x >> 11) 2^-53, in
 (0, 1], gives ``floor(log(u) / log1p(-p))`` unflagged gates of the class
 before its next flagged one; so p = 1 flags every gate, and a class at
-p = 0 draws nothing.  The flagged gates of both classes are merged in gate
-order.  A Pauli code is then a Lemire draw on the 32-bit halves after the
-gap words, low half first, one per flagged gate in gate order; the
-measurement starts on the next whole word.  Both paths draw a chunk of
-rows with one ``random_raw`` call and decode its draws with whole-array
-operations, bit for bit as a ``Generator`` reading the row makes them.  A
-row holds room for far more flagged gates than the probabilities make
-likely (``_room``), not one per gate: that many gap words per class, and
-Pauli words for that many codes.  A shot whose class is not done by the end
-of its gap room, with more flagged gates than its Pauli room, or with a
-rejected Lemire draw (probability 2^-32 each), is read again through a
-``Generator`` on the stream advanced to its row, which reads on past the
-room's end: such a shot, about 1e-9 of shots, shares words with shot
-s + 1.
+p = 0 draws nothing.  A class is decoded one gap word at a time, over only
+the rows still short of its last gate: about 3 of the 21 gap words of a
+shot of the shipped L=8, t=8 walk.  The flagged gates of both classes are
+merged in gate order.  A Pauli code is then a Lemire draw on the 32-bit
+halves after the gap words, low half first, one per flagged gate in gate
+order; the measurement starts on the next whole word.  Both paths draw a
+chunk of rows with one ``random_raw`` call and decode its draws with array
+operations over the chunk, bit for bit as a ``Generator`` reading the row
+makes them.  A row holds room for far more flagged gates than the
+probabilities make likely (``_room``), not one per gate: that many gap
+words per class, and Pauli words for that many codes.  A shot whose class
+is not done by the end of its gap room, with more flagged gates than its
+Pauli room, or with a rejected Lemire draw (probability 2^-32 each), is
+read again through a ``Generator`` on the stream advanced to its row,
+which reads on past the room's end: such a shot, about 1e-9 of shots,
+shares words with shot s + 1.
 """
 from __future__ import annotations
 
@@ -171,28 +173,28 @@ def _pauli_words(probs: np.ndarray) -> int:
     return (_room(probs) + 1) // 2
 
 
-def _positions(u: np.ndarray, p: float, n: int) -> np.ndarray:
-    """Positions in a class of n gates flagged at p that the uniforms
-    ``u`` (in (0, 1], along the last axis) reach: cumulative sums of
-    gap + 1, minus 1, as floats; a gap past the class is cut to n."""
+def _step(pos, u, p: float, n: int):
+    """Positions in a class of n gates flagged at p one gap word on from
+    ``pos``: past floor(log(u) / log1p(-p)) unflagged gates, u in (0, 1]
+    being the word's uniform, cut to n; floats, exact below 2^53."""
     log_q = math.log1p(-p) if p < 1.0 else -math.inf
     with np.errstate(over="ignore"):  # a tiny p's gap may be inf before the cut
-        gaps = np.minimum(np.floor(np.log(u) / log_q), n)
-    return np.cumsum(gaps + 1.0, axis=-1) - 1.0
+        return pos + 1.0 + np.minimum(np.floor(np.log(u) / log_q), n)
 
 
 def _replay(rng: np.random.Generator, classes, choices: np.ndarray, readout: int,
             p_readout: float):
     """One shot's draws as ``rng``, at its row, reads them: each class's
-    room of gap words and past it as many as reach the class's last gate,
-    a Pauli code per flagged gate in gate order, the measurement uniform
-    and the readout flip mask."""
+    room of gap words and past it one at a time until the class's last
+    gate is reached, a Pauli code per flagged gate in gate order, the
+    measurement uniform and the readout flip mask."""
     flagged = []
     for idx, p, room in classes:
-        u = 1.0 - rng.random(room)
-        while (pos := _positions(u, p, len(idx)))[-1] < len(idx) - 1:
-            u = np.append(u, 1.0 - rng.random())
-        flagged.extend(idx[pos[pos < len(idx)].astype(np.int64)])
+        u, pos = list(1.0 - rng.random(room)), -1.0
+        while pos < len(idx) - 1:
+            pos = _step(pos, u.pop(0) if u else 1.0 - rng.random(), p, len(idx))
+            if pos < len(idx):
+                flagged.append(idx[int(pos)])
     flagged.sort()
     codes = [rng.integers(1, 1 + int(choices[j])) for j in flagged]
     draws = rng.random(1 + readout)
@@ -225,12 +227,18 @@ def _read_streams(spec: NoiseSpec, shots: int, cnots: np.ndarray, L: int):
         here = np.arange(len(raw))
         shot, gate, over, first = [here[:0]], [here[:0]], [], 0
         for idx, p, room in classes:
-            pos = _positions(1.0 - (raw[:, first:first + room] >> 11) * 2.0**-53, p, len(idx))
+            act, pos = here, np.full(len(raw), -1.0)
+            for j in range(first, first + room):
+                pos = _step(pos, 1.0 - (raw[act, j] >> 11) * 2.0**-53, p, len(idx))
+                hit = pos < len(idx)
+                shot.append(act[hit])
+                gate.append(idx[pos[hit].astype(np.int64)])
+                more = pos < len(idx) - 1
+                act, pos = act[more], pos[more]
+                if not len(act):
+                    break
             first += room
-            over.append(np.flatnonzero(pos[:, -1] < len(idx) - 1))
-            hit = pos < len(idx)
-            shot.append(np.nonzero(hit)[0])
-            gate.append(idx[pos[hit].astype(np.int64)])
+            over.append(act)
         shot, gate = np.concatenate(shot), np.concatenate(gate)
         order = np.argsort(shot * len(cnots) + gate, kind="stable")  # merge the classes
         shot, gate = shot[order], gate[order]
@@ -329,7 +337,7 @@ def run_noisy(
         masks, clean = _fault_table(gates, L, start)
         index = np.full(shots, clean, dtype=np.int64)
         # an X (1) or Y (2) on a target flips its mask; codes are c0 + 4 c1
-        xy0, xy1 = (np.isin(c, (1, 2)) for c in (code & 3, code >> 2))
+        xy0, xy1 = ((c == 1) | (c == 2) for c in (code & 3, code >> 2))
         np.bitwise_xor.at(index, shot, masks[gate, 0] * xy0 ^ masks[gate, 1] * xy1)
         indices = (index ^ flips).tolist()
     else:

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -700,6 +701,76 @@ class TestGapSampler:
         built = count_pcg64(monkeypatch)
         assert run_noisy(circuit, start, spec, shots=300).counts == expected
         assert len(built) > 100  # most shots overflow and are replayed
+
+
+def whole_room_flags(spec, shots, cnots, L):
+    """Reference gap decoder that takes a class's whole room at once: the
+    positions of a row's room words are cumsum(gap + 1) - 1.  Returns the
+    flagged (shot, gate) pairs within the rooms, in shot then gate order,
+    and the shots with a class not done by its room's end (last position
+    below n - 1), which the decoder replays."""
+    width = stream_width(cnots, spec, L)
+    raw = np.random.PCG64(spec.seed).random_raw(shots * width).reshape(shots, width)
+    flags, over, first = [], set(), 0
+    for idx, p in gate_classes(cnots, spec):
+        if p == 0.0 or not len(idx):
+            continue
+        room = noise_mod._room(np.full(len(idx), p))
+        u = 1.0 - (raw[:, first:first + room] >> 11) * 2.0**-53
+        first += room
+        log_q = math.log1p(-p) if p < 1.0 else -math.inf
+        with np.errstate(over="ignore"):
+            gaps = np.minimum(np.floor(np.log(u) / log_q), len(idx))
+        pos = np.cumsum(gaps + 1.0, axis=1) - 1.0
+        over |= set(np.flatnonzero(pos[:, -1] < len(idx) - 1).tolist())
+        s, k = np.nonzero(pos < len(idx))
+        flags += zip(s.tolist(), idx[pos[s, k].astype(np.int64)].tolist())
+    return sorted(flags), over
+
+
+class TestColumnDecoder:
+    """``_read_streams`` decodes a class one gap word at a time over the
+    shots still inside it; it flags what the whole-room formula flags and
+    replays exactly the shots that formula leaves unfinished."""
+
+    CNOTS = np.array([True, False, True, True, False] * 8)
+
+    @pytest.mark.parametrize("room", [None, 2], ids=["shipped_room", "room_of_2"])
+    @pytest.mark.parametrize("rows", [1, 7, 1771])
+    @pytest.mark.parametrize("p", [2.0**-53, 7e-3, 0.3, 1.0], ids=["2^-53", "7e-3", "0.3", "1"])
+    def test_matches_whole_room_reference(self, monkeypatch, p, rows, room):
+        if room is not None:
+            monkeypatch.setattr(noise_mod, "_room", lambda probs: room)
+        L, shots, spec = 4, 2000, NoiseSpec(p, p, 0.05, seed=31)
+        flags, over = whole_room_flags(spec, shots, self.CNOTS, L)
+        k = np.bincount([s for s, _ in flags], minlength=shots)
+        # no Lemire draw is rejected at this seed, so these are all replays
+        pauli = noise_mod._pauli_words(np.full(len(self.CNOTS), p))
+        replayed = over | set(np.flatnonzero((k + 1) // 2 > pauli).tolist())
+        monkeypatch.setattr(noise_mod, "_CHUNK_WORDS", rows * stream_width(self.CNOTS, spec, L))
+        built = count_pcg64(monkeypatch)
+        shot, gate, *_ = _read_streams(spec, shots, self.CNOTS, L)
+        assert len(built) == 1 + len(replayed)
+        kept = ~np.isin(shot, list(replayed))
+        assert list(zip(shot[kept].tolist(), gate[kept].tolist())) == [
+            f for f in flags if f[0] not in replayed]
+        if room is None:
+            # a shot whose class ends on its last gate is done there, not replayed
+            ends = (np.flatnonzero(self.CNOTS)[-1], np.flatnonzero(~self.CNOTS)[-1])
+            assert not replayed
+            assert any(j in ends for _, j in flags) == (p > 2.0**-53)
+        else:
+            assert bool(over) == (p > 2.0**-53)
+
+    def test_shipped_walk_draws_are_pinned(self):
+        # recorded from the whole-room decoder: the five arrays of 5000 shots
+        # of the lowered L=8, t=8 walk at the shipped noise, seed 1
+        circuit, _, _ = walk_setup(L=8, t=8)
+        cnots = np.array([g.kind == "cnot" for g in lower_swaps(circuit).instructions])
+        arrays = _read_streams(NoiseSpec(seed=1), 5000, cnots, 8)
+        assert [a.dtype.str for a in arrays] == ["<i8", "<i8", "<u8", "<f8", "<i8"]
+        digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+        assert digest.hexdigest()[:16] == "266ea5e33a08d8a9"
 
 
 def _streams_equal(a, b):
