@@ -46,23 +46,22 @@ shot of the shipped L=8, t=8 walk.  The flagged gates of both classes are
 merged in gate order.  A Pauli code is then a Lemire draw on the 32-bit
 halves after the gap words, low half first, one per flagged gate in gate
 order; the measurement starts on the next whole word.  Both paths draw a
-chunk of rows with one ``random_raw`` call and decode its draws with array
-operations over the chunk, bit for bit as a ``Generator`` reading the row
-makes them.  A row holds room for far more flagged gates than the
-probabilities make likely (``_room``), not one per gate: that many gap
-words per class, and Pauli words for that many codes.  A shot whose class
-is not done by the end of its gap room, with more flagged gates than its
-Pauli room, or with a rejected Lemire draw (probability 2^-32 each), is
-read again through a ``Generator`` on the stream advanced to its row,
-which reads on past the room's end: such a shot, about 1e-9 of shots,
-shares words with shot s + 1.
+chunk of rows, at most 2^18 words (every shipped point is one chunk), with
+one ``random_raw`` call and decode its draws with array operations over
+the chunk, bit for bit as a ``Generator`` reading the row makes them.  A
+row holds room for far more flagged gates than the probabilities make
+likely (``_room``), not one per gate: that many gap words per class, and
+Pauli words for that many codes.  A shot whose class is not done by the
+end of its gap room, with more flagged gates than its Pauli room, or with
+a rejected Lemire draw (probability 2^-32 each), is read again through a
+``Generator`` on the stream advanced to its row, which reads on past the
+room's end: such a shot, about 1e-9 of shots, shares words with shot s + 1.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,8 +83,9 @@ INDEX_KINDS = ("rz", "cnot")
 # amplitudes per batch of faulty trajectories (16 MiB)
 _BATCH_AMPLITUDES = 1 << 20
 
-# raw stream words decoded per chunk of shots (0.5 MiB)
-_CHUNK_WORDS = 1 << 16
+# raw stream words decoded per chunk of shots (2 MiB): one chunk for every
+# shipped point, whose largest is 7000 shots x 37 words
+_CHUNK_WORDS = 1 << 18
 
 #: matrix of the Pauli codes on a gate's targets, in ``gate_matrix``'s basis
 _PAULI_OPS = {(c,): p for c, p in enumerate(PAULI_MATRICES)} | {
@@ -117,7 +117,8 @@ class NoiseSpec:
 @dataclass
 class ShotResult:
     """Aggregated measurement outcomes on ``num_qubits`` sites: basis index
-    (bit i = site i) -> count; the shot total is the sum of the counts."""
+    (bit i = site i) -> count, in order of each index's first shot; the
+    shot total is the sum of the counts."""
 
     counts: dict[int, int]
     num_qubits: int
@@ -250,9 +251,10 @@ def _read_streams(spec: NoiseSpec, shots: int, cnots: np.ndarray, L: int):
         m = half * choices[gate]
         code = (m >> 32) + 1
         at = np.minimum((k + 1) // 2, pauli) + gap_words
-        u = (raw[here, at] >> 11) * 2.0**-53
-        flips = ((raw[here[:, None], at[:, None] + 1 + np.arange(readout)] >> 11)
-                 < ro_below) @ weights
+        # each row's measurement word and readout words, in one gather
+        words = np.lib.stride_tricks.sliding_window_view(raw, readout + 1, axis=1)[here, at]
+        u = (words[:, 0] >> 11) * 2.0**-53
+        flips = ((words[:, 1:] >> 11) < ro_below) @ weights
         replayed = np.unique(np.concatenate(
             over + [shot[_rejected(m)], np.flatnonzero((k + 1) // 2 > pauli)]))
         if len(replayed):
@@ -339,7 +341,7 @@ def run_noisy(
         # an X (1) or Y (2) on a target flips its mask; codes are c0 + 4 c1
         xy0, xy1 = ((c == 1) | (c == 2) for c in (code & 3, code >> 2))
         np.bitwise_xor.at(index, shot, masks[gate, 0] * xy0 ^ masks[gate, 1] * xy1)
-        indices = (index ^ flips).tolist()
+        indices = index ^ flips
     else:
         # the clean final state, for the fault-free shots; its own call, as
         # perfbench's trace tells a statevector run by this child span.  Its
@@ -348,7 +350,7 @@ def run_noisy(
         final = simulate(lowered, initial)
         clean_cumulative = np.cumsum(np.abs(final.amplitudes) ** 2)
         samples = np.searchsorted(clean_cumulative, u, side="right")
-        indices = (np.minimum(samples, len(clean_cumulative) - 1) ^ flips).tolist()
+        indices = np.minimum(samples, len(clean_cumulative) - 1) ^ flips
         faults: dict[int, list] = {}  # (gate, Pauli codes per target) per faulty shot
         for s, j, c in zip(shot.tolist(), gate.tolist(), code.tolist()):
             faults.setdefault(s, []).append((j, (c & 3, c >> 2) if cnots[j] else (c,)))
@@ -360,7 +362,9 @@ def run_noisy(
             states = _evolve_faulty(initial.amplitudes, blocks, L, [faults[s] for s in chunk])
             for s, cumulative in zip(chunk, np.cumsum(np.abs(states) ** 2, axis=1)):
                 indices[s] = sample_index(cumulative, u[s]) ^ int(flips[s])
-    return ShotResult(dict(Counter(indices)), L)
+    values, first, n = np.unique(indices, return_index=True, return_counts=True)
+    order = np.argsort(first)  # each index at its first shot (``ShotResult``)
+    return ShotResult(dict(zip(values[order].tolist(), n[order].tolist())), L)
 
 
 def noisy_point(circuit: Circuit, start_site: int, spec: NoiseSpec, shots: int, *key: int):

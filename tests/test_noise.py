@@ -260,6 +260,28 @@ class TestFaultTable:
         expected = _replay_counts(circuit, start, spec, shots=200)
         assert run_noisy(circuit, start, spec, shots=200).counts == expected
 
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_counts_are_in_order_of_first_appearance(self, monkeypatch, rows):
+        # the outcomes rebuilt from the decoded streams and the fault table;
+        # the dict must list them as ``Counter`` does, not sorted
+        circuit, start, _ = walk_setup(L=6, t=6, W=0.7)
+        spec, shots = NoiseSpec(**HIGH_NOISE, seed=29), 500
+        gates = lower_swaps(circuit).instructions
+        cnots = np.array([g.kind == "cnot" for g in gates])
+        if rows is not None:
+            monkeypatch.setattr(noise_mod, "_CHUNK_WORDS", rows * stream_width(cnots, spec, 6))
+        shot, gate, code, _, flips = _read_streams(spec, shots, cnots, 6)
+        masks, clean = _fault_table(gates, 6, start)
+        index = [clean ^ f for f in flips.tolist()]
+        for s, j, c in zip(shot.tolist(), gate.tolist(), code.tolist()):
+            for q, pauli in enumerate((c & 3, c >> 2)):
+                if pauli in (1, 2):
+                    index[s] ^= int(masks[j, q])
+        expected = Counter(index)
+        assert len(expected) > 20 and list(expected) != sorted(expected)
+        counts = run_noisy(circuit, start, spec, shots).counts
+        assert list(counts.items()) == list(expected.items())
+
 
 def _per_shot_counts(circuit, start, spec, shots):
     """Reference statevector sampler, one shot at a time: faulty shots in
@@ -870,6 +892,20 @@ class TestCallCount:
         built = count_pcg64(monkeypatch)
         run_noisy(circuit, start, spec, shots)
         assert len(built) == 1 + replayed
+
+    def test_one_raw_call_per_shipped_point(self, monkeypatch):
+        # the largest shipped point, 7000 shots of 37 words, is one chunk
+        raw_calls = []
+
+        class CountingPCG64(np.random.PCG64):
+            def random_raw(self, size=None, output=True):
+                raw_calls.append(size)
+                return super().random_raw(size, output)
+
+        monkeypatch.setattr(np.random, "PCG64", CountingPCG64)
+        circuit, start, _ = walk_setup(L=8, t=8)
+        run_noisy(circuit, start, NoiseSpec(seed=3), 7000)
+        assert raw_calls == [7000 * 37]
 
 
 class TestExactExpectation:
