@@ -29,9 +29,9 @@ target = steps % L
 spec = NoiseSpec(p_cnot=7e-3, p_1q=3e-4, p_readout=1e-2, seed=1)
 result = run_noisy(walk, start, spec, shots)
 
-raw = site_density_counts(result, L)
+raw = site_density_counts(result)
 mitigated = post_process(raw)
-discarded = restricted_site_density_counts(result, L)
+discarded = restricted_site_density_counts(result)
 
 print(f"{shots} shots of the noisy {steps}-step walk (ideal peak = 1.0):")
 print(f"  mean occupation at the ballistic site : {peak_amplitude(raw, target):.4f}")

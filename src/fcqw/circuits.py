@@ -128,7 +128,7 @@ def build_hopping_ladder(L: int) -> Circuit:
     """Nearest-neighbour SWAP ladder composing to a one-site cyclic shift.
 
     Pairs (L-2,L-1), ..., (1,2), (0,1) in that order move occupations
-    i -> i+1 (mod L); the periodic wrap needs no long-range SWAP.
+    i -> i+1 (mod L); the wrap from site L-1 to 0 needs no long-range SWAP.
     """
     if L < 2:
         raise ValueError(f"hopping ladder needs L >= 2, got {L}")
@@ -157,32 +157,24 @@ def build_fcqw_walk(L: int, profile: PotentialProfile, steps: int) -> Circuit:
     return Circuit(L, step.instructions * steps)
 
 
-def build_xy_trotter(
-    L: int,
-    profile: PotentialProfile,
-    cfg: TrotterConfig,
-    periodic: bool = False,
-) -> Circuit:
-    """First-order trotterization of the XY chain with onsite sigma-z terms.
+def build_xy_trotter(L: int, profile: PotentialProfile, cfg: TrotterConfig) -> Circuit:
+    """First-order trotterization of the open XY chain with onsite sigma-z terms.
 
     n copies of one repetition (the same gate objects, as are a pair's
-    repeated gates): each neighbour pair gets its sigma^x sigma^x block
-    (H-conjugated CNOT-RZ-CNOT), directly followed by its sigma^y sigma^y
-    block (HY-conjugated), then each site with a nonzero potential gets
-    rz(2 W u_i t / n).  Grouping the two blocks per pair keeps every prefix
-    of a pair sequence particle-number conserving, which a layer-by-layer
-    ordering (all xx, then all yy) does not.
+    repeated gates): each neighbour pair (i, i + 1), i < L - 1, gets its
+    sigma^x sigma^x block (H-conjugated CNOT-RZ-CNOT), directly followed by
+    its sigma^y sigma^y block (HY-conjugated), then each site with a nonzero
+    potential gets rz(2 W u_i t / n).  Grouping the two blocks per pair
+    keeps every prefix of a pair sequence particle-number conserving, which
+    a layer-by-layer ordering (all xx, then all yy) does not.
     """
     if L < 2:
         raise ValueError(f"XY chain needs L >= 2, got {L}")
     _check_profile(L, profile)
     dt = cfg.t / cfg.n
     theta_hop = -2.0 * cfg.J * dt
-    pairs = [(i, i + 1) for i in range(L - 1)]
-    if periodic:
-        pairs.append((L - 1, 0))
     rep: list[GateInstruction] = []
-    for a, b in pairs:
+    for a, b in zip(range(L - 1), range(1, L)):
         c, hop = cnot(a, b), rz(b, theta_hop)
         for basis in ((h(a), h(b)), (hy(a), hy(b))):
             rep += [*basis, c, hop, c, *basis]

@@ -113,35 +113,28 @@ def fcqw_step_operator(L: int, profile: PotentialProfile) -> SingleParticleOpera
     return op
 
 
-def xy_chain_hamiltonian(
-    L: int, profile: PotentialProfile, J: float = 1.0, periodic: bool = False
-) -> np.ndarray:
-    """One-excitation Hamiltonian of the XY chain with onsite sigma-z terms.
+def xy_chain_hamiltonian(L: int, profile: PotentialProfile, J: float = 1.0) -> np.ndarray:
+    """One-excitation Hamiltonian of the open XY chain with onsite sigma-z terms.
 
-    Hopping matrix elements are -2J between neighbours; the diagonal is
-    W (sum(u) - 2 u_j), i.e. an occupied site is shifted by -W u_j relative
-    to the particle-free background.
+    Hopping matrix elements are -2J between neighbours i, i + 1 (none from
+    site L - 1 back to 0); the diagonal is W (sum(u) - 2 u_j), i.e. an
+    occupied site is shifted by -W u_j relative to the particle-free
+    background.
     """
     if profile.num_sites != L:
         raise ValueError(f"profile has {profile.num_sites} sites, expected {L}")
     hmat = np.zeros((L, L), dtype=complex)
     i = np.arange(L - 1)
     hmat[i, i + 1] = hmat[i + 1, i] = -2.0 * J
-    if periodic and L > 2:
-        hmat[0, L - 1] = hmat[L - 1, 0] = -2.0 * J
     np.fill_diagonal(hmat, -onsite_phases(profile.u, profile.W))
     return hmat
 
 
 def xy_step_operator(
-    L: int,
-    profile: PotentialProfile,
-    J: float = 1.0,
-    t: float = 1.0,
-    periodic: bool = False,
+    L: int, profile: PotentialProfile, J: float = 1.0, t: float = 1.0
 ) -> SingleParticleOperator:
-    """Exact one-excitation propagator e^{-i H t} of the XY chain."""
-    hmat = xy_chain_hamiltonian(L, profile, J, periodic)
+    """Exact one-excitation propagator e^{-i H t} of the open XY chain."""
+    hmat = xy_chain_hamiltonian(L, profile, J)
     evals, evecs = np.linalg.eigh(hmat)
     u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     return SingleParticleOperator(u)
@@ -348,34 +341,27 @@ def _shift_gauge(m: np.ndarray) -> tuple[float, np.ndarray] | None:
     return phi, np.exp(1j * (np.concatenate(([0.0], np.cumsum(angles[:-1]))) - phi * np.arange(L)))
 
 
-def _principal_phases(phases: np.ndarray) -> np.ndarray:
-    """Phases in [-pi, pi] moved onto (-pi, pi] under the branch-cut rules."""
-    phases = np.where(phases < -np.pi + _CUT_SNAP, phases + 2.0 * np.pi, phases)
-    bad = phases < (-np.pi + _CUT_TOL)
-    if np.any(bad):
-        raise BranchCutError(f"eigenphase {phases[bad][0]:.12f} lies within {_CUT_TOL:g} "
-                             "of the principal branch cut at pi")
-    return phases
-
-
 def effective_hamiltonian(op: SingleParticleOperator) -> np.ndarray:
-    """Hermitian H with e^{iH} = U, phases on the principal branch (-pi, pi].
+    """Hermitian H with e^{iH} = U of a right-walk step U = S diag(d),
+    phases on the principal branch (-pi, pi].
 
-    Eigenvalues exactly at -1 map to +pi; eigenphases within 1e-9 past -pi,
-    beyond numerical noise, raise :class:`BranchCutError`.  A right-walk step
-    U = S diag(d) is e^{i phi} G S G^+ (:func:`_shift_gauge`):
+    U is e^{i phi} G S G^+ (:func:`_shift_gauge`), so
     H[i, j] = g_i h[(i - j) mod L] conj(g_j), h = ifft(wrapped phi - 2 pi k / L).
-    Every other U, a left-walk step included, goes through Schur.
+    Eigenvalues exactly at -1 map to +pi; eigenphases within 1e-9 past -pi,
+    beyond numerical noise, raise :class:`BranchCutError`.  Any other U
+    raises ValueError.
     """
-    if (gauge := _shift_gauge(op.matrix)) is not None:
-        phi, g = gauge
-        k = np.arange(len(g))
-        theta = np.mod(phi - 2.0 * np.pi * k / len(g) + np.pi, 2.0 * np.pi) - np.pi
-        h = np.fft.ifft(_principal_phases(theta))[np.subtract.outer(k, k) % len(g)]
-        hmat = g[:, np.newaxis] * h * g.conj()
-    else:
-        t, q = scipy.linalg.schur(op.matrix, output="complex")
-        hmat = (q * _principal_phases(np.angle(np.diag(t)))) @ q.conj().T
+    if (gauge := _shift_gauge(op.matrix)) is None:
+        raise ValueError("effective_hamiltonian takes a right-walk step S diag(d) only")
+    phi, g = gauge
+    k = np.arange(len(g))
+    theta = np.mod(phi - 2.0 * np.pi * k / len(g) + np.pi, 2.0 * np.pi) - np.pi
+    theta = np.where(theta < -np.pi + _CUT_SNAP, theta + 2.0 * np.pi, theta)
+    if np.any(bad := theta < -np.pi + _CUT_TOL):
+        raise BranchCutError(f"eigenphase {theta[bad][0]:.12f} lies within {_CUT_TOL:g} "
+                             "of the principal branch cut at pi")
+    h = np.fft.ifft(theta)[np.subtract.outer(k, k) % len(g)]
+    hmat = g[:, np.newaxis] * h * g.conj()
     return 0.5 * (hmat + hmat.conj().T)
 
 

@@ -365,7 +365,7 @@ def _run_points(cfg: ExperimentConfig, outdir: Path) -> list[dict]:
             row = (x, ipr(density) if raw.any() else 0.0, peak_amplitude(density, peak_site))
             summary_rows.append(row if walk else (*row, float(np.sum(density[beyond]))))
             if walk and result is not None:
-                restricted = restricted_site_density_counts(result, cfg.L)
+                restricted = restricted_site_density_counts(result)
                 peaks = [peak_amplitude(d, peak_site) for d in (density, raw, restricted)]
                 mitigation_rows.append((x, *peaks))
             name = _qasm_name(cfg, W, x)

@@ -69,13 +69,7 @@ import numpy as np
 from .circuits import (
     Circuit, PotentialProfile, build_fcqw_walk, fuse_blocks, lower_swaps, simulate)
 from .observables import peak_amplitude, post_process, site_density_counts
-from .statevec import (
-    PAULI_MATRICES,
-    apply_matrix_inplace,
-    basis_state,
-    derived_seed,
-    sample_index,
-)
+from .statevec import PAULI_MATRICES, apply_matrix_inplace, basis_state, derived_seed
 
 #: gate kinds that map basis indices to basis indices, for the fault table
 INDEX_KINDS = ("rz", "cnot")
@@ -87,10 +81,8 @@ _BATCH_AMPLITUDES = 1 << 20
 # shipped point, whose largest is 7000 shots x 37 words
 _CHUNK_WORDS = 1 << 18
 
-#: matrix of the Pauli codes on a gate's targets, in ``gate_matrix``'s basis
-_PAULI_OPS = {(c,): p for c, p in enumerate(PAULI_MATRICES)} | {
-    (c0, c1): np.kron(p1, p0)
-    for c0, p0 in enumerate(PAULI_MATRICES) for c1, p1 in enumerate(PAULI_MATRICES)}
+#: a CNOT's Pauli by code c0 + 4 c1 (c0 on its control), in ``gate_matrix``'s basis
+_PAULI_PAIRS = np.array([np.kron(p1, p0) for p1 in PAULI_MATRICES for p0 in PAULI_MATRICES])
 
 
 @dataclass(frozen=True)
@@ -275,7 +267,8 @@ def _read_streams(spec: NoiseSpec, shots: int, cnots: np.ndarray, L: int):
 
 def _evolve_faulty(initial: np.ndarray, blocks, L: int, faults_per_row) -> np.ndarray:
     """Final amplitudes of faulty trajectories, one row each, given each
-    row's (gate, Pauli codes) faults with rows in order of first fault.
+    row's faults as (gate, Pauli matrix on its targets) pairs, with rows in
+    order of first fault.
 
     Row 0 of the batch is the clean trajectory.  Each block is applied
     once to the active rows, a C-contiguous prefix that the kernel sees as
@@ -290,9 +283,9 @@ def _evolve_faulty(initial: np.ndarray, blocks, L: int, faults_per_row) -> np.nd
     firsts = [owner[faults[0][0]][0] for faults in faults_per_row]
     corrections: dict[int, list] = {}
     for row, faults in enumerate(faults_per_row, 1):
-        for j, codes in faults:
+        for j, pauli in faults:
             b, pos = owner[j]
-            corrections.setdefault(b, []).append((row, pos, _PAULI_OPS[codes]))
+            corrections.setdefault(b, []).append((row, pos, pauli))
     active = 1
     for b, block in enumerate(blocks):
         apply_matrix_inplace(batch[:active].reshape(-1), block.qubits, block.matrix)
@@ -351,17 +344,19 @@ def run_noisy(
         clean_cumulative = np.cumsum(np.abs(final.amplitudes) ** 2)
         samples = np.searchsorted(clean_cumulative, u, side="right")
         indices = np.minimum(samples, len(clean_cumulative) - 1) ^ flips
-        faults: dict[int, list] = {}  # (gate, Pauli codes per target) per faulty shot
+        faults: dict[int, list] = {}  # (gate, Pauli matrix) per faulty shot
         for s, j, c in zip(shot.tolist(), gate.tolist(), code.tolist()):
-            faults.setdefault(s, []).append((j, (c & 3, c >> 2) if cnots[j] else (c,)))
+            faults.setdefault(s, []).append((j, (_PAULI_PAIRS if cnots[j] else PAULI_MATRICES)[c]))
         faulty = sorted((row[0][0], s) for s, row in faults.items())
         blocks = fuse_blocks(lowered)
         rows = max(1, _BATCH_AMPLITUDES >> L)
         for c in range(0, len(faulty), rows):
             chunk = [s for _, s in faulty[c:c + rows]]
             states = _evolve_faulty(initial.amplitudes, blocks, L, [faults[s] for s in chunk])
-            for s, cumulative in zip(chunk, np.cumsum(np.abs(states) ** 2, axis=1)):
-                indices[s] = sample_index(cumulative, u[s]) ^ int(flips[s])
+            # the clamped searchsorted(side="right") of each row's cumulative
+            cumulative = np.cumsum(np.abs(states) ** 2, axis=1)
+            drawn = (cumulative <= u[chunk, None]).sum(axis=1)
+            indices[chunk] = np.minimum(drawn, cumulative.shape[1] - 1) ^ flips[chunk]
     values, first, n = np.unique(indices, return_index=True, return_counts=True)
     order = np.argsort(first)  # each index at its first shot (``ShotResult``)
     return ShotResult(dict(zip(values[order].tolist(), n[order].tolist())), L)
@@ -375,7 +370,7 @@ def noisy_point(circuit: Circuit, start_site: int, spec: NoiseSpec, shots: int, 
     run's checks reject."""
     seed = derived_seed(spec.seed, *key)
     result = run_noisy(circuit, 1 << start_site, replace(spec, seed=seed), shots)
-    raw = site_density_counts(result, circuit.num_qubits)
+    raw = site_density_counts(result)
     return raw, post_process(raw) if raw.any() else raw, result
 
 

@@ -20,11 +20,10 @@ def site_density_exact(state: StateVector) -> np.ndarray:
     return np.array([probs[(idx >> i) & 1 == 1].sum() for i in range(L)])
 
 
-def _count_sites(result, L: int, weight: int | None) -> np.ndarray:
+def _count_sites(result, weight: int | None) -> np.ndarray:
     """Per-site frequency over the outcomes of the given Hamming weight
     (all of them for None), divided by the total shot count."""
-    if result.num_qubits != L:
-        raise ValueError(f"outcome length {result.num_qubits}, expected {L}")
+    L = result.num_qubits
     index = np.fromiter(result.counts, dtype=np.int64, count=len(result.counts))
     if np.any(index >> L):
         raise ValueError(f"basis index out of range for L={L}")
@@ -35,16 +34,16 @@ def _count_sites(result, L: int, weight: int | None) -> np.ndarray:
     return count @ bits / result.shots
 
 
-def site_density_counts(result, L: int) -> np.ndarray:
+def site_density_counts(result) -> np.ndarray:
     """Occupation frequency per site from measured counts (unnormalized)."""
-    return _count_sites(result, L, None)
+    return _count_sites(result, None)
 
 
-def restricted_site_density_counts(result, L: int) -> np.ndarray:
+def restricted_site_density_counts(result) -> np.ndarray:
     """Per-site frequency keeping only the one-particle outcomes, still
     divided by the total shot count (discard, don't rescale).  This is the
     unmitigated baseline the all-sector normalization is compared against."""
-    return _count_sites(result, L, 1)
+    return _count_sites(result, 1)
 
 
 def post_process(raw) -> np.ndarray:

@@ -175,7 +175,7 @@ def apply_gate(state: StateVector, gate: GateInstruction) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# measurement sampling
+# seeds
 
 
 def shot_rng(seed: int, shot: int) -> np.random.Generator:
@@ -188,9 +188,3 @@ def derived_seed(base: int, *key: int) -> int:
     """Seed of the noise stream of one measured point, keyed under ``base``."""
     masked = tuple(k & 0xFFFFFFFF for k in key)  # spawn keys must be non-negative
     return int(np.random.SeedSequence(base, spawn_key=masked).generate_state(1)[0])
-
-
-def sample_index(cumulative: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw from a cumulative probability array."""
-    idx = int(np.searchsorted(cumulative, u, side="right"))
-    return min(idx, len(cumulative) - 1)

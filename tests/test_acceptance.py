@@ -198,8 +198,8 @@ def test_criterion_07_post_processing_benefit():
     for seed in (11, 22, 33):
         spec = NoiseSpec(p_cnot=7e-3, p_1q=3e-4, p_readout=1e-2, seed=seed)
         result = run_noisy(circuit, 1 << start, spec, shots)
-        mitigated = post_process(site_density_counts(result, L))
-        unmitigated = restricted_site_density_counts(result, L)
+        mitigated = post_process(site_density_counts(result))
+        unmitigated = restricted_site_density_counts(result)
         gains.append(
             (peak_amplitude(mitigated, target), peak_amplitude(unmitigated, target))
         )
@@ -217,9 +217,7 @@ def test_criterion_08_chiral_robustness_under_noise():
         iprs, peaks = [], []
         for seed in (11, 22, 33):
             spec = NoiseSpec(p_cnot=7e-3, p_1q=3e-4, p_readout=1e-2, seed=seed)
-            density = post_process(
-                site_density_counts(run_noisy(circuit, 1 << start, spec, shots), L)
-            )
+            density = post_process(site_density_counts(run_noisy(circuit, 1 << start, spec, shots)))
             iprs.append(ipr(density))
             peaks.append(peak_amplitude(density, target))
         means[W] = (float(np.mean(iprs)), float(np.mean(peaks)))

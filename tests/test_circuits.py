@@ -1,3 +1,5 @@
+from operator import is_
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,9 +20,10 @@ from fcqw.circuits import (
     simulate,
 )
 from fcqw.floquet import reduce_to_single_particle, xy_chain_hamiltonian
-from fcqw.noise import _PAULI_OPS, NoiseSpec, run_noisy
+from fcqw.noise import _PAULI_PAIRS, NoiseSpec, run_noisy
 from fcqw.observables import site_density_exact
 from fcqw.statevec import (
+    PAULI_MATRICES,
     StateVector,
     apply_matrix_inplace,
     basis_state,
@@ -38,6 +41,21 @@ def build_left_step(L, profile):
     layer, then the SWAP ladder ascending, moving occupations i -> i-1."""
     ladder = tuple(swap(i, i + 1) for i in range(L - 1))
     return Circuit(L, build_onsite_layer(profile).instructions + ladder)
+
+
+def build_ring_trotter(L, profile, cfg):
+    """The Trotter circuit of the XY ring, built here since the library
+    builds only the open chain: each repetition of the open chain gains the
+    wrap pair (L - 1, 0) after its last pair, whose two-qubit blocks put the
+    high qubit first and, past L = 2, are not adjacent.  n copies of the
+    same gate objects, as ``build_xy_trotter`` makes them."""
+    dt = cfg.t / cfg.n
+    rep = build_xy_trotter(L, profile, TrotterConfig(cfg.J, dt, 1)).instructions
+    a, b = L - 1, 0
+    c, hop = cnot(a, b), rz(b, -2.0 * cfg.J * dt)
+    wrap = tuple(g for basis in ((h(a), h(b)), (hy(a), hy(b))) for g in (*basis, c, hop, c, *basis))
+    pairs = 14 * (L - 1)
+    return Circuit(L, (rep[:pairs] + wrap + rep[pairs:]) * cfg.n)
 
 
 def compose_swaps_by_hand(L, pairs):
@@ -162,11 +180,11 @@ class TestFcqwStep:
         assert count == 50
 
 
-def xy_trotter_gate_by_gate(L, profile, cfg, periodic):
+def xy_trotter_gate_by_gate(L, profile, cfg):
     """Oracle: the Trotter gate list built one repetition after another."""
     dt = cfg.t / cfg.n
     theta = -2.0 * cfg.J * dt
-    pairs = [(i, i + 1) for i in range(L - 1)] + ([(L - 1, 0)] if periodic else [])
+    pairs = [(i, i + 1) for i in range(L - 1)]
     gates = []
     for _ in range(cfg.n):
         for a, b in pairs:
@@ -190,12 +208,11 @@ def trotter_profiles(L):
 class TestXYTrotter:
     @pytest.mark.parametrize("L", [2, 5, 8])
     @pytest.mark.parametrize("n", [1, 3, 8])
-    @pytest.mark.parametrize("periodic", [False, True])
-    def test_gates_equal_repetition_by_repetition(self, L, n, periodic):
+    def test_gates_equal_repetition_by_repetition(self, L, n):
         cfg = TrotterConfig(0.9, 1.7, n)
         for profile in trotter_profiles(L):
-            circ = build_xy_trotter(L, profile, cfg, periodic=periodic)
-            assert list(circ.instructions) == xy_trotter_gate_by_gate(L, profile, cfg, periodic)
+            circ = build_xy_trotter(L, profile, cfg)
+            assert list(circ.instructions) == xy_trotter_gate_by_gate(L, profile, cfg)
             assert circ.instructions == circ.instructions[:len(circ) // n] * n
 
     def test_single_pair_block_sequence(self):
@@ -252,15 +269,6 @@ class TestXYTrotter:
         exact = scipy.linalg.expm(-1j * xy_chain_hamiltonian(L, profile, 0.0) * 1.3)
         assert np.max(np.abs(op.matrix - exact)) < 1e-10
 
-    def test_periodic_flag_adds_wrap_pair(self):
-        open_chain = build_xy_trotter(4, PotentialProfile.uniform(4, 0.0), TrotterConfig(1.0, 0.5, 1))
-        ring = build_xy_trotter(
-            4, PotentialProfile.uniform(4, 0.0), TrotterConfig(1.0, 0.5, 1), periodic=True
-        )
-        pairs_open = {g.targets for g in open_chain.instructions if g.kind == "cnot"}
-        pairs_ring = {g.targets for g in ring.instructions if g.kind == "cnot"}
-        assert pairs_ring - pairs_open == {(3, 0)}
-
     def test_bad_repetitions(self):
         with pytest.raises(ValueError):
             TrotterConfig(1.0, 1.0, 0)
@@ -289,8 +297,8 @@ def fusion_cases():
         profile = PotentialProfile.random_symmetric(L, 2.0, rng)
         walk = build_fcqw_walk(L, profile, 2)
         cases += [walk, lower_swaps(walk), build_left_step(L, profile)]
-        cases += [build_xy_trotter(L, profile, TrotterConfig(1.0, 0.7, 2), periodic=p)
-                  for p in (False, True)]
+        cases += [build(L, profile, TrotterConfig(1.0, 0.7, 2))
+                  for build in (build_xy_trotter, build_ring_trotter)]
     cases += [Circuit(3, (h(1),)), Circuit(3, (cnot(0, 1), rz(2, 0.3), cnot(0, 1)))]
     return cases
 
@@ -404,10 +412,9 @@ def identity_cases():
         for L in ((8, 9) if kind == "box" else (4, 6)):
             for W in (0.0, 2.3):
                 for n in (1, 3, 8):
-                    for periodic in (False, True):
-                        circuit = build_xy_trotter(
-                            L, make(L, W), TrotterConfig(1.0, 0.9, n), periodic)
-                        cases[f"trotter_{kind}_L{L}_W{W}_n{n}_p{int(periodic)}"] = circuit
+                    for ring, build in enumerate((build_xy_trotter, build_ring_trotter)):
+                        circuit = build(L, make(L, W), TrotterConfig(1.0, 0.9, n))
+                        cases[f"trotter_{kind}_L{L}_W{W}_n{n}_p{ring}"] = circuit
     kinds = [lambda q, r: h(q), lambda q, r: hy(q), lambda q, r: rz(q, rng.normal()),
              lambda q, r: cnot(q, r), lambda q, r: swap(q, r)]
     gates = []
@@ -442,18 +449,17 @@ class TestFusionBitIdentity:
         assert [b.size for b in blocks] == [1, 1, 2, 1, 2, 1, 1]
 
     def test_pushed_through_equals_gate_by_gate_fusion(self):
-        circuit = build_xy_trotter(4, PotentialProfile.uniform(4, 0.9),
-                                   TrotterConfig(1.0, 0.8, 2), periodic=True)
+        circuit = build_ring_trotter(4, PotentialProfile.uniform(4, 0.9), TrotterConfig(1.0, 0.8, 2))
         got, expected = fuse_blocks(circuit), _fuse_by_gate(circuit.instructions)
         checked = 0
         for ours, ref in zip(got, expected, strict=True):
             gates = [g for _, _, g in _chain(ours)][::-1]
             for pos, gate in enumerate(gates):
-                for paulis, op in _PAULI_OPS.items():
-                    if len(paulis) == len(gate.targets) and any(paulis):
-                        k = ours.pushed_through(pos, op)
-                        assert _same_bits(k, ref.pushed_through(pos, op))
-                        checked += 1
+                table = _PAULI_PAIRS if gate.kind == "cnot" else PAULI_MATRICES
+                for op in table[1:]:
+                    k = ours.pushed_through(pos, op)
+                    assert _same_bits(k, ref.pushed_through(pos, op))
+                    checked += 1
         assert checked == sum(15 if g.kind == "cnot" else 3 for g in circuit.instructions)
 
 
@@ -518,6 +524,20 @@ class TestFusedOnce:
         assert lower_swaps(circ) is circ
         onsite = build_onsite_layer(PotentialProfile.uniform(4, 0.5))
         assert lower_swaps(onsite) is onsite
+
+    @pytest.mark.parametrize("L, k", [(2, 3), (5, 2), (8, 8)])
+    def test_lowered_walk_is_copies_of_one_lowered_step(self, L, k):
+        # each distinct swap's CNOT triple is built once, so the lowered
+        # walk repeats one lowered step object for object (29 gates at
+        # L = 8) and fuses it once: k copies of its blocks
+        lowered = lower_swaps(build_fcqw_walk(L, PotentialProfile.uniform(L, 0.7), k))
+        gates = lowered.instructions
+        step = L + 3 * (L - 1)
+        assert len(gates) == k * step
+        assert all(map(is_, gates, gates[:step] * k))
+        assert circuits._repetition(gates) == step
+        blocks = fuse_blocks(lowered)
+        assert blocks == blocks[:len(blocks) // k] * k
 
     def test_lower_swaps_still_lowers_each_swap(self):
         walk = build_fcqw_walk(5, PotentialProfile.uniform(5, 0.7), 2)

@@ -46,7 +46,7 @@ from fcqw.floquet import _shift_gauge
 from fcqw.harness import _circular_set_distance
 from fcqw.observables import site_density_exact
 from fcqw.statevec import basis_state, cnot, h, rz
-from test_circuits import build_left_step
+from test_circuits import build_left_step, build_ring_trotter
 
 
 def momentum_operator(k: float, W: float = 0.0) -> complex:
@@ -111,10 +111,8 @@ class TestReduction:
             # swaps lowered to cnot(i, j) cnot(j, i) cnot(i, j) reverse a
             # two-qubit gate against its block's qubit order
             circuits.append(lower_swaps(circuits[0]))
-            circuits += [
-                build_xy_trotter(L, profile, TrotterConfig(1.0, 0.9, 3), periodic=p)
-                for p in (False, True)
-            ]
+            circuits += [build(L, profile, TrotterConfig(1.0, 0.9, 3))
+                         for build in (build_xy_trotter, build_ring_trotter)]
             for circ in circuits:
                 assert all(b.conserves for b in fuse_blocks(circ))
                 reduced = reduce_to_single_particle(circ).matrix
@@ -469,10 +467,31 @@ class TestLevelStats:
         assert min(variances) > 1e-6
 
 
+def _not_right_steps():
+    """(id, matrix) of unitaries that are not a right-walk step S diag(d)."""
+    L = 5
+    profile = PotentialProfile.random_symmetric(L, 1.3, np.random.default_rng(3))
+    d = np.exp(1j * onsite_phases(profile.u, profile.W))
+    trotter = build_xy_trotter(L, profile, TrotterConfig(1.0, 0.9, 3))
+    return [
+        ("identity", np.eye(4)),
+        ("diagonal", np.diag(np.exp(1j * np.arange(5.0)))),
+        ("left_step", shift_matrix(L).T * d),
+        ("left_step_circuit", reduce_to_single_particle(build_left_step(L, profile)).matrix),
+        ("xy_step_operator", xy_step_operator(L, profile, t=0.7).matrix),
+        ("trotter_circuit", reduce_to_single_particle(trotter).matrix),
+    ]
+
+
+NOT_RIGHT_STEPS = _not_right_steps()
+
+
 class TestEffectiveHamiltonian:
-    def test_identity_gives_zero(self):
-        hmat = effective_hamiltonian(SingleParticleOperator(np.eye(4)))
-        assert np.max(np.abs(hmat)) == 0.0
+    @pytest.mark.parametrize("matrix", [m for _, m in NOT_RIGHT_STEPS],
+                             ids=[name for name, _ in NOT_RIGHT_STEPS])
+    def test_other_unitaries_are_rejected(self, matrix):
+        with pytest.raises(ValueError, match="right-walk step"):
+            effective_hamiltonian(SingleParticleOperator(matrix))
 
     def test_exp_log_roundtrip_and_hermiticity(self):
         profile = PotentialProfile.random_symmetric(9, 1.0, np.random.default_rng(4))
@@ -506,15 +525,6 @@ class TestEffectiveHamiltonian:
         c = np.exp(np.mean(np.log(mags * ds)))
         assert np.max(np.abs(mags - c / ds) / (c / ds)) < 0.25
 
-    def test_eigenvalue_at_minus_one_is_accepted(self):
-        hmat = effective_hamiltonian(SingleParticleOperator(np.diag([-1.0 + 0j, 1.0])))
-        assert abs(hmat[0, 0] - np.pi) < 1e-12
-
-    def test_phase_just_past_the_cut_raises(self):
-        u = np.diag([np.exp(1j * (np.pi + 1e-10)), 1.0])
-        with pytest.raises(BranchCutError):
-            effective_hamiltonian(SingleParticleOperator(u))
-
 
 def _schur_log(u: np.ndarray) -> np.ndarray:
     """Reference -i log U from the complex Schur form, under the same
@@ -526,21 +536,9 @@ def _schur_log(u: np.ndarray) -> np.ndarray:
     return 0.5 * (hmat + hmat.conj().T)
 
 
-def _shift(L, chirality):
-    """The right cyclic shift, or its transpose, the left one."""
-    return shift_matrix(L) if chirality == "right" else shift_matrix(L).T
-
-
-def _step_matrix(L, profile, chirality):
-    """A walk step's matrix: the shift times the profile's onsite phases."""
-    if chirality == "right":
-        return fcqw_step_operator(L, profile).matrix
-    return _shift(L, chirality) * np.exp(1j * onsite_phases(profile.u, profile.W))
-
-
 class TestShiftGauge:
     """A right-walk step U = S diag(d) is e^{i phi} G S G^+, and -i log U
-    follows; a left step goes through Schur under the same branch-cut rules."""
+    follows, under the branch-cut rules of the Schur reference."""
 
     @pytest.mark.parametrize("L", [2, 3, 8, 40])
     def test_step_is_gauged_uniform_shift(self, L):
@@ -560,42 +558,41 @@ class TestShiftGauge:
     def test_other_matrices_have_no_gauge(self, matrix):
         assert _shift_gauge(matrix) is None
 
-    @pytest.mark.parametrize("chirality", ["right", "left"])
-    def test_matches_schur_log_over_ensemble(self, chirality):
+    def test_matches_schur_log_over_ensemble(self):
         for L, W in ((40, 4.0), (9, 1.0), (16, 0.0)):
             for profile in sample_disorder_profiles(DisorderEnsemble(20, W=W, seed=7), L):
-                op = SingleParticleOperator(_step_matrix(L, profile, chirality))
+                op = fcqw_step_operator(L, profile)
                 hmat = effective_hamiltonian(op)
                 assert np.max(np.abs(hmat - _schur_log(op.matrix))) < 1e-12
                 assert np.max(np.abs(scipy.linalg.expm(1j * hmat) - op.matrix)) < 1e-12
 
-    @pytest.mark.parametrize("W", [0.0, 1.0, 4.0])
-    @pytest.mark.parametrize("L", [3, 9, 16])
-    def test_left_step_from_circuit_takes_schur(self, L, W):
-        for profile in sample_disorder_profiles(DisorderEnsemble(5, W=W, seed=L), L):
-            op = reduce_to_single_particle(build_left_step(L, profile))
-            assert _shift_gauge(op.matrix) is None
-            hmat = effective_hamiltonian(op)
-            assert np.max(np.abs(scipy.linalg.expm(1j * hmat) - op.matrix)) < 1e-12
+    @pytest.mark.parametrize("lower", [False, True], ids=["swaps", "lowered"])
+    def test_step_reduced_from_circuit_takes_the_gauge(self, lower):
+        # a step circuit's sector matrix, SWAPs lowered to CNOTs or not, is
+        # exactly zero off the shift, so it is not rejected as another U
+        for L, W in ((2, 1.0), (5, 3.0), (16, 4.0)):
+            profile = PotentialProfile.random_symmetric(L, W, np.random.default_rng(L))
+            circuit = build_fcqw_step(L, profile)
+            op = reduce_to_single_particle(lower_swaps(circuit) if lower else circuit)
+            direct = effective_hamiltonian(fcqw_step_operator(L, profile))
+            assert np.max(np.abs(effective_hamiltonian(op) - direct)) < 1e-12
 
-    @pytest.mark.parametrize("chirality", ["right", "left"])
-    def test_eigenvalue_at_minus_one_gives_plus_pi(self, chirality):
+    def test_eigenvalue_at_minus_one_gives_plus_pi(self):
         # angles summing to zero: the spectrum is that of the bare shift,
         # 1, -i, -1, i, so one eigenvalue is -1
         d = np.exp(1j * np.array([0.5, -1.25, 2.0, -1.25]))
-        u = _shift(4, chirality) * d
+        u = shift_matrix(4) * d
         hmat = effective_hamiltonian(SingleParticleOperator(u))
         energies = np.linalg.eigvalsh(hmat)
         assert abs(energies[-1] - np.pi) < 1e-12
         assert energies[0] > -np.pi / 2 - 1e-12
         assert np.max(np.abs(hmat - _schur_log(u))) < 1e-12
 
-    @pytest.mark.parametrize("chirality", ["right", "left"])
-    def test_phase_just_past_the_cut_raises(self, chirality):
+    def test_phase_just_past_the_cut_raises(self):
         # phi = 1e-10, so the k = 2 eigenphase is 1e-10 past -pi
         d = np.array([np.exp(4e-10j), 1.0, 1.0, 1.0])
         with pytest.raises(BranchCutError):
-            effective_hamiltonian(SingleParticleOperator(_shift(4, chirality) * d))
+            effective_hamiltonian(SingleParticleOperator(shift_matrix(4) * d))
 
 
 class TestLoopReferences:
@@ -609,16 +606,13 @@ class TestLoopReferences:
         assert np.array_equal(shift_matrix(L), ref)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 8])
-    @pytest.mark.parametrize("periodic", [False, True])
-    def test_xy_chain_hamiltonian(self, L, periodic):
+    def test_xy_chain_hamiltonian(self, L):
         profile = PotentialProfile.random_symmetric(L, 2.5, np.random.default_rng(L))
         ref = np.zeros((L, L), dtype=complex)
         for i in range(L - 1):
             ref[i, i + 1] = ref[i + 1, i] = -2.0 * 1.5
-        if periodic and L > 2:
-            ref[0, L - 1] = ref[L - 1, 0] = -2.0 * 1.5
         np.fill_diagonal(ref, profile.W * (np.sum(profile.u) - 2.0 * profile.u))
-        assert np.array_equal(xy_chain_hamiltonian(L, profile, 1.5, periodic), ref)
+        assert np.array_equal(xy_chain_hamiltonian(L, profile, 1.5), ref)
 
 
 class TestXYChain:
@@ -630,8 +624,6 @@ class TestXYChain:
         # occupied box sites sit 2W below the empty-background diagonal
         diag = np.real(np.diag(hmat))
         assert diag[1] == 2.0 * (np.sum(profile.u) - 2.0)
-        ring = xy_chain_hamiltonian(8, profile, J=1.5, periodic=True)
-        assert ring[0, 7] == -3.0
 
     def test_step_operator_is_exact_exponential(self):
         profile = PotentialProfile.box(8, 3.0)

@@ -18,7 +18,7 @@ import math
 
 import fcqw.noise as noise_mod
 from fcqw.noise import (
-    _PAULI_OPS,
+    _PAULI_PAIRS,
     NoiseSpec,
     ShotResult,
     _fault_table,
@@ -40,10 +40,10 @@ from fcqw.statevec import (
     gate_matrix,
     h,
     rz,
-    sample_index,
     swap,
 )
-from test_statevec import bitstring_to_index, row_rng, sample_bitstrings
+from test_circuits import build_ring_trotter
+from test_statevec import bitstring_to_index, row_rng, sample_bitstrings, sample_index
 
 
 def _by_index(bit_counts: dict[str, int]) -> dict[int, int]:
@@ -358,7 +358,7 @@ def _superposed_walk_case(L):
 def _periodic_trotter_case(L):
     # the wrap pair (L-1, 0) puts the high qubit first in its block
     profile = PotentialProfile.uniform(L, 0.8)
-    circuit = build_xy_trotter(L, profile, TrotterConfig(1.0, 0.9, 3), periodic=True)
+    circuit = build_ring_trotter(L, profile, TrotterConfig(1.0, 0.9, 3))
     spec = NoiseSpec(p_cnot=0.15, p_1q=0.05, p_readout=0.05, seed=500 + L)
     return circuit, 1 << L - 1, spec
 
@@ -427,7 +427,7 @@ def _block_gates(block):
 
 class TestFaultCorrection:
     @pytest.mark.parametrize("circuit", [
-        build_xy_trotter(4, PotentialProfile.uniform(4, 0.9), TrotterConfig(1.0, 0.8, 2), True),
+        build_ring_trotter(4, PotentialProfile.uniform(4, 0.9), TrotterConfig(1.0, 0.8, 2)),
         lower_swaps(walk_setup(L=4, t=2, W=0.6)[0]),
     ], ids=["periodic_trotter", "lowered_walk"])
     def test_block_then_correction_equals_gate_by_gate(self, circuit):
@@ -452,7 +452,8 @@ class TestFaultCorrection:
                                 apply_pauli(expected, q, c)
                     out = state.copy()
                     apply_matrix_inplace(out, block.qubits, block.matrix)
-                    k = block.pushed_through(pos, _PAULI_OPS[paulis])
+                    pauli = (_PAULI_PAIRS if len(gate.targets) == 2 else PAULI_MATRICES)[code]
+                    k = block.pushed_through(pos, pauli)
                     apply_matrix_inplace(out, block.qubits, k)
                     assert np.max(np.abs(out - expected)) < 1e-13
                     checked += 1
@@ -987,14 +988,14 @@ class TestErrorModel:
         circuit, start, target = walk_setup(L=8, t=8)
         spec = NoiseSpec(p_cnot=0.01, p_1q=3e-4, p_readout=1e-2, seed=1)
         result = run_noisy(circuit, start, spec, shots=5000)
-        peak = peak_amplitude(post_process(site_density_counts(result, 8)), target)
+        peak = peak_amplitude(post_process(site_density_counts(result)), target)
         assert 0.33 < peak < 0.43
 
     def test_readout_flips_touch_every_qubit(self):
         circuit = Circuit(4, ())
         spec = NoiseSpec(0.0, 0.0, 0.5, seed=8)
         result = run_noisy(circuit, 1, spec, shots=2000)
-        density = site_density_counts(result, 4)
+        density = site_density_counts(result)
         # site 0 starts occupied, others empty; all should move toward 1/2
         assert 0.4 < density[0] < 0.6
         assert all(0.4 < p < 0.6 for p in density[1:])
@@ -1007,7 +1008,7 @@ class TestErrorModel:
         def peak(**kwargs):
             spec = NoiseSpec(**{**base, **kwargs}, seed=12)
             result = run_noisy(circuit, start, spec, shots=shots)
-            return peak_amplitude(post_process(site_density_counts(result, 8)), target)
+            return peak_amplitude(post_process(site_density_counts(result)), target)
 
         sigma2 = 2 * np.sqrt(0.25 / shots)
         for knob, values in (
@@ -1026,8 +1027,8 @@ class TestPostProcessingBenefit:
         for seed in (11, 22, 33):
             spec = NoiseSpec(p_cnot=7e-3, p_1q=3e-4, p_readout=1e-2, seed=seed)
             result = run_noisy(circuit, start, spec, shots=5000)
-            pp = post_process(site_density_counts(result, 8))
-            restricted = restricted_site_density_counts(result, 8)
+            pp = post_process(site_density_counts(result))
+            restricted = restricted_site_density_counts(result)
             assert peak_amplitude(pp, target) > peak_amplitude(restricted, target)
 
 

@@ -58,24 +58,20 @@ class TestExactDensity:
 
 class TestCountDensity:
     def test_all_shots_on_one_string(self):
-        d = site_density_counts(_shots({"10": 7000}), 2)
+        d = site_density_counts(_shots({"10": 7000}))
         assert np.array_equal(d, [1.0, 0.0])
 
     def test_even_split(self):
-        d = site_density_counts(_shots({"10": 1, "01": 1}), 2)
+        d = site_density_counts(_shots({"10": 1, "01": 1}))
         assert np.array_equal(d, [0.5, 0.5])
 
     def test_double_occupation(self):
-        d = site_density_counts(_shots({"11": 100}), 2)
+        d = site_density_counts(_shots({"11": 100}))
         assert np.array_equal(d, [1.0, 1.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            site_density_counts(_shots({"101": 5}), 2)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            site_density_counts(ShotResult({1: 3, 4: 2}, 2), 2)
+            site_density_counts(ShotResult({1: 3, 4: 2}, 2))
 
     @pytest.mark.parametrize("L", [2, 8, 20])
     def test_bit_operations_match_per_character_loop(self, L):
@@ -85,15 +81,15 @@ class TestCountDensity:
             bit_counts = {index_to_bitstring(int(i), L): int(rng.integers(1, 1000))
                           for i in index}
             result = _shots(bit_counts)
-            for weight, got in ((None, site_density_counts(result, L)),
-                                (1, restricted_site_density_counts(result, L)),
-                                (2, _count_sites(result, L, 2))):
+            for weight, got in ((None, site_density_counts(result)),
+                                (1, restricted_site_density_counts(result)),
+                                (2, _count_sites(result, 2))):
                 expected = _per_character_density(bit_counts, result.shots, weight)
                 assert np.array_equal(got, expected)
 
     def test_restricted_keeps_only_requested_weight(self):
         result = _shots({"100": 60, "110": 30, "000": 10})
-        d = restricted_site_density_counts(result, 3)
+        d = restricted_site_density_counts(result)
         assert np.max(np.abs(d - [0.6, 0.0, 0.0])) < 1e-12
 
     def test_matches_exact_density_at_many_shots(self):
@@ -104,7 +100,7 @@ class TestCountDensity:
         counts: dict[str, int] = {}
         for s in draws:
             counts[s] = counts.get(s, 0) + 1
-        d_counts = site_density_counts(_shots(counts), 3)
+        d_counts = site_density_counts(_shots(counts))
         d_exact = site_density_exact(state)
         assert np.max(np.abs(d_counts - d_exact)) < 0.01
 
@@ -133,8 +129,8 @@ class TestPostProcess:
         # must give a larger peak than discarding them without rescaling
         counts = {"10000000": 500, "10100000": 300, "00000000": 200}
         result = _shots(counts)
-        pp = post_process(site_density_counts(result, 8))
-        restricted = restricted_site_density_counts(result, 8)
+        pp = post_process(site_density_counts(result))
+        restricted = restricted_site_density_counts(result)
         assert peak_amplitude(pp, 0) > peak_amplitude(restricted, 0)
 
 

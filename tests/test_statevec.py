@@ -16,7 +16,6 @@ from fcqw.statevec import (
     hy,
     index_to_bitstring,
     rz,
-    sample_index,
     swap,
     swap_as_cnots,
 )
@@ -31,6 +30,12 @@ def row_rng(seed: int, shot: int, width: int) -> np.random.Generator:
     """Reference stream of one shot: a generator on ``PCG64(seed)`` moved
     forward to the shot's row, word ``shot * width`` of the stream."""
     return np.random.Generator(np.random.PCG64(seed).advance(shot * width))
+
+
+def sample_index(cumulative: np.ndarray, u: float) -> int:
+    """Reference inverse-CDF draw: the first index whose cumulative
+    probability exceeds ``u``, or the last index if none does."""
+    return min(int(np.searchsorted(cumulative, u, side="right")), len(cumulative) - 1)
 
 
 def sample_bitstrings(state: StateVector, shots: int, seed: int) -> list[str]:
