@@ -558,22 +558,24 @@ class TestShiftGauge:
     def test_other_matrices_have_no_gauge(self, matrix):
         assert _shift_gauge(matrix) is None
 
-    def test_matches_schur_log_over_ensemble(self):
-        for L, W in ((40, 4.0), (9, 1.0), (16, 0.0)):
-            for profile in sample_disorder_profiles(DisorderEnsemble(20, W=W, seed=7), L):
-                op = fcqw_step_operator(L, profile)
-                hmat = effective_hamiltonian(op)
-                assert np.max(np.abs(hmat - _schur_log(op.matrix))) < 1e-12
-                assert np.max(np.abs(scipy.linalg.expm(1j * hmat) - op.matrix)) < 1e-12
+    @pytest.mark.parametrize("L, W", [(40, 4.0), (9, 1.0), (16, 0.0)])
+    def test_matches_schur_log_over_ensemble(self, L, W):
+        for profile in sample_disorder_profiles(DisorderEnsemble(20, W=W, seed=7), L):
+            op = fcqw_step_operator(L, profile)
+            hmat = effective_hamiltonian(op)
+            assert np.max(np.abs(hmat - _schur_log(op.matrix))) < 1e-12
+            assert np.max(np.abs(scipy.linalg.expm(1j * hmat) - op.matrix)) < 1e-12
 
     @pytest.mark.parametrize("lower", [False, True], ids=["swaps", "lowered"])
-    def test_step_reduced_from_circuit_takes_the_gauge(self, lower):
+    @pytest.mark.parametrize("W", [0.0, 1.0, 4.0])
+    @pytest.mark.parametrize("L", [2, 9, 16])
+    def test_step_reduced_from_circuit_takes_the_gauge(self, L, W, lower):
         # a step circuit's sector matrix, SWAPs lowered to CNOTs or not, is
         # exactly zero off the shift, so it is not rejected as another U
-        for L, W in ((2, 1.0), (5, 3.0), (16, 4.0)):
-            profile = PotentialProfile.random_symmetric(L, W, np.random.default_rng(L))
+        for profile in sample_disorder_profiles(DisorderEnsemble(5, W=W, seed=L), L):
             circuit = build_fcqw_step(L, profile)
             op = reduce_to_single_particle(lower_swaps(circuit) if lower else circuit)
+            assert _shift_gauge(op.matrix) is not None
             direct = effective_hamiltonian(fcqw_step_operator(L, profile))
             assert np.max(np.abs(effective_hamiltonian(op) - direct)) < 1e-12
 

@@ -73,6 +73,15 @@ class TestCountDensity:
         with pytest.raises(ValueError, match="out of range"):
             site_density_counts(ShotResult({1: 3, 4: 2}, 2))
 
+    @pytest.mark.parametrize("L", [1, 4, 20])
+    def test_width_is_read_from_the_result(self, L):
+        # outcomes only on site 0 still give one entry per qubit of the result
+        result = ShotResult({1: 3, 0: 1}, L)
+        expected = np.zeros(L)
+        expected[0] = 0.75
+        assert np.array_equal(site_density_counts(result), expected)
+        assert np.array_equal(restricted_site_density_counts(result), expected)
+
     @pytest.mark.parametrize("L", [2, 8, 20])
     def test_bit_operations_match_per_character_loop(self, L):
         rng = np.random.default_rng(L)
