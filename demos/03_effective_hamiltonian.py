@@ -10,7 +10,7 @@ local Hamiltonian cannot have while supporting one unpaired chiral mode.
 import numpy as np
 
 from fcqw import PotentialProfile, effective_hamiltonian, fcqw_step_operator
-from fcqw.floquet import save_matrix_csv
+from fcqw.harness import write_csv
 
 L = 16
 op = fcqw_step_operator(L, PotentialProfile.uniform(L, 0.0))
@@ -31,5 +31,6 @@ print(f"\nlog-space fit |H[0][d]| ~ c/d gives c = {c:.4f}; "
 signs = np.sign(hmat[0, 1:7].imag)
 print("imaginary-part signs alternate:", " ".join("+" if s > 0 else "-" for s in signs))
 
-save_matrix_csv(hmat, "effective_hamiltonian_L16.csv")
+header = [f"c{j}_{part}" for j in range(L) for part in ("re", "im")]
+write_csv("effective_hamiltonian_L16.csv", header, hmat.view(float).tolist())
 print("\nfull matrix written to effective_hamiltonian_L16.csv (re,im pairs)")

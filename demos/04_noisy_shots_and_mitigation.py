@@ -19,7 +19,12 @@ from fcqw import (
     run_noisy,
     site_density_counts,
 )
-from fcqw.statevec import index_to_bitstring
+
+
+def index_to_bitstring(index: int, L: int) -> str:
+    """Render a basis index with site 0 as the first character."""
+    return "".join("1" if (index >> i) & 1 else "0" for i in range(L))
+
 
 L, steps, shots = 8, 8, 5000
 walk = build_fcqw_walk(L, PotentialProfile.uniform(L, 0.0), steps)

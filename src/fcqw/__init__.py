@@ -38,7 +38,6 @@ from .floquet import (
     sample_disorder_profiles,
     shift_matrix,
     winding_number,
-    xy_chain_hamiltonian,
     xy_momentum_family,
     xy_step_operator,
     xy_step_phases,

@@ -4,7 +4,6 @@ the effective Hamiltonian -i log U.  Spectra and spacing statistics are
 plain numpy arrays."""
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -113,41 +112,39 @@ def fcqw_step_operator(L: int, profile: PotentialProfile) -> SingleParticleOpera
     return op
 
 
-def xy_chain_hamiltonian(L: int, profile: PotentialProfile, J: float = 1.0) -> np.ndarray:
-    """One-excitation Hamiltonian of the open XY chain with onsite sigma-z terms.
-
-    Hopping matrix elements are -2J between neighbours i, i + 1 (none from
-    site L - 1 back to 0); the diagonal is W (sum(u) - 2 u_j), i.e. an
-    occupied site is shifted by -W u_j relative to the particle-free
-    background.
-    """
-    if profile.num_sites != L:
-        raise ValueError(f"profile has {profile.num_sites} sites, expected {L}")
-    hmat = np.zeros((L, L), dtype=complex)
-    i = np.arange(L - 1)
-    hmat[i, i + 1] = hmat[i + 1, i] = -2.0 * J
-    np.fill_diagonal(hmat, -onsite_phases(profile.u, profile.W))
-    return hmat
+def _xy_tridiagonal(u: np.ndarray, W: float, J: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(diag, off)`` of the open XY chain's one-excitation H, one diagonal row
+    per pattern along u's last axis: W (sum(u) - 2 u_j), i.e. an occupied site
+    sits -W u_j from the particle-free background, and -2J between neighbours
+    i, i + 1, none from site L - 1 back to 0."""
+    diag = -onsite_phases(u, W).reshape(-1, u.shape[-1])
+    off = np.full(max(u.shape[-1] - 1, 1), -2.0 * J)  # stevd wants len(e) >= 1
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("XY chain potentials and J must be finite")
+    return diag, off
 
 
 def xy_step_operator(
     L: int, profile: PotentialProfile, J: float = 1.0, t: float = 1.0
 ) -> SingleParticleOperator:
-    """Exact one-excitation propagator e^{-i H t} of the open XY chain."""
-    hmat = xy_chain_hamiltonian(L, profile, J)
-    evals, evecs = np.linalg.eigh(hmat)
-    u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    return SingleParticleOperator(u)
+    """Exact one-excitation propagator e^{-i H t} = V diag(e^{-i E t}) V^T of the open
+    XY chain, from the real eigenvectors V and energies E of its tridiagonal H (LAPACK
+    ?stevd, as in :func:`xy_step_phases`)."""
+    if profile.num_sites != L:
+        raise ValueError(f"profile has {profile.num_sites} sites, expected {L}")
+    diag, off = _xy_tridiagonal(profile.u, profile.W, J)
+    energies, vecs, info = _STEVD(diag[0], off, compute_v=1)
+    if info:
+        raise np.linalg.LinAlgError(f"?stevd failed (info={info})")
+    return SingleParticleOperator((vecs * np.exp(-1j * energies * t)) @ vecs.T)
 
 
 def xy_step_phases(u: np.ndarray, W: float, J: float = 1.0) -> np.ndarray:
     """Phases of the open chain's one-step :func:`xy_step_operator` along u's last axis, [0, 2pi)
     ascending, as e^{-i E} of each tridiagonal H's energies E: zgeev's to rounding, no unitary.
-    E comes from LAPACK ?stevd, the driver ``eigvalsh_tridiagonal`` picks, called directly."""
-    diag = -onsite_phases(u, W).reshape(-1, u.shape[-1])
-    off = np.full(max(u.shape[-1] - 1, 1), -2.0 * J)  # stevd wants len(e) >= 1
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise ValueError("xy_step_phases: potentials and J must be finite")
+    E comes from LAPACK ?stevd with no eigenvectors, the routine ``eigvalsh_tridiagonal`` picks,
+    called directly."""
+    diag, off = _xy_tridiagonal(u, W, J)
     energies = np.empty_like(diag)
     for r, d in enumerate(diag):
         energies[r], _, info = _STEVD(d, off, compute_v=0)
@@ -247,8 +244,8 @@ def _phases_0_2pi(eigenvalues: np.ndarray) -> np.ndarray:
 
 def quasi_energy_spectrum(op: SingleParticleOperator) -> tuple[np.ndarray, np.ndarray]:
     """``(phases, vectors)``: eigenphases in [0, 2pi) ascending and the
-    orthonormal eigenvectors as the matching columns, as ``np.linalg.eigh``
-    returns them.
+    orthonormal eigenvectors as the matching columns, as a Hermitian
+    eigensolver returns them.
 
     Schur decomposition of the (normal) unitary gives an orthonormal
     eigenbasis even for degenerate phases; forming those Schur vectors is
@@ -363,22 +360,3 @@ def effective_hamiltonian(op: SingleParticleOperator) -> np.ndarray:
     h = np.fft.ifft(theta)[np.subtract.outer(k, k) % len(g)]
     hmat = g[:, np.newaxis] * h * g.conj()
     return 0.5 * (hmat + hmat.conj().T)
-
-
-# ---------------------------------------------------------------------------
-# CSV export (complex entries as re,im pairs)
-
-
-def write_csv(path, header: list[str], rows) -> None:
-    """One header row, then the rows, LF line endings; csv writes a Python float
-    (pass ``ndarray.tolist()``, not numpy scalars) as its shortest round-tripping repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def save_matrix_csv(matrix: np.ndarray, path) -> None:
-    m = np.ascontiguousarray(matrix, dtype=complex)
-    header = [f"c{j}_{part}" for j in range(m.shape[1]) for part in ("re", "im")]
-    write_csv(path, header, m.view(float).tolist())

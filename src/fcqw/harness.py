@@ -10,6 +10,7 @@ Sites in all CSV output are labelled 1..L; the API itself is 0-based.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -40,7 +41,6 @@ from .floquet import (
     reduce_to_single_particle,
     sample_disorder_profiles,
     winding_number,
-    write_csv,
     xy_step_operator,
     xy_step_phases,
 )
@@ -319,6 +319,15 @@ def _qasm_name(cfg: ExperimentConfig, W: float, x) -> str | None:
         return f"circuit_{_wtag(W)}_t{x}.qasm"
     latest = cfg.method == "statevector" and x == max(cfg.times)
     return f"circuit_{_wtag(W)}.qasm" if latest else None
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """One header row, then the rows, LF line endings; csv writes a Python float
+    (pass ``ndarray.tolist()``, not numpy scalars) as its shortest round-tripping repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_qasm(outdir: Path, name: str, circuit: Circuit) -> Path:

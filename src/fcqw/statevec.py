@@ -137,11 +137,6 @@ def basis_state(L: int, index: int) -> StateVector:
     return StateVector(L, amps)
 
 
-def index_to_bitstring(index: int, L: int) -> str:
-    """Render a basis index with site 0 as the first character."""
-    return "".join("1" if (index >> i) & 1 else "0" for i in range(L))
-
-
 # ---------------------------------------------------------------------------
 # applying gates
 

@@ -25,7 +25,6 @@ from fcqw.floquet import (
     predicted_chiral_eigenphases,
     quasi_energy_spectrum,
     reduce_to_single_particle,
-    xy_chain_hamiltonian,
     xy_momentum_family,
     xy_step_operator,
 )
@@ -39,7 +38,7 @@ from fcqw.observables import (
     site_density_exact,
 )
 from fcqw.statevec import basis_state
-from test_circuits import build_left_step
+from test_circuits import build_left_step, xy_chain_hamiltonian
 
 NONCHIRAL_TIMES = [0.1, 0.48, 0.86, 1.24, 1.62, 2.0]
 

@@ -19,7 +19,7 @@ from fcqw.circuits import (
     lower_swaps,
     simulate,
 )
-from fcqw.floquet import reduce_to_single_particle, xy_chain_hamiltonian
+from fcqw.floquet import reduce_to_single_particle
 from fcqw.noise import _PAULI_PAIRS, NoiseSpec, run_noisy
 from fcqw.observables import site_density_exact
 from fcqw.statevec import (
@@ -56,6 +56,18 @@ def build_ring_trotter(L, profile, cfg):
     wrap = tuple(g for basis in ((h(a), h(b)), (hy(a), hy(b))) for g in (*basis, c, hop, c, *basis))
     pairs = 14 * (L - 1)
     return Circuit(L, (rep[:pairs] + wrap + rep[pairs:]) * cfg.n)
+
+
+def xy_chain_hamiltonian(L, profile, J=1.0):
+    """Oracle: the open XY chain's dense one-excitation Hamiltonian, entry by
+    entry: -2J between neighbours i, i + 1 (none from site L - 1 back to 0),
+    and W (sum(u) - 2 u_j) on the diagonal, so an occupied site sits -W u_j
+    from the particle-free background."""
+    hmat = np.zeros((L, L), dtype=complex)
+    for i in range(L - 1):
+        hmat[i, i + 1] = hmat[i + 1, i] = -2.0 * J
+    np.fill_diagonal(hmat, profile.W * (np.sum(profile.u) - 2.0 * profile.u))
+    return hmat
 
 
 def compose_swaps_by_hand(L, pairs):

@@ -20,6 +20,11 @@ STDOUT_DIGESTS = {
     "04_noisy_shots_and_mitigation.py": "4e0601c99efce81c",
     "05_anderson_localization.py": "76a1069258a335ed",
 }
+#: SHA-256 (first 16 hex digits) of each file a demo writes into its cwd;
+#: the other demos write none
+FILE_DIGESTS = {
+    "03_effective_hamiltonian.py": {"effective_hamiltonian_L16.csv": "17a3e2b1a188e45c"},
+}
 
 
 def test_every_demo_is_pinned():
@@ -36,3 +41,5 @@ def test_demo_runs(tmp_path, demo):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest()[:16] == STDOUT_DIGESTS[demo.name]
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in tmp_path.iterdir()}
+    assert written == FILE_DIGESTS.get(demo.name, {})

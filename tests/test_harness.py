@@ -10,7 +10,6 @@ import pytest
 
 from fcqw import floquet
 from fcqw.cli import main
-from fcqw.floquet import save_matrix_csv
 from fcqw.harness import (
     _COMMON_KEYS,
     _KIND_KEYS,
@@ -1095,11 +1094,3 @@ class TestGoldenBytes:
         paths = emit_experiment_qasm(cfg, tmp_path / "emit")
         assert sorted(p.name for p in paths) == sorted(file_bytes(run_dir, "*.qasm"))
         assert file_bytes(tmp_path / "emit") == file_bytes(run_dir, "*.qasm")
-
-    def test_save_matrix_csv_bytes(self, tmp_path):
-        save_matrix_csv(np.array([[1, 2.5 - 1j], [np.exp(0.5j), 0]]), tmp_path / "matrix.csv")
-        assert (tmp_path / "matrix.csv").read_text() == (
-            "c0_re,c0_im,c1_re,c1_im\n"
-            "1.0,0.0,2.5,-1.0\n"
-            "0.8775825618903728,0.479425538604203,0.0,0.0\n"
-        )

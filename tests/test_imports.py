@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and every name
-the package defines at module level is read outside the tests."""
+"""No module of the package imports a name it never uses, every name the
+package defines at module level is read outside the tests, and only the
+harness and the CLI touch files."""
 import ast
 from pathlib import Path
 
@@ -14,6 +15,10 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 READERS = sorted([*PACKAGE.glob("*.py"), *ROOT.glob("demos/*.py"), *ROOT.glob("perfbench/*.py")])
 #: perfbench's tables that name the entry points it wraps by string
 NAME_TABLES = ("ENTRY_POINTS", "BUILDERS")
+#: the modules of gates, circuits and physics, which read and write no files
+FILE_FREE = ("statevec", "circuits", "floquet", "noise", "observables", "qasm")
+#: the standard modules a file writer imports
+FILE_MODULES = {"csv", "json", "shutil", "pathlib"}
 
 
 def _dotted(node) -> str | None:
@@ -106,3 +111,28 @@ def test_every_package_name_is_read_outside_the_tests():
     sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     readers = [p.read_text(encoding="utf-8") for p in READERS]
     assert unreached_names(sources, readers) == []
+
+
+def file_access(source: str) -> list[str]:
+    """The ``FILE_MODULES`` the source imports and its calls to an ``open``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] in FILE_MODULES]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in FILE_MODULES:
+            found.append(node.module)
+        elif isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+            found.append("open()")
+    return sorted(found)
+
+
+def test_the_check_finds_file_access():
+    source = "import csv, os\nfrom pathlib import Path\nimport json as j\nwith open(p) as fh:\n    Path(p).open()\n"
+    assert file_access(source) == ["csv", "json", "open()", "open()", "pathlib"]
+    assert file_access("import os\nimport numpy as np\nnp.load(opened)\n") == []
+
+
+@pytest.mark.parametrize("name", FILE_FREE)
+def test_module_touches_no_files(name):
+    assert file_access((PACKAGE / f"{name}.py").read_text(encoding="utf-8")) == []

@@ -166,6 +166,16 @@ class TestDeterminism:
         dense = run_noisy(circuit, start, spec, shots=400)
         assert fast.counts == dense.counts
 
+    def test_walk_counts_do_not_depend_on_the_potential_strength(self):
+        # from a one-hot start the walk's potential only adds phases, so the
+        # noisy outcomes do not see W, which is why the noisy-robustness check
+        # expects a difference of exactly 0
+        spec = NoiseSpec(0.05, 0.02, 0.03, seed=7)
+        runs = [list(run_noisy(build_fcqw_walk(8, profile(8, W), 5), 1, spec, 3000).counts.items())
+                for profile in (PotentialProfile.box, PotentialProfile.uniform)
+                for W in (0.0, 1.0, 2.5, 4.0, 37.0)]
+        assert all(run == runs[0] for run in runs[1:])
+
     # exact counts pin the stream layout on both sampler paths
     @pytest.mark.parametrize(
         "circuit, start, spec, shots, expected",

@@ -12,12 +12,8 @@ from fcqw.observables import (
     site_density_counts,
     site_density_exact,
 )
-from fcqw.statevec import (
-    StateVector,
-    basis_state,
-    index_to_bitstring,
-)
-from test_statevec import bitstring_to_index, sample_bitstrings
+from fcqw.statevec import StateVector, basis_state
+from test_statevec import bitstring_to_index, index_to_bitstring, sample_bitstrings
 
 
 def _shots(bit_counts: dict[str, int]) -> ShotResult:

@@ -14,11 +14,15 @@ from fcqw.statevec import (
     gate_matrix,
     h,
     hy,
-    index_to_bitstring,
     rz,
     swap,
     swap_as_cnots,
 )
+
+
+def index_to_bitstring(index: int, L: int) -> str:
+    """Bitstring of a basis index, written site 0 first."""
+    return "".join("1" if (index >> i) & 1 else "0" for i in range(L))
 
 
 def bitstring_to_index(bits: str) -> int:
